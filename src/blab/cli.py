@@ -205,10 +205,6 @@ def _law_payload(law):
     return {"kind": "power", "exponent": law.exponent, "scale": law.scale}
 
 
-def _boundary_payload(bset):
-    return bset.to_payload()
-
-
 def _disk_points(rng, count):
     return np.sqrt(rng.uniform(0.0, 1.0, count)) * np.exp(
         2j * np.pi * rng.uniform(0.0, 1.0, count))
@@ -265,7 +261,7 @@ def _run_verify_lemma(plan, out_dir, threads):
         "config": {
             "model": {"kind": spec.phi.kind, "param": spec.phi.param},
             "K": spec.k_const,
-            "set": _boundary_payload(spec.boundary),
+            "set": spec.boundary.to_payload(),
             "samples": plan["samples"],
             "seed": plan["seed"],
             "threads": threads,
@@ -327,7 +323,7 @@ def _run_verify_theorem1(plan, out_dir, threads):
         "config": {
             "model": {"kind": spec.phi.kind, "param": spec.phi.param},
             "K": spec.k_const,
-            "set": _boundary_payload(spec.boundary),
+            "set": spec.boundary.to_payload(),
             "products": prod,
             "grid_points": plan["grid_points"],
             "law": _law_payload(plan["law"]),
@@ -357,27 +353,26 @@ def _run_verify_theorem1(plan, out_dir, threads):
     return 1 if total_viol else 0
 
 
-def _zeros_field(value, path):
-    return _string(value, path)
+def _read_zeros_file(name, base_dir):
+    """The zeros file named by config.zeros, relative to the config's directory."""
+    full = name if os.path.isabs(name) else os.path.join(base_dir, name)
+    try:
+        return read_zeros(full)
+    except OSError as exc:
+        raise ConfigError(f"config.zeros: cannot read {full}: {exc}") from exc
+    except BlabError as exc:
+        raise ConfigError(f"config.zeros: {exc}") from exc
 
 
 def _prep_critical_points(cfg, args, base_dir):
     parsed = _fields(cfg, "config", {
-        "zeros": _zeros_field,
+        "zeros": _string,
     }, {
         "seed": _seed_field,
         "out": lambda v, p: _parse_out(v, p, ("report", "points", "residuals")),
     })
     _resolve_seed(parsed, args, required=False)
-    full = parsed["zeros"]
-    if not os.path.isabs(full):
-        full = os.path.join(base_dir, full)
-    try:
-        parsed["zero_seq"] = read_zeros(full)
-    except OSError as exc:
-        raise ConfigError(f"config.zeros: cannot read {full}: {exc}") from exc
-    except BlabError as exc:
-        raise ConfigError(f"config.zeros: {exc}") from exc
+    parsed["zero_seq"] = _read_zeros_file(parsed["zeros"], base_dir)
     return parsed
 
 
@@ -408,7 +403,7 @@ def _run_critical_points(plan, out_dir, threads):
 
 def _prep_critical_sum(cfg, args, base_dir):
     parsed = _fields(cfg, "config", {
-        "zeros": _zeros_field,
+        "zeros": _string,
         "set": lambda v, p: _parse_boundary(v, p, base_dir),
         "rho": _positive,
         "beta": _real,
@@ -418,15 +413,7 @@ def _prep_critical_sum(cfg, args, base_dir):
         "out": lambda v, p: _parse_out(v, p, ("report", "csv")),
     })
     _resolve_seed(parsed, args, required=False)
-    full = parsed["zeros"]
-    if not os.path.isabs(full):
-        full = os.path.join(base_dir, full)
-    try:
-        parsed["zero_seq"] = read_zeros(full)
-    except OSError as exc:
-        raise ConfigError(f"config.zeros: cannot read {full}: {exc}") from exc
-    except BlabError as exc:
-        raise ConfigError(f"config.zeros: {exc}") from exc
+    parsed["zero_seq"] = _read_zeros_file(parsed["zeros"], base_dir)
     return parsed
 
 
@@ -440,7 +427,7 @@ def _run_critical_sum(plan, out_dir, threads):
         "inequality": CRITICAL_SUM_TAG,
         "config": {
             "zeros": plan["zeros"],
-            "set": _boundary_payload(plan["set"]),
+            "set": plan["set"].to_payload(),
             "rho": plan["rho"], "beta": plan["beta"], "eps": plan["eps"],
             "threads": threads,
         },
@@ -482,7 +469,7 @@ def _run_beta_estimate(plan, out_dir, threads):
     payload = {
         "experiment": "beta-estimate",
         "config": {
-            "set": _boundary_payload(plan["set"]),
+            "set": plan["set"].to_payload(),
             "k_min": plan["k_min"], "k_max": plan["k_max"],
             "threads": threads,
         },
@@ -549,7 +536,7 @@ def _run_means_trend(plan, out_dir, threads):
             "kind": fam["kind"],
             "model": {"kind": spec.phi.kind, "param": spec.phi.param},
             "K": spec.k_const,
-            "set": _boundary_payload(spec.boundary),
+            "set": spec.boundary.to_payload(),
             "law": _law_payload(law),
         }
     all_rows = []
@@ -583,7 +570,7 @@ def _prep_envelope_fit(cfg, args, base_dir):
     parsed = _fields(cfg, "config", {
         "rho": _positive,
     }, {
-        "zeros": _zeros_field,
+        "zeros": _string,
         "sampling": lambda v, p: _fields(v, p, {
             "region": lambda vv, pp: _parse_region(vv, pp, base_dir),
             "law": _parse_law,
@@ -604,15 +591,7 @@ def _prep_envelope_fit(cfg, args, base_dir):
         raise ConfigError("config: exactly one of zeros | sampling is required")
     parsed["seed"] = _resolve_seed(parsed, args, required=has_sampling)
     if has_zeros:
-        full = parsed["zeros"]
-        if not os.path.isabs(full):
-            full = os.path.join(base_dir, full)
-        try:
-            parsed["zero_seq"] = read_zeros(full)
-        except OSError as exc:
-            raise ConfigError(f"config.zeros: cannot read {full}: {exc}") from exc
-        except BlabError as exc:
-            raise ConfigError(f"config.zeros: {exc}") from exc
+        parsed["zero_seq"] = _read_zeros_file(parsed["zeros"], base_dir)
         if "set" not in parsed:
             raise ConfigError("config.set: required when zeros come from a file")
     elif "set" not in parsed:
@@ -632,7 +611,7 @@ def _run_envelope_fit(plan, out_dir, threads):
             "sampling": {
                 "model": {"kind": samp["region"].phi.kind, "param": samp["region"].phi.param},
                 "K": samp["region"].k_const,
-                "set": _boundary_payload(samp["region"].boundary),
+                "set": samp["region"].boundary.to_payload(),
                 "law": _law_payload(samp["law"]),
                 "count": samp["count"],
             }
@@ -643,7 +622,7 @@ def _run_envelope_fit(plan, out_dir, threads):
     payload = {
         "experiment": "envelope-fit",
         "inequality": ENVELOPE_TAG,
-        "config": dict(source, set=_boundary_payload(plan["set"]), rho=plan["rho"],
+        "config": dict(source, set=plan["set"].to_payload(), rho=plan["rho"],
                        grid={"depth": grid_cfg.get("depth", 14),
                              "rays": grid_cfg.get("rays", 12),
                              "ring": grid_cfg.get("ring", 64)},

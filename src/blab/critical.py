@@ -7,13 +7,19 @@ multiplicity m-1 at itself exactly; the remaining u-1 "free" critical points
 derivative B'/B, a rational function whose numerator W also carries the
 reflected exterior critical points.
 
-The solver runs simultaneous (Aberth-style) iteration on W, but never forms
-W's monomial coefficients: for zeros clustered near the circle those expand
-catastrophically, while the Newton ratio W/W' is available to machine
-accuracy through factor-wise logarithmic-derivative sums. A final Newton
-polish on B'/B itself brings each simple root to the evaluation noise floor.
-The expanded numerator/denominator form is kept separately (`to_rational`)
-as an independent differentiation cross-check.
+B(1/conj(z)) = 1/conj(B(z)) makes W's roots come in reflected pairs c and
+1/conj(c), so the solver iterates only the u-1 interior unknowns by
+simultaneous (Aberth) iteration: each estimate's reflection stands in for
+its exterior partner in the repulsion sum, an estimate that leaves the disk
+is folded back by reflection, and each estimate freezes once its step is
+negligible. The estimates start at hyperbolic midpoints of angularly
+neighbouring zeros, inside the hyperbolic hull where Walsh's theorem puts
+the critical points. W's monomial coefficients are never formed: for zeros
+clustered near the circle those expand catastrophically, while the Newton
+ratio W/W' is available to machine accuracy through factor-wise pole sums.
+A final Newton polish on B'/B itself brings each simple root to the
+evaluation noise floor. The expanded numerator/denominator form is kept
+separately (`to_rational`) as an independent differentiation cross-check.
 """
 from __future__ import annotations
 
@@ -26,7 +32,8 @@ from .products import BlaschkeProduct, ZeroSequence
 
 _INTERIOR_EDGE = 1e-12  # |root| < 1 - this counts as interior
 _RESIDUAL_MAX = 1e-8
-_PARK_RADIUS = 1e6  # estimates beyond this are chasing roots at infinity
+_BLOCK = 1 << 15  # matrix entries per row block of a pole or repulsion sum
+_FLOOR_FACTOR = 4.0  # a residual this close to the float64 floor is a float64 limit
 
 
 # ---------------------------------------------------------------------------
@@ -104,89 +111,127 @@ def _group_exact(zs):
     return unique, mult
 
 
-def _h_and_prime(unique, mult, z):
-    """H = B'/B and H' at the points z, as multiplicity-weighted pole sums."""
-    zc = np.conj(unique)[:, None]
-    zu = unique[:, None]
-    mm = mult[:, None]
-    pts = np.asarray(z, dtype=np.complex128)[None, :]
-    fac = (np.abs(unique) ** 2 - 1.0)[:, None]
-    da = 1.0 - zc * pts
-    db = zu - pts
-    g = fac / (da * db)
-    gp = fac * (zc * db + da) / (da * db) ** 2
-    return (mm * g).sum(axis=0), (mm * gp).sum(axis=0)
+def _pole_sums(unique, mult, z):
+    """H = B'/B, H' and the pole sum S at the points z.
 
-
-def _ratio_w(unique, mult, z):
-    """W'/W at the points z, where W = (numerator of B'/B) * prod of pole factors.
-
-    W'/W = H'/H + sum_j d/dz log[(1 - conj(z_j) z)(z_j - z)] over distinct j.
+    With a_j* = 1/conj(a_j), each term of H stays a product,
+    m_j (|a_j|^2 - 1) / ((1 - conj(a_j) z)(a_j - z))
+        = c_j / ((a_j - z)(a_j* - z)),   c_j = m_j (|a_j|^2 - 1) / conj(a_j),
+    so it keeps full relative accuracy even for zeros near the circle, and
+    its derivative is the term times 1/(a_j - z) + 1/(a_j* - z). S sums those
+    last two fractions over the distinct zeros: it is minus the logarithmic
+    derivative of W's denominator prod (1 - conj(a_j) z)(a_j - z). Points go
+    in row blocks so the temporaries stay small.
     """
-    h, hp = _h_and_prime(unique, mult, z)
-    zc = np.conj(unique)[:, None]
-    zu = unique[:, None]
-    pts = np.asarray(z, dtype=np.complex128)[None, :]
-    polelog = (-zc / (1.0 - zc * pts) - 1.0 / (zu - pts)).sum(axis=0)
-    return hp / h + polelog
+    pts = np.asarray(z, dtype=np.complex128)
+    refl = 1.0 / np.conj(unique)
+    coef = mult * (np.abs(unique) ** 2 - 1.0) / np.conj(unique)
+    h, hp, total = (np.empty_like(pts) for _ in range(3))
+    rows = max(1, _BLOCK // unique.size)
+    for lo in range(0, pts.size, rows):
+        q = pts[lo : lo + rows, None]
+        inv = 1.0 / (unique - q)
+        inv_refl = 1.0 / (refl - q)
+        g = coef * inv * inv_refl
+        inv += inv_refl
+        h[lo : lo + rows] = g.sum(axis=1)
+        hp[lo : lo + rows] = (g * inv).sum(axis=1)
+        total[lo : lo + rows] = inv.sum(axis=1)
+    return h, hp, total
+
+
+def _cauchy_sum(z, nodes):
+    """sum_j 1/(z - nodes_j) at each z; terms that are not finite count 0.
+
+    That drops a node coinciding with z (the point itself, in a repulsion
+    sum) and a node at infinity.
+    """
+    out = np.empty_like(z)
+    rows = max(1, _BLOCK // nodes.size)
+    with np.errstate(all="ignore"):
+        for lo in range(0, z.size, rows):
+            inv = 1.0 / (z[lo : lo + rows, None] - nodes)
+            inv[~np.isfinite(inv)] = 0.0
+            out[lo : lo + rows] = inv.sum(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # solver
 
 
-def _aberth_free_points(unique, mult, max_iter=500, step_tol=1e-12):
-    """All finite roots of the free-critical-point numerator, by simultaneous iteration.
+def _hyperbolic_midpoints(a, b):
+    """Midpoints of the hyperbolic segments [a, b] in the unit disk.
 
-    Starts the 2u-2 estimates on a circle of radius 0.5 about the zero
-    centroid (a fixed angular offset breaks symmetric stalls). Estimates whose
-    growth shows they chase a root at infinity (the numerator's degree drops
-    for special configurations) are parked and excluded from the convergence
-    test.
+    The disk automorphism z -> (z - a)/(1 - conj(a) z) sends a to 0 and b to
+    c; the midpoint of [0, c] is t c/|c| with t = tanh(artanh|c|/2), and the
+    inverse map brings it back.
     """
-    u = len(unique)
-    m = 2 * u - 2
-    center = complex(np.mean(unique))
-    ks = np.arange(m)
-    w = center + 0.5 * np.exp(2j * np.pi * (ks + 0.37) / max(m, 1))
-    parked = np.zeros(m, dtype=bool)
-    converged = False
+    with np.errstate(all="ignore"):
+        c = (b - a) / (1.0 - np.conj(a) * b)
+    s = np.minimum(np.abs(c), 1.0 - 1e-16)  # rounding can push |c| onto the circle
+    t = s / (1.0 + np.sqrt(1.0 - s * s))
+    d = t * np.exp(1j * np.angle(c))
+    return (d + a) / (1.0 + np.conj(a) * d)
+
+
+def _geometric_seeds(unique):
+    """u-1 starting estimates between angular neighbours of the distinct zeros.
+
+    The zeros are ordered by argument (ties by modulus, so radially stacked
+    zeros pair up in order), the widest angular gap is dropped, and each
+    remaining pair of neighbours contributes its hyperbolic midpoint.
+    """
+    ang = np.angle(unique)
+    order = np.lexsort((np.abs(unique), ang))
+    gaps = np.diff(np.append(ang[order], ang[order[0]] + 2.0 * np.pi))
+    ring = np.roll(order, -(int(np.argmax(gaps)) + 1))
+    return _hyperbolic_midpoints(unique[ring[:-1]], unique[ring[1:]])
+
+
+def _aberth_free_points(unique, mult, max_iter=500, step_tol=1e-12):
+    """The u-1 free critical points, by reflected-pair simultaneous iteration.
+
+    B(1/conj(z)) = 1/conj(B(z)) makes the 2u-2 roots of W come in pairs
+    w, 1/conj(w), so only the u-1 interior estimates are iterated; each
+    estimate's reflection stands in for W's exterior root and enters the
+    Aberth repulsion as an implicit partner (an estimate at 0 has its partner
+    at infinity, which adds nothing). An estimate that leaves the disk is
+    folded back by reflection, and one whose step falls below
+    step_tol * (1 + |w|) is frozen while it keeps repelling the others.
+    Seeds come from the zeros' geometry (`_geometric_seeds`): by Walsh's
+    theorem the critical points lie in the hyperbolic hull of the zeros.
+
+    Returns the estimates and the number still moving (0 when converged).
+    """
+    w = _geometric_seeds(unique)
+    live = np.ones(w.size, dtype=bool)
     for _ in range(max_iter):
-        active = ~parked
-        if not active.any():
-            converged = True
-            break
-        z = w[active]
-        idx = np.flatnonzero(active)
+        idx = np.flatnonzero(live)
+        z = w[idx]
         with np.errstate(all="ignore"):
-            t_ratio = _ratio_w(unique, mult, z)
-            diff = z[:, None] - w[None, :]
-            diff[np.arange(idx.size), idx] = np.inf  # drop self-repulsion
-            inv = 1.0 / diff
-        inv[~np.isfinite(inv)] = 0.0
-        rep = inv.sum(axis=1)
-        with np.errstate(all="ignore"):
-            step = 1.0 / (t_ratio - rep)
-        cap = 10.0 * (1.0 + np.abs(z))
-        bad = ~np.isfinite(step)
-        step[bad] = 0.0  # exactly on a root, or a transient stall: hold position
-        big = np.abs(step) > cap
-        step[big] = step[big] / np.abs(step[big]) * cap[big]
-        w[active] = z - step
-        newly = np.abs(w - center) > _PARK_RADIUS
-        parked |= newly
-        still = active & ~newly
-        if not still.any() or np.max(np.abs(step[~newly[active]])) < step_tol:
-            converged = True
+            # W'/W = H'/H - S; the repulsion runs over the other estimates
+            # and every reflection (the self term is not finite and drops)
+            h, hp, total = _pole_sums(unique, mult, z)
+            partners = np.concatenate([w, 1.0 / np.conj(w)])
+            step = 1.0 / (hp / h - total - _cauchy_sum(z, partners))
+        stalled = ~np.isfinite(step)
+        step[stalled] = 0.0  # exactly on a root, or a transient stall: hold position
+        nxt = z - step
+        out = np.abs(nxt) > 1.0
+        nxt[out] = 1.0 / np.conj(nxt[out])  # fold back inside by reflection
+        w[idx] = nxt
+        live[idx] = stalled | (np.abs(step) >= step_tol * (1.0 + np.abs(nxt)))
+        if not live.any():
             break
-    return w[~parked], converged
+    return w, int(live.sum())
 
 
 def _newton_on_h(unique, mult, points, max_iter=60):
     """Polish free critical points on H = B'/B, which evaluates stably."""
     pts = np.array(points, dtype=np.complex128)
     for _ in range(max_iter):
-        h, hp = _h_and_prime(unique, mult, pts)
+        h, hp, _ = _pole_sums(unique, mult, pts)
         with np.errstate(all="ignore"):
             step = h / hp
         step[~np.isfinite(step)] = 0.0
@@ -237,18 +282,21 @@ def critical_points(product, max_iter=500):
     n = product.degree
     unique, mult = _group_exact(zs)
     fixed = np.repeat(unique, (mult - 1).astype(int))
+    stalled = ""
     if len(unique) == 1:
         free = np.asarray([], dtype=np.complex128)
     else:
-        raw, converged = _aberth_free_points(unique, mult, max_iter=max_iter)
+        raw, live = _aberth_free_points(unique, mult, max_iter=max_iter)
         inside = raw[np.abs(raw) < 1.0 - _INTERIOR_EDGE]
         free = _newton_on_h(unique, mult, inside)
         free = free[np.abs(free) < 1.0 - _INTERIOR_EDGE]
-        if not converged and free.size != len(unique) - 1:
-            raise RootFindingError(
-                f"simultaneous iteration did not converge within {max_iter} sweeps",
-                partial=_sorted_critical(np.concatenate([fixed, free])),
-            )
+        if live:
+            stalled = (f"simultaneous iteration did not converge within {max_iter} sweeps: "
+                       f"{live} of {raw.size} estimates still moving")
+            if free.size != len(unique) - 1:
+                raise RootFindingError(
+                    stalled, partial=_sorted_critical(np.concatenate([fixed, free]))
+                )
     points = _sorted_critical(np.concatenate([fixed, free]))
     if points.size != n - 1:
         try:
@@ -263,10 +311,34 @@ def critical_points(product, max_iter=500):
     residuals = np.abs(product.derivative(points)) if points.size else np.asarray([])
     if points.size and np.max(residuals) >= _RESIDUAL_MAX:
         raise RootFindingError(
-            f"worst residual |B'| = {np.max(residuals):g} exceeds {_RESIDUAL_MAX:g}",
+            _residual_failure(product, unique, mult, points, residuals)
+            + (f"; {stalled}" if stalled else ""),
             partial=points,
         )
     return CriticalSet(points, residuals, n)
+
+
+def _residual_failure(product, unique, mult, points, residuals):
+    """Name the worst point and compare its residual with the float64 floor.
+
+    Rounding c to the nearest float moves it by up to spacing(|c|), which
+    changes B' by about spacing(|c|) * |B''(c)|; at a critical point
+    B'' = B * H'. A residual within a small factor of that floor is the
+    limit of float64, not a failure of the solver.
+    """
+    k = int(np.argmax(residuals))
+    c = complex(points[k])
+    with np.errstate(all="ignore"):
+        _, hp, _ = _pole_sums(unique, mult, [c])
+        floor = float(np.spacing(abs(c)) * abs(product.evaluate(c) * hp[0]))
+    msg = (
+        f"worst residual |B'| = {residuals[k]:g} exceeds {_RESIDUAL_MAX:g} "
+        f"at point {k} of {points.size}, c = {c!r}, 1-|c| = {1.0 - abs(c):.3g}; "
+        f"float64 floor spacing(|c|)*|B''(c)| = {floor:.3g}"
+    )
+    if residuals[k] <= _FLOOR_FACTOR * floor:
+        msg += f" (residual within {_FLOOR_FACTOR:g}x of it: a float64 limit)"
+    return msg
 
 
 def argument_principle_count(product, r, nodes=None):

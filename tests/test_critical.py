@@ -19,6 +19,10 @@ from blab import (
     protas_sum,
     to_rational,
     BoundarySet,
+    ModelFunction,
+    PowerLaw,
+    StolzSpec,
+    sample_zeros,
 )
 
 
@@ -105,12 +109,70 @@ class TestCriticalPoints:
             critical_points(zs)
         assert info.value.partial is not None
         assert len(info.value.partial) == 29
+        # the message names the worst point and the float64 floor it hit
+        partial = info.value.partial
+        worst = int(np.argmax(np.abs(BlaschkeProduct(zs).derivative(partial))))
+        msg = str(info.value)
+        assert f"at point {worst} of 29" in msg
+        assert "float64 floor spacing(|c|)*|B''(c)|" in msg
+        assert "float64 limit" in msg
+
+    def test_sweep_cap_names_live_estimates(self):
+        rng = np.random.default_rng(100)
+        zs = (1.0 - rng.uniform(1e-3, 0.5, 100)) * np.exp(2j * np.pi * rng.uniform(0, 1, 100))
+        with pytest.raises(RootFindingError, match=r"within 2 sweeps: \d+ of 99 estimates"):
+            critical_points(zs, max_iter=2)
 
     def test_iter_and_count(self):
         cs = critical_points([0.5, -0.5])
         vals = list(cs)
         assert len(vals) == cs.count == 1
         assert isinstance(vals[0], complex)
+
+
+def _sampled_vertex_zeros(gauge, n, seed):
+    phi = {"linear": ModelFunction.linear(),
+           "exp": ModelFunction.exp_tangential(1.0)}[gauge]
+    spec = StolzSpec(phi, BoundarySet.from_points([0.0]), 2.0)
+    return sample_zeros(spec, n, seed=seed, law=PowerLaw(2.0, 0.5)).zeros
+
+
+class TestCriticalPointsOracle:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_roots_of_expanded_numerator(self, seed):
+        # B' = u (P'Q - PQ') / Q^2: the interior roots of the expanded
+        # numerator are the critical points, found without the solver
+        p = random_product(50_000 + seed, n_lo=2, n_hi=12, r_hi=0.9)
+        form = to_rational(p)
+        pv = np.polynomial.polynomial
+        num = pv.polysub(pv.polymul(pv.polyder(form.p_coeffs), form.q_coeffs),
+                         pv.polymul(form.p_coeffs, pv.polyder(form.q_coeffs)))
+        roots = pv.polyroots(num)
+        oracle = roots[np.abs(roots) < 1.0]
+        got = critical_points(p).points
+        assert oracle.size == got.size == p.degree - 1
+        dist = np.abs(oracle[:, None] - got[None, :])
+        nearest = dist.argmin(axis=1)
+        assert np.unique(nearest).size == got.size  # one-to-one
+        assert np.max(dist.min(axis=1)) < 1e-8
+
+    @pytest.mark.parametrize("gauge, n", [("linear", 200), ("exp", 100)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sampled_sets_solve(self, gauge, n, seed):
+        zs = _sampled_vertex_zeros(gauge, n, seed)
+        cs = critical_points(zs)
+        assert cs.count == n - 1
+        gaps = np.abs(cs.points[:, None] - cs.points[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        assert np.min(gaps) > 0.0  # pairwise distinct
+        assert np.max(cs.residuals) < 1e-8
+
+    def test_random_degree_400_clustered(self):
+        rng = np.random.default_rng(400)
+        zs = (1.0 - rng.uniform(1e-3, 0.5, 400)) * np.exp(2j * np.pi * rng.uniform(0, 1, 400))
+        cs = critical_points(zs)
+        assert cs.count == 399
+        assert np.max(cs.residuals) < 1e-8
 
 
 class TestArgumentPrinciple:
