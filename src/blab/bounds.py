@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, EmptyRegionError, SamplingError
-from .products import BlaschkeProduct
+from .products import BlaschkeProduct, _factor_blocks
 from .regions import MEMBERSHIP_TOL, angular_halfwidth, in_stolz, region_is_empty
 
-_CHUNK = 4096
+_DRAWS = 4096  # draws per RNG stream of the lemma sampler
 _UNIT_TOL = 1e-9  # |t| = 1 validated to this
 
 
@@ -105,12 +105,14 @@ def schwarz_pick_bound(product, z):
     if np.any(np.abs(z) >= 1.0):
         raise DomainError("the hyperbolic-derivative bound needs |z| < 1")
     flat = z.ravel()
-    prefix = np.ones(flat.shape, dtype=np.float64)
-    acc = np.zeros(flat.shape, dtype=np.float64)
-    for a in product.zeros.zeros:
-        dsq = np.abs(1.0 - np.conj(a) * flat) ** 2
-        acc += prefix * (1.0 - abs(a) ** 2) / dsq
-        prefix *= np.abs(a - flat) ** 2 / dsq
+    acc = np.empty(flat.shape, dtype=np.float64)
+    sq = product.zeros.moduli[:, None] ** 2
+    for sl, d, r in _factor_blocks(product.zeros.zeros, flat):
+        inv = np.abs(r) ** 2 / sq  # 1 / |1 - conj(a) z|^2
+        terms = (1.0 - sq) * inv
+        # each term carries prod_{m<n} |b_m|^2 = prod_{m<n} |d_m|^2 inv_m
+        terms[1:] *= np.cumprod(np.abs(d[:-1]) ** 2 * inv[:-1], axis=0)
+        acc[sl] = terms.sum(axis=0)
     vals = acc.reshape(z.shape)
     return _scalarize(vals, scalar)
 
@@ -204,11 +206,11 @@ def lemma_check(spec, n_samples, seed, rtol=1e-12, keep=10):
             )
         rng = np.random.default_rng([int(seed), chunk_index])
         chunk_index += 1
-        u = rng.uniform(0.0, 1.0, _CHUNK)
-        psi_frac = rng.uniform(-1.0, 1.0, _CHUNK)
-        zr = np.sqrt(rng.uniform(0.0, 1.0, _CHUNK))
-        zth = rng.uniform(0.0, 2.0 * np.pi, _CHUNK)
-        drawn += _CHUNK
+        u = rng.uniform(0.0, 1.0, _DRAWS)
+        psi_frac = rng.uniform(-1.0, 1.0, _DRAWS)
+        zr = np.sqrt(rng.uniform(0.0, 1.0, _DRAWS))
+        zth = rng.uniform(0.0, 2.0 * np.pi, _DRAWS)
+        drawn += _DRAWS
         adm = (u > 0.0) & (phi(u) <= k * u * (1.0 + MEMBERSHIP_TOL))
         if not adm.any():
             continue

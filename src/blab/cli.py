@@ -199,6 +199,14 @@ def _parse_out(value, path, allowed):
     return _fields(value, path, {}, schema)
 
 
+def _region_payload(model, k_const, boundary=None):
+    """The {"model": {"kind", "param"}, "K", "set"} part of a report's config."""
+    payload = {"model": {"kind": model.kind, "param": model.param}, "K": k_const}
+    if boundary is not None:
+        payload["set"] = boundary.to_payload()
+    return payload
+
+
 def _law_payload(law):
     if isinstance(law, GeometricLaw):
         return {"kind": "geometric", "ratio": law.ratio}
@@ -258,14 +266,10 @@ def _run_verify_lemma(plan, out_dir, threads):
     payload = {
         "experiment": "verify-lemma",
         "inequality": LEMMA_TAG,
-        "config": {
-            "model": {"kind": spec.phi.kind, "param": spec.phi.param},
-            "K": spec.k_const,
-            "set": spec.boundary.to_payload(),
-            "samples": plan["samples"],
-            "seed": plan["seed"],
-            "threads": threads,
-        },
+        "config": dict(
+            _region_payload(spec.phi, spec.k_const, spec.boundary),
+            samples=plan["samples"], seed=plan["seed"], threads=threads,
+        ),
         "results": dict(report.to_payload(), bound=lemma_bound(spec.phi, spec.k_const)),
     }
     out = plan.get("out", {})
@@ -320,16 +324,11 @@ def _run_verify_theorem1(plan, out_dir, threads):
     payload = {
         "experiment": "verify-theorem1",
         "inequality": THEOREM_TAG,
-        "config": {
-            "model": {"kind": spec.phi.kind, "param": spec.phi.param},
-            "K": spec.k_const,
-            "set": spec.boundary.to_payload(),
-            "products": prod,
-            "grid_points": plan["grid_points"],
-            "law": _law_payload(plan["law"]),
-            "seed": seed,
-            "threads": threads,
-        },
+        "config": dict(
+            _region_payload(spec.phi, spec.k_const, spec.boundary),
+            products=prod, grid_points=plan["grid_points"],
+            law=_law_payload(plan["law"]), seed=seed, threads=threads,
+        ),
         "results": {
             "samples": prod["count"] * plan["grid_points"],
             "violations": total_viol,
@@ -532,13 +531,8 @@ def _run_means_trend(plan, out_dir, threads):
         def family(n):
             return sample_zeros(spec, n, seed=seed, law=law)
 
-        fam_payload = {
-            "kind": fam["kind"],
-            "model": {"kind": spec.phi.kind, "param": spec.phi.param},
-            "K": spec.k_const,
-            "set": spec.boundary.to_payload(),
-            "law": _law_payload(law),
-        }
+        fam_payload = dict(_region_payload(spec.phi, spec.k_const, spec.boundary),
+                           kind=fam["kind"], law=_law_payload(law))
     all_rows = []
     sups = {}
     for p in plan["p_list"]:
@@ -607,15 +601,11 @@ def _run_envelope_fit(plan, out_dir, threads):
         samp = plan["sampling"]
         zeros = sample_zeros(samp["region"], samp["count"], seed=plan["seed"],
                              law=samp["law"])
-        source = {
-            "sampling": {
-                "model": {"kind": samp["region"].phi.kind, "param": samp["region"].phi.param},
-                "K": samp["region"].k_const,
-                "set": samp["region"].boundary.to_payload(),
-                "law": _law_payload(samp["law"]),
-                "count": samp["count"],
-            }
-        }
+        region = samp["region"]
+        source = {"sampling": dict(
+            _region_payload(region.phi, region.k_const, region.boundary),
+            law=_law_payload(samp["law"]), count=samp["count"],
+        )}
     grid_cfg = plan.get("grid", {})
     grid = envelope_grid(plan["set"], **grid_cfg)
     fit = envelope_fit(BlaschkeProduct(zeros), plan["set"], plan["rho"], grid)
@@ -658,13 +648,11 @@ def _run_region_boundary(plan, out_dir, threads):
     write_points_csv(os.path.join(out_dir, csv_name), pts)
     payload = {
         "experiment": "region-boundary",
-        "config": {
-            "model": {"kind": plan["model"].kind, "param": plan["model"].param},
-            "K": plan["K"],
-            "vertex_angle": plan["vertex_angle"],
-            "resolution": plan["resolution"],
-            "threads": threads,
-        },
+        "config": dict(
+            _region_payload(plan["model"], plan["K"]),
+            vertex_angle=plan["vertex_angle"], resolution=plan["resolution"],
+            threads=threads,
+        ),
         "results": {"points": int(pts.size), "csv_file": csv_name},
     }
     write_report(os.path.join(out_dir, out.get("report", "region-boundary.json")), payload)

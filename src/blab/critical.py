@@ -28,11 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContourError, DomainError, RootFindingError
-from .products import BlaschkeProduct, ZeroSequence
+from .products import _BLOCK, BlaschkeProduct, ZeroSequence, _factor_blocks
 
 _INTERIOR_EDGE = 1e-12  # |root| < 1 - this counts as interior
 _RESIDUAL_MAX = 1e-8
-_BLOCK = 1 << 15  # matrix entries per row block of a pole or repulsion sum
 _FLOOR_FACTOR = 4.0  # a residual this close to the float64 floor is a float64 limit
 
 
@@ -120,23 +119,20 @@ def _pole_sums(unique, mult, z):
     so it keeps full relative accuracy even for zeros near the circle, and
     its derivative is the term times 1/(a_j - z) + 1/(a_j* - z). S sums those
     last two fractions over the distinct zeros: it is minus the logarithmic
-    derivative of W's denominator prod (1 - conj(a_j) z)(a_j - z). Points go
-    in row blocks so the temporaries stay small.
+    derivative of W's denominator prod (1 - conj(a_j) z)(a_j - z). The
+    fractions come from the product's own factor blocks (`_factor_blocks`),
+    run on the distinct zeros.
     """
     pts = np.asarray(z, dtype=np.complex128)
-    refl = 1.0 / np.conj(unique)
-    coef = mult * (np.abs(unique) ** 2 - 1.0) / np.conj(unique)
+    coef = (mult * (np.abs(unique) ** 2 - 1.0) / np.conj(unique))[:, None]
     h, hp, total = (np.empty_like(pts) for _ in range(3))
-    rows = max(1, _BLOCK // unique.size)
-    for lo in range(0, pts.size, rows):
-        q = pts[lo : lo + rows, None]
-        inv = 1.0 / (unique - q)
-        inv_refl = 1.0 / (refl - q)
-        g = coef * inv * inv_refl
-        inv += inv_refl
-        h[lo : lo + rows] = g.sum(axis=1)
-        hp[lo : lo + rows] = (g * inv).sum(axis=1)
-        total[lo : lo + rows] = inv.sum(axis=1)
+    for sl, d, r in _factor_blocks(unique, pts):
+        inv = 1.0 / d
+        g = coef * inv * r
+        inv += r
+        h[sl] = g.sum(axis=0)
+        hp[sl] = (g * inv).sum(axis=0)
+        total[sl] = inv.sum(axis=0)
     return h, hp, total
 
 

@@ -4,6 +4,13 @@ Each zero a must satisfy 0 < |a| < 1. A factor carries the unimodular
 normalization conj(a)/|a|, so the full product is positive at the origin.
 Infinite products are handled through finite truncations; `truncation_tail`
 certifies the cut-off error.
+
+Every per-product quantity comes from one blocked pass over the factors
+(`_factor_blocks`): with d = a - z and r = 1/(1/conj(a) - z) the factor is
+d r / |a|, and the logarithmic derivative is
+H = B'/B = sum ((|a|^2 - 1)/conj(a)) r / d, so B' = B H. Only at points
+where B H is not finite (z equal to a zero) does the derivative fall back
+to the leave-one-out product.
 """
 from __future__ import annotations
 
@@ -14,8 +21,8 @@ from .errors import DomainError, InvalidZeroError
 # Evaluation points may poke past the circle by rounding only.
 _EDGE_TOL = 1e-12
 
-# Points per block in the leave-one-out derivative accumulation.
-_CHUNK = 1024
+# Matrix entries (zeros x points) per block of the factor pass.
+_BLOCK = 1 << 15
 
 
 def _complexify(z):
@@ -35,6 +42,21 @@ def _require_closed_disk(arr):
 def _require_open_disk(arr):
     if np.any(np.abs(arr) >= 1.0):
         raise DomainError("point must lie strictly inside the unit disk")
+
+
+def _factor_blocks(zeros, z):
+    """Per block of the flat points z: the slice, d = a - z and r = 1/(1/conj(a) - z).
+
+    Zeros run along axis 0 and points along axis 1; a block holds at most
+    _BLOCK entries (at least one point), so the temporaries stay small
+    whatever the degree.
+    """
+    refl = 1.0 / np.conj(zeros)[:, None]
+    cols = max(1, _BLOCK // zeros.size)
+    for lo in range(0, z.size, cols):
+        sl = slice(lo, lo + cols)
+        q = z[None, sl]
+        yield sl, zeros[:, None] - q, 1.0 / (refl - q)
 
 
 def _validate_zero_array(arr):
@@ -164,9 +186,6 @@ class BlaschkeProduct:
         if len(seq) == 0:
             raise InvalidZeroError("degree-0 products are rejected; supply at least one zero")
         self._seq = seq
-        self._pref = np.conj(seq.zeros) / seq.moduli
-        self._pref.flags.writeable = False
-        self._rational = None
 
     @property
     def zeros(self):
@@ -183,39 +202,43 @@ class BlaschkeProduct:
         """Value of the product at z (scalar or array), |z| <= 1."""
         arr, scalar = _complexify(z)
         _require_closed_disk(arr)
-        acc = np.ones_like(arr)
-        for a, u in zip(self._seq.zeros, self._pref):
-            acc = acc * (u * (a - arr) / (1.0 - np.conj(a) * arr))
-        return _unscalar(acc, scalar)
+        flat = arr.reshape(-1)
+        out = np.empty_like(flat)
+        inv = 1.0 / self._seq.moduli[:, None]
+        for sl, d, r in _factor_blocks(self._seq.zeros, flat):
+            out[sl] = np.prod(d * r * inv, axis=0)
+        return _unscalar(out.reshape(arr.shape), scalar)
 
     def derivative(self, z):
-        """Analytic derivative, as the sum over n of b_n'(z) * prod_{m!=n} b_m(z).
+        """Analytic derivative B' = B H, with H = B'/B summed over the factors.
 
-        Leave-one-out products come from prefix/suffix accumulation. That
-        keeps the formula exact at points where some factor vanishes
-        (including repeated zeros), where any division shortcut would fail.
+        Where B H is not finite, z is a zero of the product, and the
+        leave-one-out sum over n of b_n'(z) prod_{m!=n} b_m(z) is used on
+        those points only: b_k'(a_k) prod_{j!=k} b_j(a_k) at a simple zero,
+        exactly 0 at a repeated one.
         """
         arr, scalar = _complexify(z)
         _require_closed_disk(arr)
         flat = arr.reshape(-1)
         out = np.empty_like(flat)
-        for lo in range(0, flat.size, _CHUNK):
-            out[lo : lo + _CHUNK] = self._derivative_block(flat[lo : lo + _CHUNK])
+        zeros = self._seq.zeros
+        inv = 1.0 / self._seq.moduli[:, None]
+        coef = (self._seq.moduli[:, None] ** 2 - 1.0) / np.conj(zeros)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for sl, d, r in _factor_blocks(zeros, flat):
+                out[sl] = np.prod(d * r * inv, axis=0) * (coef * r / d).sum(axis=0)
+            bad = np.flatnonzero(~np.isfinite(out))
+            for sl, d, r in _factor_blocks(zeros, flat[bad]):
+                fac = d * r * inv
+                hit = d == 0.0
+                # the vanishing factor b_k gives way to b_k' = coef_k r_k^2 / |a_k|
+                fac[hit] = (coef * r * r * inv)[hit]
+                # with no vanishing factor B H failed for another reason
+                # (a zero of subnormal modulus), and the point stays nan
+                hits = hit.sum(axis=0)
+                out[bad[sl]] = np.select([hits == 1, hits > 1],
+                                         [np.prod(fac, axis=0), 0.0], np.nan)
         return _unscalar(out.reshape(arr.shape), scalar)
-
-    def _derivative_block(self, pts):
-        zs = self._seq.zeros[:, None]
-        pref = self._pref[:, None]
-        n = self.degree
-        denom = 1.0 - np.conj(zs) * pts[None, :]
-        fac = pref * (zs - pts[None, :]) / denom
-        dfac = pref * (np.abs(zs) ** 2 - 1.0) / denom**2
-        before = np.ones_like(fac)
-        after = np.ones_like(fac)
-        if n > 1:
-            np.cumprod(fac[:-1], axis=0, out=before[1:])
-            after[:-1] = np.cumprod(fac[::-1], axis=0)[-2::-1]
-        return (dfac * before * after).sum(axis=0)
 
     def derivative_fd(self, z, h=1e-5):
         """Centered finite-difference derivative over two orthogonal directions.
@@ -232,15 +255,6 @@ class BlaschkeProduct:
         real = (self.evaluate(arr + h) - self.evaluate(arr - h)) / (2.0 * h)
         imag = (self.evaluate(arr + 1j * h) - self.evaluate(arr - 1j * h)) / (2j * h)
         return _unscalar((real + imag) / 2.0, scalar)
-
-    @property
-    def rational(self):
-        """Numerator/denominator form, built once on first access."""
-        if self._rational is None:
-            from .critical import to_rational
-
-            self._rational = to_rational(self)
-        return self._rational
 
     def __repr__(self):
         return f"BlaschkeProduct(degree={self.degree}, alpha={self._seq.alpha:.6g})"

@@ -121,14 +121,6 @@ class ModelFunction:
         return float(np.asarray(vals)[()]) if scalar else vals
 
 
-def model_eval(phi, x):
-    return phi(x)
-
-
-def model_constant(phi):
-    return phi.constant
-
-
 # ---------------------------------------------------------------------------
 # boundary sets
 
@@ -183,9 +175,6 @@ def _to_segments(arcs):
             merged[-1][1] = max(merged[-1][1], s[1])
         else:
             merged.append(list(s))
-    if len(merged) >= 2 and merged[0][0] == 0.0 and merged[-1][1] == TWO_PI:
-        # adjacent across zero; fine to keep split, the set is the same
-        pass
     if merged and merged[0][0] == 0.0 and merged[-1][1] == TWO_PI and len(merged) == 1:
         return merged, True
     return merged, False
@@ -210,17 +199,20 @@ class BoundarySet:
             self._cantor = ((float(base[0]), float(base[1])), float(ratio), int(depth))
             expanded.extend(_expand_cantor(base, float(ratio), int(depth)))
         self._segments, self._full = _to_segments(expanded)
-        pts = sorted({_norm_angle(p) for p in self._raw_points})
-        self._point_angles = np.asarray(
-            [p for p in pts if not self._angle_in_segments(p)], dtype=np.float64
-        )
-        if self._full:
-            self._segments = [[0.0, TWO_PI]]
-            self._point_angles = np.asarray([], dtype=np.float64)
+        seg = np.asarray(self._segments, dtype=np.float64).reshape(-1, 2)
+        pts = np.asarray(sorted({_norm_angle(p) for p in self._raw_points}), dtype=np.float64)
+        k = np.searchsorted(seg[:, 0], pts, side="right") - 1
+        self._point_angles = pts[(k < 0) | (pts > seg[k, 1])] if seg.size else pts
         if not self._segments and self._point_angles.size == 0:
             raise DomainError("boundary set must be nonempty")
-        self._seg_a = np.asarray([s[0] for s in self._segments], dtype=np.float64)
-        self._seg_b = np.asarray([s[1] for s in self._segments], dtype=np.float64)
+        # sorted disjoint intervals: the arcs, and each isolated point as [p, p]
+        ends = np.concatenate([seg, np.repeat(self._point_angles, 2).reshape(-1, 2)])
+        ends = ends[np.argsort(ends[:, 0], kind="stable")]
+        self._lo, self._hi = ends[:, 0], ends[:, 1]
+        self._arc = self._hi > self._lo
+        self._unit_lo, self._unit_hi = np.exp(1j * self._lo), np.exp(1j * self._hi)
+        # an arc that ends at 2 pi also holds angle 0
+        self._wraps = bool(self._arc[-1] and self._hi[-1] >= TWO_PI)
 
     # -- constructors -------------------------------------------------------
 
@@ -288,59 +280,43 @@ class BoundarySet:
     def is_full_circle(self):
         return self._full
 
-    def _angle_in_segments(self, ang):
-        return any(a <= ang <= b for a, b in self._segments)
-
     def measure(self):
         """Normalized arclength of the set itself."""
         return float(sum(b - a for a, b in self._segments)) / TWO_PI
 
+    def _nearest_ends(self, flat):
+        """Sorted-interval lookup for the points flat.
+
+        Returns their angles in [0, 2pi], whether an arc contains each
+        angle, and the two interval endpoints nearest in angle, as unit
+        points: the end of the last interval starting at or before the
+        angle and the start of the next one, wrapping at 0/2pi. Outside the
+        arcs the nearest circle point of the set is one of the two, since
+        chordal distance grows with angular distance.
+        """
+        ang = np.mod(np.angle(flat), TWO_PI)
+        k = np.searchsorted(self._lo, ang, side="right") - 1
+        inside = (k >= 0) & (ang <= self._hi[k]) & self._arc[k]
+        if self._wraps:
+            inside |= ang == 0.0
+        return ang, inside, (self._unit_hi[k], self._unit_lo[(k + 1) % self._lo.size])
+
     def distance(self, z):
         """Chordal distance from z (scalar or array) to the set."""
         arr = np.asarray(z, dtype=np.complex128)
-        scalar = arr.ndim == 0
         flat = arr.reshape(-1)
-        out = np.full(flat.shape, np.inf)
-        ang = np.mod(np.angle(flat), TWO_PI)
-        radial = np.abs(np.abs(flat) - 1.0)
-        for a, b in self._segments:
-            inside = (ang >= a) & (ang <= b)
-            if b >= TWO_PI:
-                inside |= ang == 0.0
-            d = np.where(
-                inside,
-                radial,
-                np.minimum(np.abs(flat - np.exp(1j * a)), np.abs(flat - np.exp(1j * b))),
-            )
-            np.minimum(out, d, out=out)
-        if self._point_angles.size:
-            d = np.min(np.abs(flat[:, None] - np.exp(1j * self._point_angles)[None, :]), axis=1)
-            np.minimum(out, d, out=out)
-        out = out.reshape(arr.shape)
-        return float(np.asarray(out)[()]) if scalar else out
+        _, inside, (before, after) = self._nearest_ends(flat)
+        out = np.minimum(np.abs(flat - before), np.abs(flat - after))
+        out = np.where(inside, np.abs(np.abs(flat) - 1.0), out).reshape(arr.shape)
+        return float(out[()]) if arr.ndim == 0 else out
 
     def nearest_point(self, z):
         """A circle point of the set realizing the chordal distance to z."""
         zc = complex(z)
-        ang = _norm_angle(np.angle(zc))
-        best = None
-        best_d = np.inf
-        for a, b in self._segments:
-            if a <= ang <= b or (b >= TWO_PI and ang == 0.0):
-                cands = [ang]
-            else:
-                cands = [a, b]
-            for c in cands:
-                p = complex(np.exp(1j * c))
-                d = abs(zc - p)
-                if d < best_d:
-                    best, best_d = p, d
-        for c in self._point_angles:
-            p = complex(np.exp(1j * c))
-            d = abs(zc - p)
-            if d < best_d:
-                best, best_d = p, d
-        return best
+        ang, inside, ends = self._nearest_ends(np.asarray([zc]))
+        if inside[0]:
+            return complex(np.exp(1j * ang[0]))
+        return min((complex(e[0]) for e in ends), key=lambda p: abs(zc - p))
 
     def neighborhood_measure(self, x):
         """Normalized arclength of the open chordal x-neighborhood on the circle."""

@@ -203,14 +203,44 @@ class TestProductDerivative:
             B.derivative_fd(0.99999, h=1e-4)
 
     def test_chunked_path_matches_per_point(self):
-        # arrays longer than one internal block must agree with scalar calls
+        # arrays longer than one internal block must agree with scalar calls;
+        # at degree 300 one block holds fewer points than the array
         rng = np.random.default_rng(13)
-        B = BlaschkeProduct([interior_zero(rng) for _ in range(7)])
-        pts = 0.8 * np.sqrt(rng.uniform(0, 1, 1500)) * np.exp(2j * np.pi * rng.uniform(0, 1, 1500))
+        for deg in (7, 300):
+            B = BlaschkeProduct([interior_zero(rng) for _ in range(deg)])
+            pts = 0.8 * np.sqrt(rng.uniform(0, 1, 1500)) * np.exp(
+                2j * np.pi * rng.uniform(0, 1, 1500))
+            sample = rng.integers(0, pts.size, 25)
+            for fn in (B.derivative, B.evaluate):
+                whole = fn(pts)
+                single = np.asarray([fn(complex(pts[k])) for k in sample])
+                assert np.allclose(whole[sample], single, rtol=1e-14)
+
+    def test_exact_zeros_within_an_array(self):
+        # simple zero, double zero and ordinary points in one call
+        simple, double = 0.3 - 0.5j, 0.4 + 0.1j
+        B = BlaschkeProduct([simple, double, double, -0.6 + 0.2j])
+        pts = np.asarray([0.1j, simple, 0.5, double, -0.2 - 0.7j])
         whole = B.derivative(pts)
-        sample = rng.integers(0, pts.size, 25)
-        single = np.asarray([B.derivative(complex(pts[k])) for k in sample])
-        assert np.allclose(whole[sample], single, rtol=1e-14)
+        assert np.allclose(whole, [B.derivative(complex(p)) for p in pts], rtol=1e-14)
+        assert whole[3] == 0.0
+        # b_k'(a_k) prod_{j!=k} b_j(a_k) at the simple zero
+        rest = BlaschkeProduct([double, double, -0.6 + 0.2j])
+        assert whole[1] == pytest.approx(factor_derivative(simple, simple) * rest(simple),
+                                         rel=1e-14)
+        assert np.all(np.isfinite(whole)) and np.all(whole[[0, 2, 4]] != 0.0)
+
+    def test_rim_poisson_oracle(self):
+        # on the circle |B'(e^{i theta})| = sum (1 - |a|^2) / |e^{i theta} - a|^2
+        rng = np.random.default_rng(29)
+        gaps = np.geomspace(1e-3, 0.5, 200)
+        zs = (1.0 - gaps) * np.exp(2j * np.pi * rng.uniform(0, 1, 200))
+        rim = np.exp(2j * np.pi * rng.uniform(0, 1, 2000))
+        rim = np.concatenate([rim, zs / np.abs(zs)])  # right above each zero
+        poisson = np.sum((1.0 - np.abs(zs[:, None]) ** 2) / np.abs(rim - zs[:, None]) ** 2,
+                         axis=0)
+        got = np.abs(BlaschkeProduct(zs).derivative(rim))
+        assert np.allclose(got, poisson, rtol=1e-12, atol=0.0)
 
 
 class TestTruncationTail:

@@ -96,6 +96,33 @@ class TestModelFunction:
         assert phi.inverse(phi(x + 2.0)) == pytest.approx(x + 2.0, rel=1e-10)
 
 
+# points at angle 0 and at angle 2 pi (a tiny negative imaginary part)
+EDGE_ANGLE_POINTS = np.asarray([0.5, 0.9 + 0.0j, 0.5 - 1e-300j, 0.9 * np.exp(2j * np.pi)])
+
+
+def _cantor_arcs(a, b, ratio, depth):
+    arcs = [(a, b)]
+    for _ in range(depth):
+        arcs = [piece for lo, hi in arcs
+                for piece in ((lo, lo + ratio * (hi - lo)), (hi - ratio * (hi - lo), hi))]
+    return arcs
+
+
+def _brute_force_sets():
+    """(set, dense sample of its angles) pairs: arcs, a gap across angle 0, a
+    wrapping arc, an arc ending at 2 pi, Cantor arcs and isolated points (one
+    at angle 0)."""
+    plain = BoundarySet(arcs=[(0.3, 0.9)], points=[2.5])
+    arcs = [(0.3, 0.9), (6.0, 6.4)]
+    cantor = _cantor_arcs(3.5, 5.0, 1.0 / 3.0, 4)
+    mixed = BoundarySet(arcs=arcs, points=[2.5, 0.0], cantor=((3.5, 5.0), 1.0 / 3.0, 4))
+    dense = np.concatenate([np.linspace(a, b, 4001) for a, b in arcs + cantor] + [[2.5, 0.0]])
+    closing = BoundarySet(arcs=[(5.0, 2.0 * np.pi)], points=[1.0])
+    return [(plain, np.concatenate([np.linspace(0.3, 0.9, 20001), [2.5]])),
+            (mixed, dense),
+            (closing, np.concatenate([np.linspace(5.0, 2.0 * np.pi, 20001), [1.0]]))]
+
+
 class TestBoundarySet:
     def test_distance_hand_values(self):
         E = BoundarySet.from_points([0.0])
@@ -108,22 +135,24 @@ class TestBoundarySet:
         assert E.distance(0.9j) == pytest.approx(0.1)
 
     def test_distance_matches_brute_force(self):
-        E = BoundarySet(arcs=[(0.3, 0.9)], points=[2.5])
-        dense = np.concatenate([np.linspace(0.3, 0.9, 20001), [2.5]])
-        circle = np.exp(1j * dense)
         rng = np.random.default_rng(17)
         pts = np.sqrt(rng.uniform(0, 1, 200)) * np.exp(2j * np.pi * rng.uniform(0, 1, 200))
-        brute = np.min(np.abs(pts[:, None] - circle[None, :]), axis=1)
-        assert np.allclose(E.distance(pts), brute, atol=1e-4)
+        pts = np.concatenate([pts, EDGE_ANGLE_POINTS])
+        for E, dense in _brute_force_sets():
+            circle = np.exp(1j * dense)
+            brute = np.min(np.abs(pts[:, None] - circle[None, :]), axis=1)
+            assert np.allclose(E.distance(pts), brute, atol=1e-4)
 
     def test_nearest_point_realizes_distance(self):
-        E = BoundarySet(arcs=[(1.0, 2.0)], points=[5.0])
         rng = np.random.default_rng(23)
-        for _ in range(50):
-            z = np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            p = E.nearest_point(z)
-            assert abs(abs(p) - 1.0) < 1e-12
-            assert abs(z - p) == pytest.approx(E.distance(z), rel=1e-12)
+        zs = np.sqrt(rng.uniform(0, 1, 50)) * np.exp(2j * np.pi * rng.uniform(0, 1, 50))
+        for E in [BoundarySet(arcs=[(1.0, 2.0)], points=[5.0])] + [
+                E for E, _ in _brute_force_sets()]:
+            for z in np.concatenate([zs, EDGE_ANGLE_POINTS]):
+                p = E.nearest_point(z)
+                assert abs(abs(p) - 1.0) < 1e-12
+                assert abs(z - p) == pytest.approx(E.distance(z), rel=1e-12)
+                assert E.distance(p) < 1e-12
 
     def test_point_on_set_has_zero_distance(self):
         E = BoundarySet.from_points([0.7])
