@@ -25,10 +25,10 @@ import numpy as np
 from .bounds import envelope_fit, envelope_grid, lemma_bound, lemma_check, theorem_check
 from .critical import critical_points, critical_sum, log_weighted_sum, protas_sum
 from .errors import BlabError
-from .fileio import (canonical_json, complex_pair, read_boundary, read_zeros,
-                     write_means_csv, write_points_csv, write_report,
+from .fileio import (_csv, atomic_write_text, canonical_json, complex_pair, read_boundary,
+                     read_zeros, write_means_csv, write_points_csv, write_report,
                      write_series_csv, write_zeros)
-from .means import hp_trend, radial_geometric_family
+from .means import MeansTable, hp_trend, radial_geometric_family
 from .products import BlaschkeProduct
 from .regions import (BoundarySet, GeometricLaw, ModelFunction, PowerLaw,
                       StolzSpec, region_boundary, sample_zeros, type_beta)
@@ -70,6 +70,22 @@ def _fields(cfg, path, required, optional):
     return out
 
 
+def _config(cfg, required, optional, side=()):
+    """The top-level schema plus the fields every subcommand shares.
+
+    `seed` is a nonnegative integer; `out` names the report and the
+    subcommand's `side` files. The parsed `out` is always present.
+    """
+    names = {name: _string for name in ("report", *side)}
+    parsed = _fields(cfg, "config", required, dict(
+        optional,
+        seed=lambda v, p: _integer(v, p, minimum=0),
+        out=lambda v, p: _fields(v, p, {}, names),
+    ))
+    parsed.setdefault("out", {})
+    return parsed
+
+
 def _number(value, path, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
@@ -83,24 +99,12 @@ def _positive(value, path):
     return _number(value, path, positive=True)
 
 
-def _real(value, path):
-    return _number(value, path)
-
-
-def _integer(value, path, minimum=None):
+def _integer(value, path, minimum=1):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer")
-    if minimum is not None and value < minimum:
+    if value < minimum:
         raise ConfigError(f"{path}: must be at least {minimum}")
     return int(value)
-
-
-def _count(value, path):
-    return _integer(value, path, minimum=1)
-
-
-def _seed_field(value, path):
-    return _integer(value, path, minimum=0)
 
 
 def _string(value, path):
@@ -109,46 +113,44 @@ def _string(value, path):
     return value
 
 
-def _number_list(value, path, positive=False):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a non-empty array of numbers")
-    return [_number(v, f"{path}[{i}]", positive=positive) for i, v in enumerate(value)]
+def _list_of(parse, noun):
+    """Parser of a non-empty array whose items `parse` validates."""
+    def parse_list(value, path):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path}: expected a non-empty array of {noun}")
+        return [parse(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return parse_list
 
 
-def _int_list(value, path):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a non-empty array of integers")
-    return [_integer(v, f"{path}[{i}]", minimum=1) for i, v in enumerate(value)]
+def _kind_parser(kinds):
+    """Parser of an object config that names what it describes by "kind".
+
+    `kinds` maps each kind to (constructor, required parameters, optional
+    parameters); the validated parameters are the constructor's keywords.
+    """
+    def parse(value, path):
+        kind = _as_dict(value, path).get("kind")
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ConfigError(f"{path}.kind: expected {' | '.join(kinds)}")
+        maker, required, optional = kinds[kind]
+        parsed = _fields(value, path, dict(required, kind=_string), optional)
+        del parsed["kind"]
+        try:
+            return maker(**parsed)
+        except BlabError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    return parse
 
 
-def _parse_model(value, path):
-    spec = _as_dict(value, path)
-    kind = spec.get("kind")
-    if kind == "linear":
-        allowed = {"kind"}
-        maker = ModelFunction.linear
-        args = ()
-    elif kind == "power":
-        allowed = {"kind", "gamma"}
-        if "gamma" not in spec:
-            raise ConfigError(f"{path}.gamma: required for power model")
-        maker = ModelFunction.truncated_power
-        args = (_number(spec["gamma"], f"{path}.gamma"),)
-    elif kind == "exp":
-        allowed = {"kind", "rho"}
-        if "rho" not in spec:
-            raise ConfigError(f"{path}.rho: required for exp model")
-        maker = ModelFunction.exp_tangential
-        args = (_number(spec["rho"], f"{path}.rho"),)
-    else:
-        raise ConfigError(f"{path}.kind: expected linear | power | exp")
-    for key in spec:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown field")
-    try:
-        return maker(*args)
-    except BlabError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+_parse_model = _kind_parser({
+    "linear": (ModelFunction.linear, {}, {}),
+    "power": (ModelFunction.truncated_power, {"gamma": _number}, {}),
+    "exp": (ModelFunction.exp_tangential, {"rho": _number}, {}),
+})
+_parse_law = _kind_parser({
+    "geometric": (lambda ratio=0.5: GeometricLaw(ratio), {}, {"ratio": _positive}),
+    "power": (PowerLaw, {"exponent": _positive}, {"scale": _positive}),
+})
 
 
 def _parse_boundary(value, path, base_dir):
@@ -168,23 +170,6 @@ def _parse_boundary(value, path, base_dir):
     raise ConfigError(f"{path}: expected a file path or an inline boundary object")
 
 
-def _parse_law(value, path):
-    spec = _as_dict(value, path)
-    kind = spec.get("kind")
-    try:
-        if kind == "geometric":
-            parsed = _fields(spec, path, {"kind": _string},
-                             {"ratio": _positive})
-            return GeometricLaw(parsed.get("ratio", 0.5))
-        if kind == "power":
-            parsed = _fields(spec, path, {"kind": _string, "exponent": _positive},
-                             {"scale": _positive})
-            return PowerLaw(parsed["exponent"], parsed.get("scale", 0.5))
-    except BlabError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.kind: expected geometric | power")
-
-
 def _parse_region(value, path, base_dir):
     parsed = _fields(value, path, {
         "model": _parse_model,
@@ -192,11 +177,6 @@ def _parse_region(value, path, base_dir):
         "set": lambda v, p: _parse_boundary(v, p, base_dir),
     }, {})
     return StolzSpec(parsed["model"], parsed["set"], parsed["K"])
-
-
-def _parse_out(value, path, allowed):
-    schema = {name: _string for name in allowed}
-    return _fields(value, path, {}, schema)
 
 
 def _region_payload(model, k_const, boundary=None):
@@ -223,18 +203,12 @@ def _threads_config():
     if raw is None:
         return None
     try:
-        val = int(raw)
+        return _integer(int(raw), "BLAB_THREADS")
     except ValueError:
         raise ConfigError(f"BLAB_THREADS: expected an integer, got {raw!r}") from None
-    if val < 1:
-        raise ConfigError("BLAB_THREADS: must be at least 1")
-    return val
 
 
-def _resolve_seed(parsed, args, required):
-    seed = parsed.get("seed")
-    if args.seed is not None:
-        seed = args.seed
+def _resolve_seed(seed, required):
     if required and seed is None:
         raise ConfigError("config.seed: required for randomized experiments "
                           "(or pass --seed)")
@@ -245,66 +219,53 @@ def _resolve_seed(parsed, args, required):
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners: validate(cfg, args) -> plan dict; run(plan) -> exit code
+# subcommand runners: prep(cfg, base_dir) -> (plan, seeded), where `seeded`
+# says whether the experiment needs a seed; run(plan, out_dir) -> (report,
+# exit code). `main` resolves plan["seed"] between the two, and adds
+# `experiment` and `config.threads` to the report before writing it.
 
 
-def _prep_verify_lemma(cfg, args, base_dir):
-    parsed = _fields(cfg, "config", {
+def _prep_verify_lemma(cfg, base_dir):
+    return _config(cfg, {
         "region": lambda v, p: _parse_region(v, p, base_dir),
-        "samples": _count,
-    }, {
-        "seed": _seed_field,
-        "out": lambda v, p: _parse_out(v, p, ("report", "csv")),
-    })
-    parsed["seed"] = _resolve_seed(parsed, args, required=True)
-    return parsed
+        "samples": _integer,
+    }, {}, side=("csv",)), True
 
 
-def _run_verify_lemma(plan, out_dir, threads):
+def _run_verify_lemma(plan, out_dir):
     spec = plan["region"]
     report = lemma_check(spec, plan["samples"], plan["seed"])
-    payload = {
-        "experiment": "verify-lemma",
+    if "csv" in plan["out"]:
+        rows = [(rank, w["ratio"], w["z"].real, w["z"].imag, w["t"].real, w["t"].imag,
+                 w["lambda"].real, w["lambda"].imag)
+                for rank, w in enumerate(report.worst_k, 1)]
+        atomic_write_text(os.path.join(out_dir, plan["out"]["csv"]), _csv(
+            "rank,ratio,z_re,z_im,t_re,t_im,lambda_re,lambda_im", rows))
+    return {
         "inequality": LEMMA_TAG,
         "config": dict(
             _region_payload(spec.phi, spec.k_const, spec.boundary),
-            samples=plan["samples"], seed=plan["seed"], threads=threads,
+            samples=plan["samples"], seed=plan["seed"],
         ),
         "results": dict(report.to_payload(), bound=lemma_bound(spec.phi, spec.k_const)),
-    }
-    out = plan.get("out", {})
-    write_report(os.path.join(out_dir, out.get("report", "verify-lemma.json")), payload)
-    if "csv" in out:
-        lines = ["rank,ratio,z_re,z_im,t_re,t_im,lambda_re,lambda_im"]
-        for rank, w in enumerate(report.worst_k, 1):
-            z, t, lam = w["z"], w["t"], w["lambda"]
-            lines.append(f"{rank},{w['ratio']!r},{z.real!r},{z.imag!r},"
-                         f"{t.real!r},{t.imag!r},{lam.real!r},{lam.imag!r}")
-        from .fileio import atomic_write_text
-        atomic_write_text(os.path.join(out_dir, out["csv"]), "\n".join(lines) + "\n")
-    return 1 if report.violations else 0
+    }, 1 if report.violations else 0
 
 
-def _prep_verify_theorem1(cfg, args, base_dir):
-    parsed = _fields(cfg, "config", {
+def _prep_verify_theorem1(cfg, base_dir):
+    parsed = _config(cfg, {
         "region": lambda v, p: _parse_region(v, p, base_dir),
         "products": lambda v, p: _fields(v, p, {
-            "count": _count, "min_degree": _count, "max_degree": _count}, {}),
-        "grid_points": _count,
-    }, {
-        "law": _parse_law,
-        "seed": _seed_field,
-        "out": lambda v, p: _parse_out(v, p, ("report", "csv")),
-    })
+            "count": _integer, "min_degree": _integer, "max_degree": _integer}, {}),
+        "grid_points": _integer,
+    }, {"law": _parse_law}, side=("csv",))
     prod = parsed["products"]
     if prod["min_degree"] > prod["max_degree"]:
         raise ConfigError("config.products: min_degree exceeds max_degree")
-    parsed["seed"] = _resolve_seed(parsed, args, required=True)
     parsed.setdefault("law", GeometricLaw(0.5))
-    return parsed
+    return parsed, True
 
 
-def _run_verify_theorem1(plan, out_dir, threads):
+def _run_verify_theorem1(plan, out_dir):
     spec = plan["region"]
     seed = plan["seed"]
     prod = plan["products"]
@@ -321,13 +282,15 @@ def _run_verify_theorem1(plan, out_dir, threads):
         rows.append((j, n, rep.worst_ratio, rep.violations))
         if worst is None or rep.worst_ratio > worst["ratio"]:
             worst = dict(rep.worst_witness, product=j, degree=n)
-    payload = {
-        "experiment": "verify-theorem1",
+    if "csv" in plan["out"]:
+        atomic_write_text(os.path.join(out_dir, plan["out"]["csv"]),
+                          _csv("product,degree,worst_ratio,violations", rows))
+    return {
         "inequality": THEOREM_TAG,
         "config": dict(
             _region_payload(spec.phi, spec.k_const, spec.boundary),
             products=prod, grid_points=plan["grid_points"],
-            law=_law_payload(plan["law"]), seed=seed, threads=threads,
+            law=_law_payload(plan["law"]), seed=seed,
         ),
         "results": {
             "samples": prod["count"] * plan["grid_points"],
@@ -341,15 +304,7 @@ def _run_verify_theorem1(plan, out_dir, threads):
                 "rhs": worst["rhs"],
             },
         },
-    }
-    out = plan.get("out", {})
-    write_report(os.path.join(out_dir, out.get("report", "verify-theorem1.json")), payload)
-    if "csv" in out:
-        lines = ["product,degree,worst_ratio,violations"]
-        lines.extend(f"{j},{n},{r!r},{v}" for j, n, r, v in rows)
-        from .fileio import atomic_write_text
-        atomic_write_text(os.path.join(out_dir, out["csv"]), "\n".join(lines) + "\n")
-    return 1 if total_viol else 0
+    }, 1 if total_viol else 0
 
 
 def _read_zeros_file(name, base_dir):
@@ -363,31 +318,22 @@ def _read_zeros_file(name, base_dir):
         raise ConfigError(f"config.zeros: {exc}") from exc
 
 
-def _prep_critical_points(cfg, args, base_dir):
-    parsed = _fields(cfg, "config", {
-        "zeros": _string,
-    }, {
-        "seed": _seed_field,
-        "out": lambda v, p: _parse_out(v, p, ("report", "points", "residuals")),
-    })
-    _resolve_seed(parsed, args, required=False)
+def _prep_critical_points(cfg, base_dir):
+    parsed = _config(cfg, {"zeros": _string}, {}, side=("points", "residuals"))
     parsed["zero_seq"] = _read_zeros_file(parsed["zeros"], base_dir)
-    return parsed
+    return parsed, False
 
 
-def _run_critical_points(plan, out_dir, threads):
+def _run_critical_points(plan, out_dir):
     cs = critical_points(BlaschkeProduct(plan["zero_seq"]))
-    out = plan.get("out", {})
-    points_name = out.get("points", "critical_points.txt")
-    residuals_name = out.get("residuals", "critical_points_residuals.json")
+    points_name = plan["out"].get("points", "critical_points.txt")
+    residuals_name = plan["out"].get("residuals", "critical_points_residuals.json")
     write_zeros(os.path.join(out_dir, points_name), cs.points,
                 header="critical points, one per line: re im")
-    from .fileio import atomic_write_text
     atomic_write_text(os.path.join(out_dir, residuals_name),
                       canonical_json({"residuals": [float(r) for r in cs.residuals]}))
-    payload = {
-        "experiment": "critical-points",
-        "config": {"zeros": plan["zeros"], "threads": threads},
+    return {
+        "config": {"zeros": plan["zeros"]},
         "results": {
             "degree": cs.degree,
             "count": cs.count,
@@ -395,40 +341,34 @@ def _run_critical_points(plan, out_dir, threads):
             "points_file": points_name,
             "residuals_file": residuals_name,
         },
-    }
-    write_report(os.path.join(out_dir, out.get("report", "critical-points.json")), payload)
-    return 0
+    }, 0
 
 
-def _prep_critical_sum(cfg, args, base_dir):
-    parsed = _fields(cfg, "config", {
+def _prep_critical_sum(cfg, base_dir):
+    parsed = _config(cfg, {
         "zeros": _string,
         "set": lambda v, p: _parse_boundary(v, p, base_dir),
         "rho": _positive,
-        "beta": _real,
+        "beta": _number,
         "eps": _positive,
-    }, {
-        "seed": _seed_field,
-        "out": lambda v, p: _parse_out(v, p, ("report", "csv")),
-    })
-    _resolve_seed(parsed, args, required=False)
+    }, {}, side=("csv",))
     parsed["zero_seq"] = _read_zeros_file(parsed["zeros"], base_dir)
-    return parsed
+    return parsed, False
 
 
-def _run_critical_sum(plan, out_dir, threads):
+def _run_critical_sum(plan, out_dir):
     cs = critical_points(BlaschkeProduct(plan["zero_seq"]))
     weighted = critical_sum(cs, plan["set"], plan["rho"], plan["beta"], plan["eps"])
     logw = log_weighted_sum(cs, plan["eps"])
     unweighted = protas_sum(cs, 1.0) if cs.count else 0.0
-    payload = {
-        "experiment": "critical-sum",
+    if "csv" in plan["out"]:
+        write_series_csv(os.path.join(out_dir, plan["out"]["csv"]), weighted)
+    return {
         "inequality": CRITICAL_SUM_TAG,
         "config": {
             "zeros": plan["zeros"],
             "set": plan["set"].to_payload(),
             "rho": plan["rho"], "beta": plan["beta"], "eps": plan["eps"],
-            "threads": threads,
         },
         "results": {
             "critical_count": cs.count,
@@ -436,95 +376,73 @@ def _run_critical_sum(plan, out_dir, threads):
             "log_weighted_total": logw.total,
             "unweighted_total": unweighted,
         },
-    }
-    out = plan.get("out", {})
-    write_report(os.path.join(out_dir, out.get("report", "critical-sum.json")), payload)
-    if "csv" in out:
-        write_series_csv(os.path.join(out_dir, out["csv"]), weighted)
-    return 0
+    }, 0
 
 
-def _prep_beta_estimate(cfg, args, base_dir):
-    parsed = _fields(cfg, "config", {
+def _prep_beta_estimate(cfg, base_dir):
+    parsed = _config(cfg, {
         "set": lambda v, p: _parse_boundary(v, p, base_dir),
     }, {
-        "k_min": lambda v, p: _integer(v, p, minimum=1),
+        "k_min": _integer,
         "k_max": lambda v, p: _integer(v, p, minimum=2),
-        "seed": _seed_field,
-        "out": lambda v, p: _parse_out(v, p, ("report",)),
     })
-    _resolve_seed(parsed, args, required=False)
     k_min = parsed.setdefault("k_min", 4)
     k_max = parsed.setdefault("k_max", 14)
     if k_max - k_min < 3:
         raise ConfigError("config.k_max: need at least 4 dyadic scales (k_max >= k_min + 3)")
-    return parsed
+    return parsed, False
 
 
-def _run_beta_estimate(plan, out_dir, threads):
+def _run_beta_estimate(plan, out_dir):
     grid = 0.5 ** np.arange(plan["k_min"], plan["k_max"] + 1, dtype=np.float64)
     beta = type_beta(plan["set"], grid)
     measures = [float(plan["set"].neighborhood_measure(x)) for x in grid]
-    payload = {
-        "experiment": "beta-estimate",
+    return {
         "config": {
             "set": plan["set"].to_payload(),
             "k_min": plan["k_min"], "k_max": plan["k_max"],
-            "threads": threads,
         },
         "results": {
             "beta": beta,
             "x_grid": [float(x) for x in grid],
             "neighborhood_measures": measures,
         },
-    }
-    out = plan.get("out", {})
-    write_report(os.path.join(out_dir, out.get("report", "beta-estimate.json")), payload)
-    return 0
+    }, 0
 
 
 def _parse_family(value, path, base_dir):
-    spec = _as_dict(value, path)
-    kind = spec.get("kind")
-    if kind == "radial_geometric":
-        parsed = _fields(spec, path, {"kind": _string}, {"ratio": _positive})
-        ratio = parsed.get("ratio", 0.5)
+    def radial(ratio=0.5):
         if not ratio < 1.0:
             raise ConfigError(f"{path}.ratio: must lie in (0, 1)")
-        return {"kind": kind, "ratio": ratio}
-    if kind == "region_sampled":
-        parsed = _fields(spec, path, {
-            "kind": _string,
-            "region": lambda v, p: _parse_region(v, p, base_dir),
-            "law": _parse_law,
-        }, {})
-        return {"kind": kind, "region": parsed["region"], "law": parsed["law"]}
-    raise ConfigError(f"{path}.kind: expected radial_geometric | region_sampled")
+        return {"kind": "radial_geometric", "ratio": ratio}
+
+    def sampled(region, law):
+        return {"kind": "region_sampled", "region": region, "law": law}
+
+    return _kind_parser({
+        "radial_geometric": (radial, {}, {"ratio": _positive}),
+        "region_sampled": (sampled, {
+            "region": lambda v, p: _parse_region(v, p, base_dir), "law": _parse_law}, {}),
+    })(value, path)
 
 
-def _prep_means_trend(cfg, args, base_dir):
-    parsed = _fields(cfg, "config", {
+def _prep_means_trend(cfg, base_dir):
+    parsed = _config(cfg, {
         "family": lambda v, p: _parse_family(v, p, base_dir),
-        "p_list": lambda v, p: _number_list(v, p, positive=True),
-        "truncations": _int_list,
-    }, {
-        "r_grid": _number_list,
-        "seed": _seed_field,
-        "out": lambda v, p: _parse_out(v, p, ("report", "csv")),
-    })
-    randomized = parsed["family"]["kind"] == "region_sampled"
-    parsed["seed"] = _resolve_seed(parsed, args, required=randomized)
+        "p_list": _list_of(_positive, "numbers"),
+        "truncations": _list_of(_integer, "integers"),
+    }, {"r_grid": _list_of(_number, "numbers")}, side=("csv",))
     r_grid = parsed.setdefault("r_grid", [0.9, 0.99, 0.999])
     if any(not 0.0 <= r < 1.0 for r in r_grid):
         raise ConfigError("config.r_grid: radii must lie in [0, 1)")
-    return parsed
+    return parsed, parsed["family"]["kind"] == "region_sampled"
 
 
-def _run_means_trend(plan, out_dir, threads):
+def _run_means_trend(plan, out_dir):
     fam = plan["family"]
     if fam["kind"] == "radial_geometric":
         family = radial_geometric_family(fam["ratio"])
-        fam_payload = {"kind": fam["kind"], "ratio": fam["ratio"]}
+        fam_payload = fam
     else:
         spec, law, seed = fam["region"], fam["law"], plan["seed"]
 
@@ -540,123 +458,96 @@ def _run_means_trend(plan, out_dir, threads):
         all_rows.extend(table.rows)
         for (n, pp), v in table.sup_over_r().items():
             sups[f"N={n},p={pp}"] = v
-    payload = {
-        "experiment": "means-trend",
+    if "csv" in plan["out"]:
+        write_means_csv(os.path.join(out_dir, plan["out"]["csv"]), MeansTable(all_rows))
+    return {
         "config": {
             "family": fam_payload,
             "p_list": plan["p_list"],
             "truncations": plan["truncations"],
             "r_grid": plan["r_grid"],
             "seed": plan["seed"],
-            "threads": threads,
         },
         "results": {"sup_over_r": sups},
-    }
-    out = plan.get("out", {})
-    write_report(os.path.join(out_dir, out.get("report", "means-trend.json")), payload)
-    if "csv" in out:
-        from .means import MeansTable
-        write_means_csv(os.path.join(out_dir, out["csv"]), MeansTable(all_rows))
-    return 0
+    }, 0
 
 
-def _prep_envelope_fit(cfg, args, base_dir):
-    parsed = _fields(cfg, "config", {
+def _prep_envelope_fit(cfg, base_dir):
+    parsed = _config(cfg, {
         "rho": _positive,
     }, {
         "zeros": _string,
         "sampling": lambda v, p: _fields(v, p, {
             "region": lambda vv, pp: _parse_region(vv, pp, base_dir),
             "law": _parse_law,
-            "count": _count,
+            "count": _integer,
         }, {}),
         "set": lambda v, p: _parse_boundary(v, p, base_dir),
         "grid": lambda v, p: _fields(v, p, {}, {
             "depth": lambda vv, pp: _integer(vv, pp, minimum=2),
-            "rays": lambda vv, pp: _integer(vv, pp, minimum=1),
+            "rays": _integer,
             "ring": lambda vv, pp: _integer(vv, pp, minimum=8),
         }),
-        "seed": _seed_field,
-        "out": lambda v, p: _parse_out(v, p, ("report",)),
     })
     has_zeros = "zeros" in parsed
     has_sampling = "sampling" in parsed
     if has_zeros == has_sampling:
         raise ConfigError("config: exactly one of zeros | sampling is required")
-    parsed["seed"] = _resolve_seed(parsed, args, required=has_sampling)
     if has_zeros:
         parsed["zero_seq"] = _read_zeros_file(parsed["zeros"], base_dir)
         if "set" not in parsed:
             raise ConfigError("config.set: required when zeros come from a file")
     elif "set" not in parsed:
         parsed["set"] = parsed["sampling"]["region"].boundary
-    return parsed
+    # the grid actually used, defaults filled in, is also the one reported
+    parsed["grid"] = {"depth": 14, "rays": 12, "ring": 64, **parsed.get("grid", {})}
+    return parsed, has_sampling
 
 
-def _run_envelope_fit(plan, out_dir, threads):
+def _run_envelope_fit(plan, out_dir):
     if "zero_seq" in plan:
         zeros = plan["zero_seq"]
         source = {"zeros": plan["zeros"]}
     else:
-        samp = plan["sampling"]
-        zeros = sample_zeros(samp["region"], samp["count"], seed=plan["seed"],
-                             law=samp["law"])
-        region = samp["region"]
+        samp, region = plan["sampling"], plan["sampling"]["region"]
+        zeros = sample_zeros(region, samp["count"], seed=plan["seed"], law=samp["law"])
         source = {"sampling": dict(
             _region_payload(region.phi, region.k_const, region.boundary),
             law=_law_payload(samp["law"]), count=samp["count"],
         )}
-    grid_cfg = plan.get("grid", {})
-    grid = envelope_grid(plan["set"], **grid_cfg)
+    grid = envelope_grid(plan["set"], **plan["grid"])
     fit = envelope_fit(BlaschkeProduct(zeros), plan["set"], plan["rho"], grid)
-    payload = {
-        "experiment": "envelope-fit",
+    return {
         "inequality": ENVELOPE_TAG,
         "config": dict(source, set=plan["set"].to_payload(), rho=plan["rho"],
-                       grid={"depth": grid_cfg.get("depth", 14),
-                             "rays": grid_cfg.get("rays", 12),
-                             "ring": grid_cfg.get("ring", 64)},
-                       seed=plan["seed"], threads=threads),
+                       grid=plan["grid"], seed=plan["seed"]),
         "results": {"c1": fit.c1, "c2": fit.c2, "rho": fit.rho,
                     "grid_size": fit.grid_size},
-    }
-    out = plan.get("out", {})
-    write_report(os.path.join(out_dir, out.get("report", "envelope-fit.json")), payload)
-    return 0
+    }, 0
 
 
-def _prep_region_boundary(cfg, args, base_dir):
-    parsed = _fields(cfg, "config", {
+def _prep_region_boundary(cfg, base_dir):
+    parsed = _config(cfg, {
         "model": _parse_model,
         "K": _positive,
         "resolution": lambda v, p: _integer(v, p, minimum=2),
-    }, {
-        "vertex_angle": _real,
-        "seed": _seed_field,
-        "out": lambda v, p: _parse_out(v, p, ("report", "csv")),
-    })
-    _resolve_seed(parsed, args, required=False)
+    }, {"vertex_angle": _number}, side=("csv",))
     parsed.setdefault("vertex_angle", 0.0)
-    return parsed
+    return parsed, False
 
 
-def _run_region_boundary(plan, out_dir, threads):
+def _run_region_boundary(plan, out_dir):
     pts = region_boundary(plan["model"], plan["K"], plan["vertex_angle"],
                           plan["resolution"])
-    out = plan.get("out", {})
-    csv_name = out.get("csv", "region_boundary.csv")
+    csv_name = plan["out"].get("csv", "region_boundary.csv")
     write_points_csv(os.path.join(out_dir, csv_name), pts)
-    payload = {
-        "experiment": "region-boundary",
+    return {
         "config": dict(
             _region_payload(plan["model"], plan["K"]),
             vertex_angle=plan["vertex_angle"], resolution=plan["resolution"],
-            threads=threads,
         ),
         "results": {"points": int(pts.size), "csv_file": csv_name},
-    }
-    write_report(os.path.join(out_dir, out.get("report", "region-boundary.json")), payload)
-    return 0
+    }, 0
 
 
 _RUNNERS = {
@@ -688,6 +579,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    prep, run = _RUNNERS[args.command]
     try:
         threads = _threads_config()
         try:
@@ -699,18 +591,23 @@ def main(argv=None):
             raise ConfigError(
                 f"{args.config}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
             ) from exc
-        prep, run = _RUNNERS[args.command]
-        plan = prep(cfg, args, os.path.dirname(os.path.abspath(args.config)))
+        plan, seeded = prep(cfg, os.path.dirname(os.path.abspath(args.config)))
+        plan["seed"] = _resolve_seed(plan.get("seed") if args.seed is None else args.seed,
+                                     seeded)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     try:
-        return run(plan, out_dir, threads)
+        report, code = run(plan, args.out)
     except BlabError as exc:
         print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
+    report["experiment"] = args.command
+    report["config"]["threads"] = threads
+    write_report(os.path.join(args.out, plan["out"].get("report", f"{args.command}.json")),
+                 report)
+    return code
 
 
 def entry():

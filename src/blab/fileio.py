@@ -109,10 +109,13 @@ def write_report(path, payload):
     atomic_write_text(path, canonical_json(payload))
 
 
+def _csv(header, rows):
+    """CSV text: the header, then a line per row of fields written by str() (repr for floats)."""
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+
+
 def series_csv(series):
-    lines = ["index,term,partial_sum"]
-    lines.extend(f"{i},{t!r},{s!r}" for i, t, s in series.rows())
-    return "\n".join(lines) + "\n"
+    return _csv("index,term,partial_sum", series.rows())
 
 
 def write_series_csv(path, series):
@@ -120,9 +123,7 @@ def write_series_csv(path, series):
 
 
 def means_csv(table):
-    lines = ["N,p,r,value"]
-    lines.extend(f"{n},{p!r},{r!r},{v!r}" for n, p, r, v in table.rows)
-    return "\n".join(lines) + "\n"
+    return _csv("N,p,r,value", table.rows)
 
 
 def write_means_csv(path, table):
@@ -131,9 +132,7 @@ def write_means_csv(path, table):
 
 def points_csv(points):
     """Complex points as re,im rows (region boundary polylines and the like)."""
-    lines = ["re,im"]
-    lines.extend(f"{float(z.real)!r},{float(z.imag)!r}" for z in np.asarray(points))
-    return "\n".join(lines) + "\n"
+    return _csv("re,im", ((float(z.real), float(z.imag)) for z in np.asarray(points)))
 
 
 def write_points_csv(path, points):

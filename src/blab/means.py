@@ -46,9 +46,11 @@ def hardy_mean(product, p, r, nodes=None):
     r = 0 collapses to |B'(0)|. With nodes unset, the count starts at the
     degree-and-radius default and doubles until the validation step moves the
     mean by under 1e-6 relative (|B'|^p has cusps at critical points for
-    p < 1, which slow the trapezoid rule from spectral to algebraic).
-    Explicit node counts are honored as given. The returned value is the
-    doubled-node one; disagreement above 1e-4 is a resolution failure.
+    p < 1, which slow the trapezoid rule from spectral to algebraic); a
+    default whose doubled pass would exceed the node cap is a resolution
+    failure before any evaluation. Explicit node counts are honored as
+    given. The returned value is the doubled-node one; disagreement above
+    1e-4 is a resolution failure.
     """
     product = _as_product(product)
     p, r = float(p), float(r)
@@ -61,6 +63,11 @@ def hardy_mean(product, p, r, nodes=None):
     auto = nodes is None
     if auto:
         nodes = default_hardy_nodes(product.degree, r)
+        if 2 * nodes > _NODE_CAP:
+            raise ResolutionError(
+                f"degree {product.degree} at r = {r} needs {nodes} nodes in the first "
+                f"pass and twice that to validate, beyond the node cap {_NODE_CAP}"
+            )
     nodes = int(nodes)
     if nodes < max(64, 16 * product.degree):
         raise DomainError(

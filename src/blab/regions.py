@@ -505,6 +505,11 @@ def sample_zeros(spec, n, seed, law=GeometricLaw(0.5)):
         u = float(law.gap(i))
         if not 0.0 < u < 1.0:
             raise SamplingError(f"radial law gives gap {u} at index {i}, outside (0, 1)")
+        if not 1.0 - u < 1.0:
+            raise SamplingError(
+                f"cannot place zero #{i}: gap {u:g} is below float64 resolution "
+                "at the circle (1 - gap rounds to 1)"
+            )
         if spec.phi(u) > spec.k_const * u * (1.0 + MEMBERSHIP_TOL):
             raise SamplingError(
                 f"region too thin to place zero #{i}: gap {u:g} inadmissible for "
@@ -512,9 +517,9 @@ def sample_zeros(spec, n, seed, law=GeometricLaw(0.5)):
             )
         rng = np.random.default_rng(base + [i])
         placed = False
+        half = angular_halfwidth(spec.phi, spec.k_const, u)
         for _ in range(1000):
             anchor = _draw_anchor(spec.boundary, rng)
-            half = angular_halfwidth(spec.phi, spec.k_const, u)
             psi = float(rng.uniform(-half, half)) if half > 0.0 else 0.0
             cand = (1.0 - u) * np.exp(1j * (anchor + psi))
             if in_stolz(cand, spec):
@@ -547,25 +552,22 @@ def region_boundary(phi, k_const, vertex_angle, resolution):
         raise EmptyRegionError(f"region is empty: slope-one gauge with K = {k_const} < 1")
     t = np.exp(1j * float(vertex_angle))
     betas = (np.arange(resolution) + 0.5) / resolution * math.pi - math.pi / 2.0
-    dirs = -t * np.exp(1j * betas)
-    s_max = 2.0 * np.cos(betas)
+    # rays as rows, so that margin() takes a scan (rays x samples) or one point per ray
+    dirs = (-t * np.exp(1j * betas))[:, None]
+    s_max = 2.0 * np.cos(betas)[:, None]
 
     def margin(s):
         lam = t + s * dirs
         return k_const * (1.0 - np.abs(lam)) - phi(s)
 
-    scan = np.linspace(0.0, 1.0, 1025)[None, :] * s_max[:, None]
-    feas = np.zeros(scan.shape, dtype=bool)
-    for j in range(scan.shape[1]):
-        lam = t + scan[:, j] * dirs
-        feas[:, j] = k_const * (1.0 - np.abs(lam)) - phi(scan[:, j]) >= -1e-15
-    # outermost feasible scan point per ray
-    idx = np.zeros(resolution, dtype=int)
-    for k in range(resolution):
-        where = np.flatnonzero(feas[k])
-        idx[k] = where[-1] if where.size else 0
-    lo = scan[np.arange(resolution), idx]
-    hi = np.where(idx + 1 < scan.shape[1], scan[np.arange(resolution), np.minimum(idx + 1, scan.shape[1] - 1)], s_max)
+    scan = np.linspace(0.0, 1.0, 1025) * s_max
+    feas = margin(scan) >= -1e-15
+    # outermost feasible scan point per ray (the first if none is) and the next
+    # one, or s_max, which is the last scan point
+    last = scan.shape[1] - 1 - np.argmax(feas[:, ::-1], axis=1)
+    idx = np.where(feas.any(axis=1), last, 0)[:, None]
+    lo = np.take_along_axis(scan, idx, axis=1)
+    hi = np.take_along_axis(scan, np.minimum(idx + 1, scan.shape[1] - 1), axis=1)
     for _ in range(64):
         mid = 0.5 * (lo + hi)
         good = margin(mid) >= -1e-15
@@ -573,4 +575,4 @@ def region_boundary(phi, k_const, vertex_angle, resolution):
         hi = np.where(good, hi, mid)
         if np.max(hi - lo) < 1e-12:
             break
-    return t + lo * dirs
+    return (t + lo * dirs)[:, 0]

@@ -58,6 +58,11 @@ class TestConfigRejection:
         cfg = write_cfg(tmp_path, payload)
         assert cli.main(["verify-lemma", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "config.samples: required field missing" in capsys.readouterr().err
+        payload = lemma_cfg()
+        payload["region"]["model"] = {"kind": "power"}
+        cfg = write_cfg(tmp_path, payload)
+        assert cli.main(["verify-lemma", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config.region.model.gamma: required field missing" in capsys.readouterr().err
 
     def test_invalid_json_carries_position(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -146,6 +151,52 @@ class TestConfigRejection:
         assert "BLAB_THREADS" in capsys.readouterr().err
         monkeypatch.setenv("BLAB_THREADS", "0")
         assert cli.main(["verify-lemma", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def small_config(command, tmp_path):
+    """A quick config for each subcommand; zeros files land in tmp_path."""
+    (tmp_path / "pair.txt").write_text(PAIR_ZEROS)
+    vertex = {"points": [0.0]}
+    return {
+        "verify-lemma": lemma_cfg(samples=50),
+        "verify-theorem1": {
+            "region": {"model": {"kind": "power", "gamma": 2.0}, "K": 1.0, "set": vertex},
+            "products": {"count": 1, "min_degree": 2, "max_degree": 3},
+            "grid_points": 20, "seed": 1,
+        },
+        "critical-points": {"zeros": "pair.txt"},
+        "critical-sum": {"zeros": "pair.txt", "set": vertex,
+                         "rho": 1.0, "beta": 1.0, "eps": 0.5},
+        "beta-estimate": {"set": vertex},
+        "means-trend": {"family": {"kind": "radial_geometric"}, "p_list": [1.0],
+                        "truncations": [3], "r_grid": [0.5]},
+        "envelope-fit": {"rho": 1.0, "zeros": "pair.txt", "set": vertex,
+                         "grid": {"depth": 4, "rays": 2, "ring": 8}},
+        "region-boundary": {"model": {"kind": "linear"}, "K": 1.0, "resolution": 4},
+    }[command]
+
+
+class TestReportPath:
+    @pytest.mark.parametrize("command", sorted(cli._RUNNERS))
+    def test_report_name_experiment_and_threads(self, command, tmp_path, monkeypatch):
+        payload = small_config(command, tmp_path)
+        monkeypatch.setenv("BLAB_THREADS", "3")
+        default_out = tmp_path / "default"
+        assert cli.main([command, "--config", write_cfg(tmp_path, payload),
+                         "--out", str(default_out)]) == 0
+        rep = json.loads((default_out / f"{command}.json").read_text())
+        assert rep["experiment"] == command
+        assert rep["config"]["threads"] == 3
+
+        monkeypatch.delenv("BLAB_THREADS")
+        payload["out"] = {"report": "named.json"}
+        named_out = tmp_path / "named"
+        assert cli.main([command, "--config", write_cfg(tmp_path, payload, "named.json"),
+                         "--out", str(named_out)]) == 0
+        rep = json.loads((named_out / "named.json").read_text())
+        assert not (named_out / f"{command}.json").exists()
+        assert rep["experiment"] == command
+        assert rep["config"]["threads"] is None
 
 
 class TestVerifyLemma:
@@ -375,6 +426,19 @@ class TestEnvelopeFit:
         assert rep["results"]["c2"] >= 0.0
         assert rep["config"]["grid"] == {"depth": 8, "rays": 6, "ring": 16}
         assert rep["config"]["seed"] is None
+
+    def test_partial_grid_reports_the_grid_used(self, tmp_path):
+        (tmp_path / "z.txt").write_text("0.9 0.0\n0.95 0.0\n-0.25 0.1\n")
+        boundary = {"arcs": [[0.0, 0.5]], "points": [2.0]}
+        cfg = write_cfg(tmp_path, {"rho": 1.0, "zeros": "z.txt", "set": boundary,
+                                   "grid": {"depth": 6}})
+        out = tmp_path / "out"
+        assert cli.main(["envelope-fit", "--config", cfg, "--out", str(out)]) == 0
+        rep = json.loads((out / "envelope-fit.json").read_text())
+        assert rep["config"]["grid"] == {"depth": 6, "rays": 12, "ring": 64}
+        grid = blab.envelope_grid(blab.BoundarySet.from_payload(boundary),
+                                  **rep["config"]["grid"])
+        assert rep["results"]["grid_size"] == len(grid)
 
     def test_sampling_branch_defaults_set_to_region_boundary(self, tmp_path):
         cfg = write_cfg(tmp_path, {

@@ -80,6 +80,17 @@ class TestHardyMean:
         with pytest.raises(ResolutionError, match="doubling"):
             hardy_mean(BlaschkeProduct(zs), 0.5, 0.999, nodes=320)
 
+    def test_default_first_pass_over_the_cap_fails_before_evaluating(self):
+        # degree 2 at r = 1 - 1e-6 starts at 2e6 nodes, validated at 4e6 > 2^21
+        with pytest.raises(ResolutionError,
+                           match=r"degree 2 at r = .* 2000000 nodes.*cap 2097152"):
+            hardy_mean([0.5, -0.5], 1.0, 1.0 - 1e-6)
+
+    def test_explicit_nodes_over_the_cap_are_honored(self):
+        a, r = 0.5, 0.7
+        closed = (1 - a * a) * np.sqrt((1 + (a * r) ** 2) / (1 - (a * r) ** 2) ** 3)
+        assert hardy_mean([a], 2.0, r, nodes=1_100_000) == pytest.approx(closed, rel=1e-12)
+
     def test_parameter_domain(self):
         with pytest.raises(DomainError):
             hardy_mean([0.5], 0.0, 0.5)

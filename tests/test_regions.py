@@ -390,6 +390,13 @@ class TestSampling:
         with pytest.raises(SamplingError, match="zero #1"):
             sample_zeros(spec, 3, seed=1, law=GeometricLaw(0.5))
 
+    def test_gap_below_float64_resolution_names_the_index(self):
+        # GeometricLaw(0.5) gives gap 2^-54 at index 54, where 1 - gap rounds to 1
+        spec = StolzSpec.at_vertex(ModelFunction.exp_tangential(1.0), 0.0, 1.0)
+        assert len(sample_zeros(spec, 53, seed=1)) == 53
+        with pytest.raises(SamplingError, match="zero #54"):
+            sample_zeros(spec, 54, seed=1)
+
     def test_law_validation(self):
         with pytest.raises(DomainError):
             GeometricLaw(1.0)
