@@ -509,7 +509,8 @@ def _run_envelope_fit(plan, out_dir):
         zeros = plan["zero_seq"]
         source = {"zeros": plan["zeros"]}
     else:
-        samp, region = plan["sampling"], plan["sampling"]["region"]
+        samp = plan["sampling"]
+        region = samp["region"]
         zeros = sample_zeros(region, samp["count"], seed=plan["seed"], law=samp["law"])
         source = {"sampling": dict(
             _region_payload(region.phi, region.k_const, region.boundary),
