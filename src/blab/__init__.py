@@ -22,14 +22,12 @@ from .bounds import (
 )
 from .critical import (
     CriticalSet,
-    RationalForm,
     SumSeries,
     argument_principle_count,
     critical_points,
     critical_sum,
     log_weighted_sum,
     protas_sum,
-    to_rational,
 )
 from .errors import (
     BlabError,
@@ -83,7 +81,6 @@ from .regions import (
     StolzSpec,
     angular_halfwidth,
     in_stolz,
-    neighborhood_measure,
     region_boundary,
     region_is_empty,
     sample_zeros,
@@ -92,76 +89,6 @@ from .regions import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlabError",
-    "BlaschkeProduct",
-    "BoundReport",
-    "BoundarySet",
-    "ContourError",
-    "CriticalSet",
-    "DomainError",
-    "EmptyRegionError",
-    "EnvelopeFit",
-    "GeometricLaw",
-    "InvalidZeroError",
-    "MeansTable",
-    "ModelFunction",
-    "PowerLaw",
-    "RationalForm",
-    "ResolutionError",
-    "RootFindingError",
-    "SamplingError",
-    "StolzSpec",
-    "SumSeries",
-    "ZeroSequence",
-    "angular_halfwidth",
-    "argument_principle_count",
-    "atomic_write_text",
-    "bergman_integral",
-    "blaschke_factor",
-    "blaschke_sum",
-    "canonical_json",
-    "chord_check",
-    "complex_pair",
-    "critical_points",
-    "critical_sum",
-    "default_hardy_nodes",
-    "envelope_fit",
-    "envelope_grid",
-    "factor_derivative",
-    "format_zeros",
-    "hardy_mean",
-    "hp_trend",
-    "in_stolz",
-    "lemma_bound",
-    "lemma_check",
-    "lemma_lhs",
-    "log_weighted_sum",
-    "means_csv",
-    "neighborhood_measure",
-    "parse_zero_line",
-    "points_csv",
-    "protas_sum",
-    "radial_geometric_family",
-    "read_boundary",
-    "read_zeros",
-    "region_boundary",
-    "region_is_empty",
-    "sample_zeros",
-    "schwarz_pick_bound",
-    "schwarz_pick_check",
-    "series_csv",
-    "theorem_bound",
-    "theorem_check",
-    "three_point_check",
-    "to_rational",
-    "truncation_tail",
-    "type_beta",
-    "write_boundary",
-    "write_means_csv",
-    "write_points_csv",
-    "write_report",
-    "write_series_csv",
-    "write_zeros",
-    "__version__",
-]
+# the names imported above, each written once there, and the version
+__all__ = sorted(name for name, value in globals().items()
+                 if getattr(value, "__module__", "").startswith("blab.")) + ["__version__"]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, EmptyRegionError, SamplingError
-from .products import BlaschkeProduct, _factor_blocks
+from .products import _as_product, _factor_blocks
 from .regions import MEMBERSHIP_TOL, angular_halfwidth, in_stolz, region_is_empty
 
 _DRAWS = 4096  # draws per RNG stream of the lemma sampler
@@ -98,8 +98,7 @@ def schwarz_pick_bound(product, z):
     quotient keeps full relative accuracy even where 1 - |z|^2 underflows the
     naive difference (the check runs at near-equality as |z| -> 1).
     """
-    if not isinstance(product, BlaschkeProduct):
-        product = BlaschkeProduct(product)
+    product = _as_product(product)
     z = _as_complex(z)
     scalar = z.ndim == 0
     if np.any(np.abs(z) >= 1.0):
@@ -119,8 +118,7 @@ def schwarz_pick_bound(product, z):
 
 def schwarz_pick_check(product, z, rtol=1e-12):
     """|B'(z)| <= (1 - |B(z)|^2)/(1 - |z|^2), with relative slack."""
-    if not isinstance(product, BlaschkeProduct):
-        product = BlaschkeProduct(product)
+    product = _as_product(product)
     z = _as_complex(z)
     scalar = z.ndim == 0
     lhs = np.abs(product.derivative(z))
@@ -249,8 +247,7 @@ def theorem_bound(product, z, spec, check_zeros=True):
     vanishes (z on E, exp-tangential gauges) the right side is +inf and the
     inequality holds vacuously.
     """
-    if not isinstance(product, BlaschkeProduct):
-        product = BlaschkeProduct(product)
+    product = _as_product(product)
     if check_zeros:
         member = in_stolz(product.zeros.zeros, spec)
         if not np.all(member):
@@ -264,8 +261,7 @@ def theorem_bound(product, z, spec, check_zeros=True):
         raise DomainError("the derivative bound is checked strictly inside the disk")
     lhs = np.abs(product.derivative(z))
     gauge = spec.phi(spec.boundary.distance(z) / 6.0)
-    alpha = float(np.sum(1.0 - product.zeros.moduli))
-    const = 2.0 * lemma_bound(spec.phi, spec.k_const) ** 2 * alpha
+    const = 2.0 * lemma_bound(spec.phi, spec.k_const) ** 2 * product.zeros.alpha
     with np.errstate(divide="ignore", over="ignore"):
         rhs = np.where(gauge > 0.0, const / np.asarray(gauge) ** 2, np.inf)
     return _scalarize(lhs, scalar), _scalarize(rhs, scalar)
@@ -327,8 +323,7 @@ def envelope_fit(product, boundary_set, rho, grid):
     d^rho log+(|B'|/c1) over the whole grid, so the envelope inequality holds
     on every grid point by construction.
     """
-    if not isinstance(product, BlaschkeProduct):
-        product = BlaschkeProduct(product)
+    product = _as_product(product)
     rho = float(rho)
     if rho <= 0.0:
         raise DomainError("rho must be positive")

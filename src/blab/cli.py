@@ -208,13 +208,17 @@ def _threads_config():
         raise ConfigError(f"BLAB_THREADS: expected an integer, got {raw!r}") from None
 
 
-def _resolve_seed(seed, required):
+def _resolve_seed(config_seed, flag_seed, required):
+    """The seed to run with: --seed, when given, wins over config.seed."""
+    seed = config_seed if flag_seed is None else flag_seed
     if required and seed is None:
         raise ConfigError("config.seed: required for randomized experiments "
                           "(or pass --seed)")
     if not required and seed is not None:
         raise ConfigError("seed: this experiment is deterministic; "
                           "remove the seed (config field or --seed flag)")
+    if flag_seed is not None:
+        _integer(flag_seed, "--seed", minimum=0)
     return seed
 
 
@@ -312,7 +316,7 @@ def _read_zeros_file(name, base_dir):
     full = name if os.path.isabs(name) else os.path.join(base_dir, name)
     try:
         return read_zeros(full)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config.zeros: cannot read {full}: {exc}") from exc
     except BlabError as exc:
         raise ConfigError(f"config.zeros: {exc}") from exc
@@ -586,15 +590,14 @@ def main(argv=None):
         try:
             with open(args.config, encoding="utf-8") as fh:
                 cfg = json.load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(
                 f"{args.config}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
             ) from exc
         plan, seeded = prep(cfg, os.path.dirname(os.path.abspath(args.config)))
-        plan["seed"] = _resolve_seed(plan.get("seed") if args.seed is None else args.seed,
-                                     seeded)
+        plan["seed"] = _resolve_seed(plan.get("seed"), args.seed, seeded)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -18,8 +18,7 @@ the critical points. W's monomial coefficients are never formed: for zeros
 clustered near the circle those expand catastrophically, while the Newton
 ratio W/W' is available to machine accuracy through factor-wise pole sums.
 A final Newton polish on B'/B itself brings each simple root to the
-evaluation noise floor. The expanded numerator/denominator form is kept
-separately (`to_rational`) as an independent differentiation cross-check.
+evaluation noise floor.
 """
 from __future__ import annotations
 
@@ -28,66 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContourError, DomainError, RootFindingError
-from .products import _BLOCK, BlaschkeProduct, ZeroSequence, _factor_blocks
+from .products import _BLOCK, ZeroSequence, _as_product, _factor_blocks
 
 _INTERIOR_EDGE = 1e-12  # |root| < 1 - this counts as interior
 _RESIDUAL_MAX = 1e-8
 _FLOOR_FACTOR = 4.0  # a residual this close to the float64 floor is a float64 limit
-
-
-# ---------------------------------------------------------------------------
-# expanded rational form (independent cross-check path)
-
-
-@dataclass(frozen=True)
-class RationalForm:
-    """B = unimodular_prefactor * P / Q in expanded monomial coefficients.
-
-    P(z) = prod (z_n - z) and Q(z) = prod (1 - conj(z_n) z), coefficients
-    ascending. The expansion loses accuracy for high degrees with zeros
-    packed near the circle; it exists as a cross-check on the factor-wise
-    evaluation, not as the working representation.
-    """
-
-    p_coeffs: np.ndarray
-    q_coeffs: np.ndarray
-    unimodular_prefactor: complex
-
-    @property
-    def degree(self):
-        return len(self.p_coeffs) - 1
-
-    def eval_p(self, z):
-        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=np.complex128), self.p_coeffs)
-
-    def eval_q(self, z):
-        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=np.complex128), self.q_coeffs)
-
-    def eval(self, z):
-        return self.unimodular_prefactor * self.eval_p(z) / self.eval_q(z)
-
-    def derivative_eval(self, z):
-        """B' from the quotient rule on the expanded coefficients."""
-        w = np.asarray(z, dtype=np.complex128)
-        pv = np.polynomial.polynomial
-        p, q = self.p_coeffs, self.q_coeffs
-        dp, dq = pv.polyder(p), pv.polyder(q)
-        num = pv.polyval(w, dp) * pv.polyval(w, q) - pv.polyval(w, p) * pv.polyval(w, dq)
-        return self.unimodular_prefactor * num / pv.polyval(w, q) ** 2
-
-
-def to_rational(product):
-    """Expand a product into numerator/denominator coefficients (degree >= 1)."""
-    if not isinstance(product, BlaschkeProduct):
-        product = BlaschkeProduct(product)
-    zs = product.zeros.zeros
-    p = np.asarray([1.0 + 0.0j])
-    q = np.asarray([1.0 + 0.0j])
-    for a in zs:
-        p = np.convolve(p, np.asarray([a, -1.0], dtype=np.complex128))
-        q = np.convolve(q, np.asarray([1.0, -np.conj(a)]))
-    pref = complex(np.prod(np.conj(zs) / np.abs(zs)))
-    return RationalForm(p, q, pref)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +216,7 @@ def critical_points(product, max_iter=500):
     every residual |B'| must stay below 1e-8 when re-evaluated through the
     factor expansion (independent of the root-finding representation).
     """
-    if not isinstance(product, BlaschkeProduct):
-        product = BlaschkeProduct(product)
+    product = _as_product(product)
     zs = product.zeros.zeros
     n = product.degree
     unique, mult = _group_exact(zs)
@@ -345,8 +288,7 @@ def argument_principle_count(product, r, nodes=None):
     within 0.1, a critical point sits too close to the contour (or the node
     count is too small) and the caller should retry with a different r.
     """
-    if not isinstance(product, BlaschkeProduct):
-        product = BlaschkeProduct(product)
+    product = _as_product(product)
     r = float(r)
     if not 0.0 < r < 1.0:
         raise DomainError("contour radius must lie in (0, 1)")

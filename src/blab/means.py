@@ -10,26 +10,50 @@ subtle accuracy loss. The quality target is 1e-6.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .products import BlaschkeProduct
+from .products import _as_product
 
 _DOUBLING_GATE = 1e-4
 _DOUBLING_TARGET = 1e-6
+# Node budget of automatic doubling: another doubling runs only while 4x the
+# node count of the current coarse pass is within the cap. That keeps every
+# Hardy pass within it (explicit node counts aside), but a Bergman pass,
+# which doubles both the radial and the angular count, can reach 4x the cap.
 _NODE_CAP = 1 << 21
-
-
-def _as_product(product):
-    return product if isinstance(product, BlaschkeProduct) else BlaschkeProduct(product)
 
 
 def _circle_mean_p(product, p, r, nodes):
     theta = np.linspace(0.0, 2.0 * np.pi, int(nodes), endpoint=False)
     vals = np.abs(product.derivative(r * np.exp(1j * theta)))
     return float(np.mean(vals ** p))
+
+
+def _doubled(rule, counts, auto, what, where=""):
+    """rule(*counts) validated by doubling every node count, at the finest pass run.
+
+    With auto set, the counts keep doubling until two passes agree to 1e-6
+    relative or 4x the coarse pass's node count (the product of `counts`)
+    exceeds the node cap; otherwise one doubling decides. A last disagreement
+    above 1e-4 is a resolution failure, naming the `what` that moved.
+    """
+    coarse = rule(*counts)
+    while True:
+        fine = rule(*(2 * c for c in counts))
+        rel = abs(fine - coarse) / max(abs(fine), np.finfo(float).tiny)
+        if not auto or rel <= _DOUBLING_TARGET or 4 * math.prod(counts) > _NODE_CAP:
+            break
+        counts = [2 * c for c in counts]
+        coarse = fine
+    if rel > _DOUBLING_GATE:
+        raise ResolutionError(
+            f"node doubling moved the {what} by {rel:.3g} relative{where}; increase nodes"
+        )
+    return fine
 
 
 def default_hardy_nodes(degree, r):
@@ -74,20 +98,8 @@ def hardy_mean(product, p, r, nodes=None):
             f"nodes = {nodes} under-resolves degree {product.degree}; "
             f"need at least {max(64, 16 * product.degree)}"
         )
-    coarse = _circle_mean_p(product, p, r, nodes) ** (1.0 / p)
-    while True:
-        fine = _circle_mean_p(product, p, r, 2 * nodes) ** (1.0 / p)
-        rel = abs(fine - coarse) / max(abs(fine), np.finfo(float).tiny)
-        if not auto or rel <= _DOUBLING_TARGET or 4 * nodes > _NODE_CAP:
-            break
-        nodes *= 2
-        coarse = fine
-    if rel > _DOUBLING_GATE:
-        raise ResolutionError(
-            f"node doubling moved the mean by {rel:.3g} relative at r = {r}; "
-            "increase nodes"
-        )
-    return float(fine)
+    return _doubled(lambda n: _circle_mean_p(product, p, r, n) ** (1.0 / p),
+                    [nodes], auto, "mean", f" at r = {r}")
 
 
 def bergman_integral(product, p, radial_nodes=None, angular_nodes=None):
@@ -120,19 +132,7 @@ def bergman_integral(product, p, radial_nodes=None, angular_nodes=None):
     nr, na = int(radial_nodes), int(angular_nodes)
     if min(nr, na) < 64:
         raise DomainError("node counts must be at least 64")
-    coarse = tensor(nr, na)
-    while True:
-        fine = tensor(2 * nr, 2 * na)
-        rel = abs(fine - coarse) / max(abs(fine), np.finfo(float).tiny)
-        if not auto or rel <= _DOUBLING_TARGET or 4 * nr * na > _NODE_CAP:
-            break
-        nr, na = 2 * nr, 2 * na
-        coarse = fine
-    if rel > _DOUBLING_GATE:
-        raise ResolutionError(
-            f"node doubling moved the integral by {rel:.3g} relative; increase nodes"
-        )
-    return fine
+    return _doubled(tensor, [nr, na], auto, "integral")
 
 
 @dataclass(frozen=True)

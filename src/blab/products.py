@@ -155,7 +155,7 @@ class ZeroSequence:
 def blaschke_sum(zeros):
     """Sum of gaps 1 - |z_n|; finite iff the product converges."""
     seq = zeros if isinstance(zeros, ZeroSequence) else ZeroSequence(zeros)
-    return float(np.sum(1.0 - seq.moduli))
+    return seq.alpha
 
 
 def truncation_tail(tail, z):
@@ -167,7 +167,7 @@ def truncation_tail(tail, z):
     seq = tail if isinstance(tail, ZeroSequence) else ZeroSequence(tail)
     arr, scalar = _complexify(z)
     _require_open_disk(arr)
-    vals = 2.0 * np.sum(1.0 - seq.moduli) / (1.0 - np.abs(arr))
+    vals = 2.0 * seq.alpha / (1.0 - np.abs(arr))
     vals = np.asarray(vals)
     return float(vals[()]) if scalar else vals
 
@@ -258,3 +258,8 @@ class BlaschkeProduct:
 
     def __repr__(self):
         return f"BlaschkeProduct(degree={self.degree}, alpha={self._seq.alpha:.6g})"
+
+
+def _as_product(product):
+    """`product` itself if it is a BlaschkeProduct, else the product of those zeros."""
+    return product if isinstance(product, BlaschkeProduct) else BlaschkeProduct(product)

@@ -147,14 +147,19 @@ def _expand_cantor(base, ratio, depth):
     return [(s, s + ln) for s, ln in pieces]
 
 
+def _is_numbers(value, count=None):
+    """True for a payload array of real numbers (exactly `count` of them, when given)."""
+    return (isinstance(value, (list, tuple)) and count in (None, len(value))
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value))
+
+
 def _to_segments(arcs):
     """Normalize raw arcs into sorted disjoint segments within [0, 2pi]."""
     segs = []
-    full = False
     for raw in arcs:
         a, b = float(raw[0]), float(raw[1])
         if b - a >= TWO_PI:
-            full = True
+            segs.append([0.0, TWO_PI])
             continue
         length = (b - a) % TWO_PI
         if length == 0.0:
@@ -166,8 +171,6 @@ def _to_segments(arcs):
         else:
             segs.append([start, TWO_PI])
             segs.append([0.0, end - TWO_PI])
-    if full:
-        return [[0.0, TWO_PI]], True
     segs.sort()
     merged = []
     for s in segs:
@@ -175,9 +178,7 @@ def _to_segments(arcs):
             merged[-1][1] = max(merged[-1][1], s[1])
         else:
             merged.append(list(s))
-    if merged and merged[0][0] == 0.0 and merged[-1][1] == TWO_PI and len(merged) == 1:
-        return merged, True
-    return merged, False
+    return merged
 
 
 class BoundarySet:
@@ -198,7 +199,7 @@ class BoundarySet:
             base, ratio, depth = cantor
             self._cantor = ((float(base[0]), float(base[1])), float(ratio), int(depth))
             expanded.extend(_expand_cantor(base, float(ratio), int(depth)))
-        self._segments, self._full = _to_segments(expanded)
+        self._segments = _to_segments(expanded)
         seg = np.asarray(self._segments, dtype=np.float64).reshape(-1, 2)
         pts = np.asarray(sorted({_norm_angle(p) for p in self._raw_points}), dtype=np.float64)
         k = np.searchsorted(seg[:, 0], pts, side="right") - 1
@@ -252,15 +253,25 @@ class BoundarySet:
         unknown = set(payload) - {"arcs", "points", "cantor"}
         if unknown:
             raise DomainError(f"unknown boundary-set fields: {sorted(unknown)}")
+        arcs, points = payload.get("arcs", []), payload.get("points", [])
+        if not isinstance(arcs, (list, tuple)) or not all(_is_numbers(arc, 2) for arc in arcs):
+            raise DomainError("boundary-set arcs must be an array of [lo, hi] number pairs")
+        if not _is_numbers(points):
+            raise DomainError("boundary-set points must be an array of numbers")
         cantor = None
         if "cantor" in payload:
             spec = payload["cantor"]
+            if not isinstance(spec, dict):
+                raise DomainError("cantor generator must be an object with base/ratio/depth")
             miss = {"base", "ratio", "depth"} - set(spec)
             extra = set(spec) - {"base", "ratio", "depth"}
             if miss or extra:
                 raise DomainError(f"cantor generator needs base/ratio/depth, got {sorted(spec)}")
+            if not (_is_numbers(spec["base"], 2) and _is_numbers([spec["ratio"], spec["depth"]])):
+                raise DomainError("cantor generator needs a [lo, hi] number pair as base "
+                                  "and numbers as ratio and depth")
             cantor = (tuple(spec["base"]), spec["ratio"], spec["depth"])
-        return cls(arcs=payload.get("arcs", ()), points=payload.get("points", ()), cantor=cantor)
+        return cls(arcs=arcs, points=points, cantor=cantor)
 
     # -- geometry -----------------------------------------------------------
 
@@ -275,10 +286,6 @@ class BoundarySet:
     @property
     def cantor_depth(self):
         return None if self._cantor is None else self._cantor[2]
-
-    @property
-    def is_full_circle(self):
-        return self._full
 
     def measure(self):
         """Normalized arclength of the set itself."""
@@ -323,20 +330,14 @@ class BoundarySet:
         x = float(x)
         if x <= 0.0:
             raise DomainError("neighborhood radius must be positive")
-        if x >= 2.0 or self._full:
+        if x >= 2.0:
             return 1.0
         delta = 2.0 * math.asin(x / 2.0)
         intervals = [(a - delta, b + delta) for a, b in self._segments]
         intervals += [(p - delta, p + delta) for p in self._point_angles]
-        segs, full = _to_segments(intervals)
-        if full:
-            return 1.0
+        segs = _to_segments(intervals)
         total = sum(b - a for a, b in segs)
         return min(1.0, total / TWO_PI)
-
-
-def neighborhood_measure(boundary_set, x):
-    return boundary_set.neighborhood_measure(x)
 
 
 def default_beta_grid():
@@ -391,9 +392,6 @@ class StolzSpec:
     @classmethod
     def at_vertex(cls, phi, angle, k_const):
         return cls(phi, BoundarySet.from_points([angle]), float(k_const))
-
-    def contains(self, lam, tol=MEMBERSHIP_TOL):
-        return in_stolz(lam, self, tol)
 
 
 def in_stolz(lam, spec, tol=MEMBERSHIP_TOL):

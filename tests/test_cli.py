@@ -78,6 +78,19 @@ class TestConfigRejection:
         assert code == 2
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code = cli.main(["verify-lemma", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"config error: cannot read config {path}: 'utf-8' codec" in capsys.readouterr().err
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, lemma_cfg())
+        code = cli.main(["verify-lemma", "--config", cfg, "--seed", "-1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error: --seed: must be at least 0" in capsys.readouterr().err
+
     def test_seed_required_for_randomized(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, lemma_cfg(seed=None))
         payload = json.loads((tmp_path / "cfg.json").read_text())
@@ -294,6 +307,13 @@ class TestCriticalPoints:
         assert cli.main(["critical-points", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "config.zeros: cannot read" in capsys.readouterr().err
 
+    def test_zeros_file_not_utf8(self, tmp_path, capsys):
+        (tmp_path / "latin.txt").write_bytes(b"\xff\xfe0.5 0.0\n")
+        cfg = write_cfg(tmp_path, {"zeros": "latin.txt"})
+        assert cli.main(["critical-points", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config.zeros: cannot read {tmp_path / 'latin.txt'}: 'utf-8' codec" in err
+
     def test_unresolvable_cluster_is_numerical_failure(self, tmp_path, capsys):
         zs = 1.0 - 0.5 ** np.arange(1, 31)
         (tmp_path / "deep.txt").write_text("".join(f"{float(z)!r} 0.0\n" for z in zs))
@@ -346,6 +366,19 @@ class TestBetaEstimate:
         cfg = write_cfg(tmp_path, {"set": {"points": [0.0]}, "k_min": 4, "k_max": 5})
         assert cli.main(["beta-estimate", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "k_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("boundary", [
+        {"cantor": 5},
+        {"arcs": 5},
+        {"points": [None]},
+        {"cantor": {"base": 1, "ratio": 0.3, "depth": 3}},
+    ])
+    def test_malformed_set_is_config_error(self, boundary, tmp_path, capsys):
+        with pytest.raises(blab.DomainError):
+            blab.BoundarySet.from_payload(boundary)
+        cfg = write_cfg(tmp_path, {"set": boundary})
+        assert cli.main(["beta-estimate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config error: config.set: " in capsys.readouterr().err
 
 
 class TestMeansTrend:

@@ -15,7 +15,6 @@ from blab import (
     StolzSpec,
     angular_halfwidth,
     in_stolz,
-    neighborhood_measure,
     region_boundary,
     region_is_empty,
     sample_zeros,
@@ -205,7 +204,7 @@ class TestBoundarySet:
 
 class TestNeighborhoodMeasure:
     def test_full_circle(self):
-        assert neighborhood_measure(BoundarySet.full_circle(), 0.01) == 1.0
+        assert BoundarySet.full_circle().neighborhood_measure(0.01) == 1.0
 
     def test_single_point_sqrt2(self):
         E = BoundarySet.from_points([0.0])
@@ -290,7 +289,7 @@ class TestMembership:
 
     def test_spec_contains_wrapper(self):
         spec = StolzSpec.at_vertex(ModelFunction.exp_tangential(1.0), 0.0, 1.0)
-        assert spec.contains(0.5) is True
+        assert in_stolz(0.5, spec) is True
 
     def test_aperture_validation(self):
         with pytest.raises(DomainError):
