@@ -25,9 +25,9 @@ import numpy as np
 from .bounds import envelope_fit, envelope_grid, lemma_bound, lemma_check, theorem_check
 from .critical import critical_points, critical_sum, log_weighted_sum, protas_sum
 from .errors import BlabError
-from .fileio import (_csv, atomic_write_text, canonical_json, complex_pair, read_boundary,
-                     read_zeros, write_means_csv, write_points_csv, write_report,
-                     write_series_csv, write_zeros)
+from .fileio import (_csv, _reject_constant, atomic_write_text, canonical_json, complex_pair,
+                     read_boundary, read_zeros, write_means_csv, write_points_csv,
+                     write_report, write_series_csv, write_zeros)
 from .means import MeansTable, hp_trend, radial_geometric_family
 from .products import BlaschkeProduct
 from .regions import (BoundarySet, GeometricLaw, ModelFunction, PowerLaw,
@@ -589,13 +589,15 @@ def main(argv=None):
         threads = _threads_config()
         try:
             with open(args.config, encoding="utf-8") as fh:
-                cfg = json.load(fh)
+                cfg = json.load(fh, parse_constant=_reject_constant)
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(
                 f"{args.config}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
             ) from exc
+        except ValueError as exc:
+            raise ConfigError(f"{args.config}: invalid JSON: {exc}") from exc
         plan, seeded = prep(cfg, os.path.dirname(os.path.abspath(args.config)))
         plan["seed"] = _resolve_seed(plan.get("seed"), args.seed, seeded)
     except ConfigError as exc:

@@ -89,10 +89,15 @@ def write_zeros(path, zeros, header=None):
     atomic_write_text(path, format_zeros(zeros, header=header))
 
 
+def _reject_constant(name):
+    """json's parse_constant hook: NaN and +-Infinity are not JSON numbers."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def read_boundary(path):
     """BoundarySet from its JSON file form."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        payload = json.load(fh, parse_constant=_reject_constant)
     return BoundarySet.from_payload(payload)
 
 

@@ -63,7 +63,8 @@ def _validate_zero_array(arr):
     if arr.size == 0:
         return
     radii = np.abs(arr)
-    bad = np.flatnonzero((radii <= 0.0) | (radii >= 1.0))
+    # written as a negation so that a nan modulus fails it too
+    bad = np.flatnonzero(~((radii > 0.0) & (radii < 1.0)))
     if bad.size:
         k = int(bad[0])
         raise InvalidZeroError(

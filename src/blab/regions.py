@@ -26,10 +26,6 @@ TWO_PI = 2.0 * math.pi
 MEMBERSHIP_TOL = 1e-12
 
 
-def _norm_angle(theta):
-    return float(theta) % TWO_PI
-
-
 # ---------------------------------------------------------------------------
 # model functions
 
@@ -127,24 +123,21 @@ class ModelFunction:
 
 def _expand_cantor(base, ratio, depth):
     """Depth-d generator: keep the two end subarcs, ratio of the parent, d times."""
-    a, b = float(base[0]), float(base[1])
+    a, b = base
     length = TWO_PI if b - a >= TWO_PI else (b - a) % TWO_PI
     if length == 0.0:
         raise DomainError("cantor base arc is degenerate")
     if not 0.0 < ratio <= 0.5:
         raise DomainError(f"cantor ratio must lie in (0, 1/2], got {ratio}")
-    depth = int(depth)
     if not 0 <= depth <= 20:
         raise DomainError(f"cantor depth must lie in [0, 20], got {depth}")
-    pieces = [(a, length)]
+    # every arc of a level has the same length, so a level is its start angles
+    starts = np.array([a])
     for _ in range(depth):
-        nxt = []
-        for start, ln in pieces:
-            keep = ln * ratio
-            nxt.append((start, keep))
-            nxt.append((start + ln - keep, keep))
-        pieces = nxt
-    return [(s, s + ln) for s, ln in pieces]
+        keep = length * ratio
+        starts = np.stack([starts, starts + length - keep], axis=1).ravel()
+        length = keep
+    return starts, starts + length
 
 
 def _is_numbers(value, count=None):
@@ -153,32 +146,33 @@ def _is_numbers(value, count=None):
             and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value))
 
 
-def _to_segments(arcs):
-    """Normalize raw arcs into sorted disjoint segments within [0, 2pi]."""
-    segs = []
-    for raw in arcs:
-        a, b = float(raw[0]), float(raw[1])
-        if b - a >= TWO_PI:
-            segs.append([0.0, TWO_PI])
-            continue
-        length = (b - a) % TWO_PI
-        if length == 0.0:
-            continue
-        start = _norm_angle(a)
-        end = start + length
-        if end <= TWO_PI:
-            segs.append([start, end])
-        else:
-            segs.append([start, TWO_PI])
-            segs.append([0.0, end - TWO_PI])
-    segs.sort()
-    merged = []
-    for s in segs:
-        if merged and s[0] <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], s[1])
-        else:
-            merged.append(list(s))
-    return merged
+def _pieces(a, b):
+    """Arcs from a to b (counterclockwise) as pieces within [0, 2pi], split at 0: a full
+    turn or more is [0, 2pi], and an arc of zero length modulo 2pi is dropped."""
+    full = b - a >= TWO_PI
+    length = np.mod(b - a, TWO_PI, where=~full, out=np.full_like(a, TWO_PI))
+    keep = length != 0.0
+    start = np.where(full, 0.0, np.mod(a, TWO_PI))[keep]
+    end = start + length[keep]
+    over = end > TWO_PI
+    return (np.concatenate([start, np.zeros(np.count_nonzero(over))]),
+            np.concatenate([np.minimum(end, TWO_PI), end[over] - TWO_PI]))
+
+
+def _union(lo, hi):
+    """Sorted disjoint intervals covering one or more closed intervals [lo, hi];
+    touching intervals merge."""
+    order = np.lexsort((hi, lo))
+    lo, reach = lo[order], np.maximum.accumulate(hi[order])
+    first = np.append(True, lo[1:] > reach[:-1])
+    # a piece ends at the reach of its last interval, the one before the next first
+    return lo[first], reach[np.roll(first, -1)]
+
+
+def _total_length(lo, hi):
+    # summed left to right: np.sum rounds pairwise and Python 3.12's sum() is
+    # compensated, and either would move the last bit of a reported measure
+    return float(np.cumsum(hi - lo)[-1])
 
 
 class BoundarySet:
@@ -194,22 +188,24 @@ class BoundarySet:
         self._raw_arcs = [(float(a), float(b)) for a, b in arcs]
         self._raw_points = [float(p) for p in points]
         self._cantor = None
-        expanded = list(self._raw_arcs)
+        a, b = np.asarray(self._raw_arcs, dtype=np.float64).reshape(-1, 2).T
+        pts = np.asarray(self._raw_points, dtype=np.float64)
+        given = [a, b, pts]
         if cantor is not None:
             base, ratio, depth = cantor
             self._cantor = ((float(base[0]), float(base[1])), float(ratio), int(depth))
-            expanded.extend(_expand_cantor(base, float(ratio), int(depth)))
-        self._segments = _to_segments(expanded)
-        seg = np.asarray(self._segments, dtype=np.float64).reshape(-1, 2)
-        pts = np.asarray(sorted({_norm_angle(p) for p in self._raw_points}), dtype=np.float64)
-        k = np.searchsorted(seg[:, 0], pts, side="right") - 1
-        self._point_angles = pts[(k < 0) | (pts > seg[k, 1])] if seg.size else pts
-        if not self._segments and self._point_angles.size == 0:
-            raise DomainError("boundary set must be nonempty")
+            given.append(self._cantor[0])
+        if not np.isfinite(np.concatenate(given)).all():
+            raise DomainError("boundary-set angles must be finite")
+        if self._cantor is not None:
+            starts, ends = _expand_cantor(*self._cantor)
+            a, b = np.concatenate([a, starts]), np.concatenate([b, ends])
         # sorted disjoint intervals: the arcs, and each isolated point as [p, p]
-        ends = np.concatenate([seg, np.repeat(self._point_angles, 2).reshape(-1, 2)])
-        ends = ends[np.argsort(ends[:, 0], kind="stable")]
-        self._lo, self._hi = ends[:, 0], ends[:, 1]
+        lo, hi = _pieces(a, b)
+        pts = np.mod(pts, TWO_PI)
+        if not lo.size + pts.size:
+            raise DomainError("boundary set must be nonempty")
+        self._lo, self._hi = _union(np.concatenate([lo, pts]), np.concatenate([hi, pts]))
         self._arc = self._hi > self._lo
         self._unit_lo, self._unit_hi = np.exp(1j * self._lo), np.exp(1j * self._hi)
         # an arc that ends at 2 pi also holds angle 0
@@ -277,11 +273,11 @@ class BoundarySet:
 
     @property
     def segments(self):
-        return [tuple(s) for s in self._segments]
+        return list(zip(self._lo[self._arc].tolist(), self._hi[self._arc].tolist()))
 
     @property
     def point_angles(self):
-        return self._point_angles
+        return self._lo[~self._arc]
 
     @property
     def cantor_depth(self):
@@ -289,7 +285,7 @@ class BoundarySet:
 
     def measure(self):
         """Normalized arclength of the set itself."""
-        return float(sum(b - a for a, b in self._segments)) / TWO_PI
+        return _total_length(self._lo, self._hi) / TWO_PI
 
     def _nearest_ends(self, flat):
         """Sorted-interval lookup for the points flat.
@@ -333,11 +329,8 @@ class BoundarySet:
         if x >= 2.0:
             return 1.0
         delta = 2.0 * math.asin(x / 2.0)
-        intervals = [(a - delta, b + delta) for a, b in self._segments]
-        intervals += [(p - delta, p + delta) for p in self._point_angles]
-        segs = _to_segments(intervals)
-        total = sum(b - a for a, b in segs)
-        return min(1.0, total / TWO_PI)
+        lo, hi = _union(*_pieces(self._lo - delta, self._hi + delta))
+        return min(1.0, _total_length(lo, hi) / TWO_PI)
 
 
 def default_beta_grid():
@@ -471,14 +464,12 @@ class PowerLaw:
 
 def _draw_anchor(boundary_set, rng):
     """Uniform anchor angle on E: by arclength over arcs, else over the points."""
-    segs = boundary_set.segments
-    if segs:
-        lengths = np.asarray([b - a for a, b in segs])
-        k = int(rng.choice(len(segs), p=lengths / lengths.sum()))
-        a, b = segs[k]
-        return float(rng.uniform(a, b))
-    pts = boundary_set.point_angles
-    return float(pts[int(rng.integers(pts.size))])
+    arc, lo, hi = boundary_set._arc, boundary_set._lo, boundary_set._hi
+    if arc.any():
+        lengths = hi[arc] - lo[arc]
+        k = int(rng.choice(lengths.size, p=lengths / lengths.sum()))
+        return float(rng.uniform(lo[arc][k], hi[arc][k]))
+    return float(lo[int(rng.integers(lo.size))])
 
 
 def sample_zeros(spec, n, seed, law=GeometricLaw(0.5)):

@@ -85,6 +85,30 @@ class TestConfigRejection:
         assert code == 2
         assert f"config error: cannot read config {path}: 'utf-8' codec" in capsys.readouterr().err
 
+    def test_non_finite_constant_in_config(self, tmp_path, capsys):
+        (tmp_path / "pair.txt").write_text(PAIR_ZEROS)
+        path = tmp_path / "sum.json"
+        path.write_text('{"zeros": "pair.txt", "set": {"points": [0.0]},'
+                        ' "rho": 1.0, "beta": NaN, "eps": 0.5}')
+        code = cli.main(["critical-sum", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: {path}: invalid JSON: NaN is not a JSON number" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_constant_in_inline_set(self, tmp_path, capsys):
+        path = tmp_path / "beta.json"
+        path.write_text('{"set": {"points": [-Infinity]}}')
+        assert cli.main(["beta-estimate", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert f"{path}: invalid JSON: -Infinity is not a JSON number" in capsys.readouterr().err
+
+    def test_non_finite_constant_in_boundary_file(self, tmp_path, capsys):
+        (tmp_path / "set.json").write_text('{"points": [NaN]}')
+        cfg = write_cfg(tmp_path, {"set": "set.json"})
+        assert cli.main(["beta-estimate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config.set: bad boundary file {tmp_path / 'set.json'}: NaN is not" in err
+
     def test_negative_seed_flag(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, lemma_cfg())
         code = cli.main(["verify-lemma", "--config", cfg, "--seed", "-1", "--out", str(tmp_path)])
@@ -313,6 +337,12 @@ class TestCriticalPoints:
         assert cli.main(["critical-points", "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"config.zeros: cannot read {tmp_path / 'latin.txt'}: 'utf-8' codec" in err
+
+    def test_nan_zero_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "nan.txt").write_text("0.5 0.0\nnan 0\n")
+        cfg = write_cfg(tmp_path, {"zeros": "nan.txt"})
+        assert cli.main(["critical-points", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config error: config.zeros: zero #1 " in capsys.readouterr().err
 
     def test_unresolvable_cluster_is_numerical_failure(self, tmp_path, capsys):
         zs = 1.0 - 0.5 ** np.arange(1, 31)

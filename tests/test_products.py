@@ -85,8 +85,9 @@ class TestZeroSequence:
         assert blaschke_sum([0.5, -0.5]) == pytest.approx(1.0)
 
     def test_validation_names_offender(self):
-        with pytest.raises(InvalidZeroError, match="zero #1"):
-            ZeroSequence([0.5, 1.0 + 0j, 0.3])
+        for bad in (1.0 + 0j, complex(np.nan, 0.0)):
+            with pytest.raises(InvalidZeroError, match="zero #1"):
+                ZeroSequence([0.5, bad, 0.3])
 
     def test_split_and_indexing(self):
         zs = ZeroSequence([0.5, -0.5, 0.5j])

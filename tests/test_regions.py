@@ -122,6 +122,128 @@ def _brute_force_sets():
             (closing, np.concatenate([np.linspace(5.0, 2.0 * np.pi, 20001), [1.0]]))]
 
 
+TWO_PI = 2.0 * np.pi
+
+
+def _reference_cantor(base, ratio, depth):
+    """Cantor generator arcs, one Python pair per arc (the loop the array expansion replaced)."""
+    a, b = float(base[0]), float(base[1])
+    pieces = [(a, TWO_PI if b - a >= TWO_PI else (b - a) % TWO_PI)]
+    for _ in range(depth):
+        nxt = []
+        for start, ln in pieces:
+            keep = ln * ratio
+            nxt.append((start, keep))
+            nxt.append((start + ln - keep, keep))
+        pieces = nxt
+    return [(s, s + ln) for s, ln in pieces]
+
+
+def _reference_segments(arcs):
+    """Sorted disjoint segments within [0, 2pi], merged one arc at a time in a list."""
+    segs = []
+    for raw in arcs:
+        a, b = float(raw[0]), float(raw[1])
+        if b - a >= TWO_PI:
+            segs.append([0.0, TWO_PI])
+            continue
+        length = (b - a) % TWO_PI
+        if length == 0.0:
+            continue
+        start = a % TWO_PI
+        end = start + length
+        if end <= TWO_PI:
+            segs.append([start, end])
+        else:
+            segs.append([start, TWO_PI])
+            segs.append([0.0, end - TWO_PI])
+    segs.sort()
+    merged = []
+    for s in segs:
+        if merged and s[0] <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], s[1])
+        else:
+            merged.append(list(s))
+    return merged
+
+
+def _left_sum(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+class _ReferenceSet:
+    """The list-merge construction of a boundary set, kept as an oracle for BoundarySet."""
+
+    def __init__(self, arcs=(), points=(), cantor=None):
+        arcs = [(float(a), float(b)) for a, b in arcs]
+        if cantor is not None:
+            arcs += _reference_cantor(*cantor)
+        merged = _reference_segments(arcs)
+        self.segments = [(a, b) for a, b in merged if b > a]
+        # a piece that rounds to zero length holds a single angle: it is a point
+        pts = {float(p) % TWO_PI for p in points}
+        pts = {p for p in pts if not any(a <= p <= b for a, b in merged)}
+        self.point_angles = np.asarray(sorted(pts | {a for a, b in merged if a == b}))
+
+    def measure(self):
+        return _left_sum(b - a for a, b in self.segments) / TWO_PI
+
+    def neighborhood_measure(self, x):
+        if x >= 2.0:
+            return 1.0
+        delta = 2.0 * math.asin(x / 2.0)
+        grown = [(a - delta, b + delta) for a, b in self.segments]
+        grown += [(p - delta, p + delta) for p in self.point_angles]
+        return min(1.0, _left_sum(b - a for a, b in _reference_segments(grown)) / TWO_PI)
+
+
+def _reference_cases():
+    """Boundary-set constructor arguments: edge cases, then random arcs and points."""
+    cases = [
+        {"arcs": [(-0.5, 0.5)]},  # wraps across angle 0
+        {"arcs": [(0.0, 1.0), (0.5, 2.0), (2.0, 2.5)]},  # overlapping, then touching
+        {"arcs": [(5.0, TWO_PI)], "points": [0.0, TWO_PI, 1.0]},  # ends at 2 pi
+        {"arcs": [(1.0, 2.0)], "points": [2.0, 1.0, 1.5, 3.0, 3.0]},  # points on the arc
+        {"points": [0.0, TWO_PI, -TWO_PI, 4.0 * np.pi]},
+        {"arcs": [(3.0, 3.0 + TWO_PI)], "points": [1.0]},
+        {"arcs": [(2.0, 1.0), (7.0, 7.5)]},  # runs the long way round; above 2 pi
+        {"arcs": [(-1e-3, -1e-3 + 1e-16)], "points": [2.0]},  # rounds to zero length
+        {"cantor": ((0.0, TWO_PI), 1.0 / 3.0, 14)},
+        {"cantor": ((5.0, 8.0), 0.5, 14), "points": [5.0, 6.0]},  # touching pieces
+        {"cantor": ((-1.0, 2.0), 0.25, 9), "arcs": [(0.0, 0.1)], "points": [1.9]},
+        {"cantor": ((0.3, 0.3 + 2.0 * TWO_PI), 0.4, 5)},
+        {"cantor": ((1.0, 2.0), 0.3, 0), "points": [2.0]},
+    ]
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        starts = rng.uniform(-TWO_PI, 2.0 * TWO_PI, int(rng.integers(0, 7)))
+        spans = rng.choice([0.01, 0.3, 2.0, -0.5, 7.0], starts.size)
+        spans = spans * rng.uniform(0.5, 1.5, starts.size)
+        arcs = [(float(a), float(a + d)) for a, d in zip(starts, spans)]
+        points = rng.uniform(-TWO_PI, 2.0 * TWO_PI, int(rng.integers(0, 5))).tolist()
+        if arcs:
+            points.append(arcs[0][1])  # a point on an arc end
+        cases.append({"arcs": arcs, "points": points or [0.0]})
+    return cases
+
+
+REFERENCE_RADII = np.concatenate([np.ldexp(1.0, -np.arange(0, 21)),
+                                  np.random.default_rng(43).uniform(0.0, 2.1, 15)])
+
+
+@pytest.mark.parametrize("case", _reference_cases())
+def test_interval_arrays_match_list_merge_bitwise(case):
+    E, ref = BoundarySet(**case), _ReferenceSet(**case)
+    assert E.segments == ref.segments
+    assert E.point_angles.tobytes() == ref.point_angles.tobytes()
+    assert E.measure() == ref.measure()
+    for x in REFERENCE_RADII:
+        assert E.neighborhood_measure(x) == ref.neighborhood_measure(x), x
+
+
 class TestBoundarySet:
     def test_distance_hand_values(self):
         E = BoundarySet.from_points([0.0])
@@ -175,6 +297,28 @@ class TestBoundarySet:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             BoundarySet()
+
+    @pytest.mark.parametrize("kwargs", [
+        {"points": [np.nan]},
+        {"points": [0.0, -np.inf]},
+        {"arcs": [(0.0, np.inf)]},
+        {"arcs": [(np.nan, 1.0)], "points": [0.0]},
+        {"cantor": ((0.0, np.inf), 1.0 / 3.0, 3)},
+    ])
+    def test_non_finite_angles_rejected(self, kwargs):
+        with pytest.raises(DomainError, match="finite"):
+            BoundarySet(**kwargs)
+
+    def test_arc_of_zero_length_after_rounding_is_a_point(self):
+        # the span is 1e-16, under half an ulp at the arc's start angle
+        E = BoundarySet.from_arcs([(-1e-3, -1e-3 + 1e-16)])
+        assert E.segments == []
+        assert E.point_angles.tolist() == [-1e-3 % TWO_PI]
+
+    def test_point_angles_is_a_copy(self):
+        E = BoundarySet.from_points([1.0])
+        E.point_angles[0] = 2.0
+        assert E.point_angles.tolist() == [1.0]
 
     def test_payload_roundtrip(self):
         E = BoundarySet(arcs=[(0.1, 0.4)], points=[3.0], cantor=((0.0, 1.0), 0.3, 5))
