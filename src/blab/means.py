@@ -2,11 +2,31 @@
 
 Membership of B' in H^p or A^p is a statement about infinite products and
 suprema over r; here it is operationalized as growth of means across finite
-truncations. Quadrature is validated by node doubling on every call: the
-periodic trapezoid rule converges spectrally for the smooth integrands at
-hand, so a doubling disagreement above 1e-4 relative signals an
-under-resolved circle (too few nodes for the degree and radius), not a
-subtle accuracy loss. The quality target is 1e-6.
+truncations.
+
+On the circle of radius r, |B'|^p peaks next to each zero a over an arc of
+width about 1 - r|a|, so a uniform trapezoid rule needs about degree/(1 - r)
+nodes. The angular rule is instead the trapezoid rule in s = Phi(theta), a
+conformal change of variable that widens the strip of analyticity (Hale &
+Trefethen 2008; Trefethen & Weideman 2014):
+
+    Phi(theta) = (1 - lam) theta + lam mean_k psi_t(theta - arg a_k),
+    psi_t(x) = x + 2 atan2(t sin x, 1 - t cos x),  t = r |a_k|,  lam = 1/2,
+
+whose derivative is 1 - lam plus the mean of the zeros' Poisson kernels
+P_t(x) = (1 - t^2)/(1 - 2t cos x + t^2). The nodes are
+theta_j = Phi^-1(Phi(0) + 2 pi j/N) and the weights 1/Phi'(theta_j): half the
+nodes follow the zeros, half stay uniform. Bergman integrals use
+Gauss-Legendre on the geometric radial panels [1 - 2^-j, 1 - 2^-(j+1)], down
+past the smallest gap 1 - |a|, with the mapped angular rule on every radius.
+
+Quadrature is validated by node doubling on every call. The s-grid at 2N
+holds the one at N, so a Hardy pass evaluates B' only at its new nodes; a
+Bergman pass has new radii throughout. A doubling disagreement above 1e-4
+relative signals an under-resolved rule, not a subtle accuracy loss, and is a
+resolution failure; the quality target is 1e-6. Doubling cannot see rounding
+in B' itself, which grows like eps/(1 - r|a|) next to a zero, so circles that
+near a zero are refused before any evaluation.
 """
 from __future__ import annotations
 
@@ -16,48 +36,195 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .products import _as_product
+from .products import _BLOCK, _as_product
 
 _DOUBLING_GATE = 1e-4
 _DOUBLING_TARGET = 1e-6
-# Node budget of automatic doubling: another doubling runs only while 4x the
-# node count of the current coarse pass is within the cap. That keeps every
-# Hardy pass within it (explicit node counts aside), but a Bergman pass,
-# which doubles both the radial and the angular count, can reach 4x the cap.
+# Node budget of automatic doubling: no pass evaluates more nodes than this
+# (explicit node counts aside).
 _NODE_CAP = 1 << 21
+# Share lam of the angular nodes that follow the zeros' Poisson kernels.
+_MAP_WEIGHT = 0.5
+# Newton inversion of Phi stops at |Phi(theta) - s| <= _MAP_TOL, at a step
+# under a few ulps of theta, or after _MAP_STEPS steps.
+_MAP_TOL = 1e-13
+_MAP_STEPS = 100
+# B' next to a zero a carries a rounding error of about eps/(1 - r|a|)
+# relative, so circles nearer a zero than this miss the doubling target.
+_FLOAT_FLOOR = np.finfo(float).eps / _DOUBLING_TARGET
+_TWO_PI = 2.0 * np.pi
 
 
-def _circle_mean_p(product, p, r, nodes):
-    theta = np.linspace(0.0, 2.0 * np.pi, int(nodes), endpoint=False)
-    vals = np.abs(product.derivative(r * np.exp(1j * theta)))
-    return float(np.mean(vals ** p))
+class _PoissonMap:
+    """Phi and Phi' at (theta, r) pairs, summed over the zeros in blocks.
+
+    Phi is taken as theta + 2 lam mean_k atan2(t sin x, 1 - t cos x), x = theta
+    - arg a_k: the form above shifted by the constant lam mean_k arg a_k. In
+    e^{ix/2} = c + ih, 1 - t cos x = (1 - t) + 2t h^2 and
+    1 - 2t cos x + t^2 = (1 - t)^2 + 4t h^2, with 1 - t = (1 - r) + r(1 - |a|),
+    so both keep their digits next to a zero.
+    """
+
+    def __init__(self, product):
+        moduli = product.zeros.moduli[:, None]
+        self._rho, self._gap = moduli, 1.0 - moduli
+        self._turn = np.exp(-0.5j * np.angle(product.zeros.zeros))[:, None]
+
+    def __call__(self, theta, r, delta):
+        """Phi(theta) and Phi'(theta) on flat arrays theta, r and delta = 1 - r."""
+        phi, dphi = np.empty_like(theta), np.empty_like(theta)
+        half = np.exp(0.5j * theta)
+        cols = max(1, _BLOCK // self._rho.size)
+        for lo in range(0, theta.size, cols):
+            sl = slice(lo, lo + cols)
+            w = half[sl] * self._turn
+            t = self._rho * r[sl]
+            omt = delta[sl] + r[sl] * self._gap
+            u = t * w.imag
+            v = u * w.imag
+            phi[sl] = np.arctan2(u * w.real, 0.5 * omt + v).mean(axis=0)
+            dphi[sl] = (omt * (1.0 + t) / (omt * omt + 4.0 * v)).mean(axis=0)
+        return theta + 2.0 * _MAP_WEIGHT * phi, 1.0 - _MAP_WEIGHT + _MAP_WEIGHT * dphi
 
 
-def _doubled(rule, counts, auto, what, where=""):
+def _invert(pmap, target, lo, hi, guess, r, delta):
+    """theta in (lo, hi) with Phi(theta) = target, and Phi' there: safeguarded Newton.
+
+    The bracket shrinks on the sign of the residual. A Newton step that does
+    not land strictly inside it, or that follows a step which failed to
+    halve the residual, is replaced by the bracket's midpoint. All arrays are
+    flat; lo and hi are not modified.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    theta = np.where((guess > lo) & (guess < hi), guess, 0.5 * (lo + hi))
+    dphi = np.empty_like(theta)
+    last = np.full(theta.size, np.inf)
+    todo = np.arange(theta.size)
+    for _ in range(_MAP_STEPS):
+        th = theta[todo]
+        phi, d = pmap(th, r[todo], delta[todo])
+        dphi[todo] = d
+        res = phi - target[todo]
+        keep = np.abs(res) > np.maximum(_MAP_TOL, 4.0 * np.finfo(float).eps * th * d)
+        todo, th, res, d = todo[keep], th[keep], res[keep], d[keep]
+        if not todo.size:
+            break
+        below = res < 0.0
+        lo[todo] = np.where(below, th, lo[todo])
+        hi[todo] = np.where(below, hi[todo], th)
+        step = th - res / d
+        a, b = lo[todo], hi[todo]
+        newton = (step > a) & (step < b) & (np.abs(res) <= 0.5 * last[todo])
+        theta[todo] = np.where(newton, step, 0.5 * (a + b))
+        last[todo] = np.abs(res)
+    return theta, dphi
+
+
+class _AngularRule:
+    """Mapped trapezoid nodes on circles of radii r, refined by doubling.
+
+    Row i holds theta_j = Phi^-1(Phi(0) + 2 pi j/N) in [0, 2 pi) at radius
+    r_i, and Phi' there. The nodes for N are built from those for the odd
+    part of N (bracketed by [0, 2 pi]) by doubling; each doubling places one
+    node between every neighbour pair, bracketed by the pair and started from
+    the cubic Hermite interpolant of Phi^-1.
+    """
+
+    def __init__(self, pmap, r, delta, count):
+        self._map = pmap
+        self.r, self.delta = r[:, None], delta[:, None]
+        phi0, dphi0 = pmap(np.zeros_like(r), r, delta)
+        self._start = phi0[:, None]
+        odd = count // (count & -count)
+        frac = _TWO_PI * np.arange(1, odd) / odd
+        shape = (r.size, odd - 1)
+        theta, dphi = self._solve(self._start + frac, np.zeros(shape),
+                                  np.full(shape, _TWO_PI), np.broadcast_to(frac, shape))
+        self.theta = np.concatenate([np.zeros((r.size, 1)), theta], axis=1)
+        self.dphi = np.concatenate([dphi0[:, None], dphi], axis=1)
+        while self.theta.shape[1] < count:
+            self.refine()
+
+    def _solve(self, target, lo, hi, guess):
+        shape = target.shape
+        theta, dphi = _invert(self._map, target.ravel(), lo.ravel(), hi.ravel(),
+                              guess.ravel(), np.broadcast_to(self.r, shape).ravel(),
+                              np.broadcast_to(self.delta, shape).ravel())
+        return theta.reshape(shape), dphi.reshape(shape)
+
+    def refine(self):
+        """Double the node count; return the new nodes and Phi' there."""
+        rows, n = self.theta.shape
+        up = np.concatenate([self.theta[:, 1:], np.full((rows, 1), _TWO_PI)], axis=1)
+        dup = np.concatenate([self.dphi[:, 1:], self.dphi[:, :1]], axis=1)
+        h = _TWO_PI / n
+        guess = 0.5 * (self.theta + up) + 0.125 * h * (1.0 / self.dphi - 1.0 / dup)
+        theta, dphi = self._solve(self._start + h * (np.arange(n) + 0.5), self.theta, up, guess)
+        self.theta = np.stack([self.theta, theta], axis=2).reshape(rows, 2 * n)
+        self.dphi = np.stack([self.dphi, dphi], axis=2).reshape(rows, 2 * n)
+        return theta, dphi
+
+
+def _require_evaluable(product, r, where):
+    """ResolutionError unless 1 - r|a| stays above the float64 floor for every zero."""
+    near = (1.0 - r) + r * (1.0 - product.zeros.moduli)
+    k = int(np.argmin(near))
+    if near[k] < _FLOAT_FLOOR:
+        raise ResolutionError(
+            f"1 - r|a| = {near[k]:.3g} for zero #{k}{where} is under the float64 floor "
+            f"{_FLOAT_FLOOR:.3g}: B' cannot be evaluated there to {_DOUBLING_TARGET:g} relative"
+        )
+
+
+def _weighted_powers(product, p, r, theta, dphi):
+    """Row sums of |B'(r e^{i theta})|^p / Phi'(theta) over nodes theta at radii r."""
+    vals = np.abs(product.derivative(r * np.exp(1j * theta))) ** p
+    return np.sum(vals / dphi, axis=1)
+
+
+def _doubled(rule, size, counts, auto, what, where=""):
     """rule(*counts) validated by doubling every node count, at the finest pass run.
 
-    With auto set, the counts keep doubling until two passes agree to 1e-6
-    relative or 4x the coarse pass's node count (the product of `counts`)
-    exceeds the node cap; otherwise one doubling decides. A last disagreement
-    above 1e-4 is a resolution failure, naming the `what` that moved.
+    size(*counts) gives the node counts of a pass, one per dimension. With
+    auto set, a start whose validating pass exceeds the node cap is a
+    resolution failure before any evaluation, and the counts keep doubling
+    until two passes agree to 1e-6 relative or the next pass would exceed
+    the cap; otherwise one doubling decides. A last disagreement above 1e-4
+    is a resolution failure, naming the `what` that moved and the node
+    counts of the last pass.
     """
+    def nodes(c):
+        return " x ".join(str(k) for k in size(*c))
+
+    def over(c):
+        return math.prod(size(*c)) > _NODE_CAP
+
+    fine_counts = [2 * c for c in counts]
+    if auto and over(fine_counts):
+        raise ResolutionError(
+            f"node doubling of the {what}{where} would start at {nodes(counts)} nodes "
+            f"and validate at {nodes(fine_counts)}, beyond the node cap {_NODE_CAP}"
+        )
     coarse = rule(*counts)
     while True:
-        fine = rule(*(2 * c for c in counts))
+        fine = rule(*fine_counts)
         rel = abs(fine - coarse) / max(abs(fine), np.finfo(float).tiny)
-        if not auto or rel <= _DOUBLING_TARGET or 4 * math.prod(counts) > _NODE_CAP:
+        if not auto or rel <= _DOUBLING_TARGET or over([2 * c for c in fine_counts]):
             break
-        counts = [2 * c for c in counts]
-        coarse = fine
+        coarse, fine_counts = fine, [2 * c for c in fine_counts]
     if rel > _DOUBLING_GATE:
         raise ResolutionError(
-            f"node doubling moved the {what} by {rel:.3g} relative{where}; increase nodes"
+            f"node doubling moved the {what} by {rel:.3g} relative{where} on a pass of "
+            f"{nodes(fine_counts)} nodes; increase nodes"
         )
     return fine
 
 
 def default_hardy_nodes(degree, r):
-    """Smallest sane node count: 64, 16 per degree, and degree/(1-r) near the rim."""
+    """Node count a uniform trapezoid rule needs: 64, 16 per degree, and degree/(1-r) near the rim.
+
+    The mapped rule of `hardy_mean` starts at max(64, 16 degree) whatever r.
+    """
     base = max(64, 16 * int(degree))
     if r > 0.0:
         base = max(base, int(np.ceil(degree / (1.0 - r))))
@@ -67,14 +234,18 @@ def default_hardy_nodes(degree, r):
 def hardy_mean(product, p, r, nodes=None):
     """(1/2pi integral |B'(r e^{i theta})|^p dtheta)^(1/p), doubling-validated.
 
-    r = 0 collapses to |B'(0)|. With nodes unset, the count starts at the
-    degree-and-radius default and doubles until the validation step moves the
-    mean by under 1e-6 relative (|B'|^p has cusps at critical points for
-    p < 1, which slow the trapezoid rule from spectral to algebraic); a
-    default whose doubled pass would exceed the node cap is a resolution
-    failure before any evaluation. Explicit node counts are honored as
-    given. The returned value is the doubled-node one; disagreement above
-    1e-4 is a resolution failure.
+    r = 0 collapses to |B'(0)|. The angular rule is the Poisson-mapped
+    trapezoid rule of the module docstring; each doubling evaluates B' only
+    at the new nodes. With nodes unset, the count starts at max(64, 16 per
+    degree) and doubles until the validation step moves the mean by under
+    1e-6 relative (|B'|^p has cusps at critical points for p < 1, which slow
+    the rule from spectral to algebraic) or the next pass would exceed the
+    node cap; a start whose doubled pass would exceed the cap, or a circle
+    within the float64 floor of a zero (1 - r|a| under eps/1e-6), is a
+    resolution failure before any evaluation. Explicit node counts are
+    honored as given. The returned value is the doubled-node one;
+    disagreement above 1e-4 is a resolution failure that names the radius
+    and the node count.
     """
     product = _as_product(product)
     p, r = float(p), float(r)
@@ -84,46 +255,76 @@ def hardy_mean(product, p, r, nodes=None):
         raise DomainError("radius must lie in [0, 1)")
     if r == 0.0:
         return float(abs(product.derivative(0.0)))
+    floor = max(64, 16 * product.degree)
     auto = nodes is None
-    if auto:
-        nodes = default_hardy_nodes(product.degree, r)
-        if 2 * nodes > _NODE_CAP:
-            raise ResolutionError(
-                f"degree {product.degree} at r = {r} needs {nodes} nodes in the first "
-                f"pass and twice that to validate, beyond the node cap {_NODE_CAP}"
-            )
-    nodes = int(nodes)
-    if nodes < max(64, 16 * product.degree):
+    nodes = floor if auto else int(nodes)
+    if nodes < floor:
         raise DomainError(
-            f"nodes = {nodes} under-resolves degree {product.degree}; "
-            f"need at least {max(64, 16 * product.degree)}"
+            f"nodes = {nodes} under-resolves degree {product.degree}; need at least {floor}"
         )
-    return _doubled(lambda n: _circle_mean_p(product, p, r, n) ** (1.0 / p),
-                    [nodes], auto, "mean", f" at r = {r}")
+    _require_evaluable(product, r, f" at r = {r}")
+    radius = np.array([r])
+    pmap = _PoissonMap(product)
+    grid, total = None, 0.0
+
+    def mean(n):  # _doubled asks for n, 2n, 4n, ...: each call refines the last grid
+        nonlocal grid, total
+        if grid is None:
+            grid = _AngularRule(pmap, radius, 1.0 - radius, n)
+            theta, dphi = grid.theta, grid.dphi
+        else:
+            theta, dphi = grid.refine()
+        total += float(_weighted_powers(product, p, r, theta, dphi)[0])
+        return (total / n) ** (1.0 / p)
+
+    return _doubled(mean, lambda n: (n,), [nodes], auto, "mean",
+                    f" for degree {product.degree} at r = {r}")
+
+
+def _radial_panels(product):
+    """Panel ends in delta = 1 - r: 1, 1/2, ..., 2^-J, 0, with 2^-J under the smallest gap."""
+    gap = float(np.min(1.0 - product.zeros.moduli))
+    ends = [1.0]
+    while ends[-1] >= gap:
+        ends.append(0.5 * ends[-1])
+    return np.asarray(ends + [0.0])
 
 
 def bergman_integral(product, p, radial_nodes=None, angular_nodes=None):
     """integral over the disk of |B'|^p dA (plain Lebesgue area), doubling-validated.
 
-    Gauss-Legendre in radius against the weight r, periodic trapezoid in
-    angle. For a degree-1 product at p = 2 the value is the area of the image
-    disk, pi exactly.
+    Gauss-Legendre in radius against the weight r on the geometric panels of
+    the module docstring, and the mapped trapezoid rule in angle on every
+    radius. `radial_nodes` is the total radial count: each panel gets
+    ceil(radial_nodes / panels) nodes, so a pass may hold a few more than
+    asked, and a failure names the counts actually used (radial x angular).
+    Defaults: max(64, 2 per degree) radial and max(64, 16 per degree)
+    angular; both double on every pass. A zero whose gap 1 - |a| is under
+    the float64 floor of `hardy_mean` is a resolution failure before any
+    evaluation. For a degree-1 product at p = 2 the value is the area of the
+    image disk, pi exactly.
     """
     product = _as_product(product)
     p = float(p)
     if p <= 0.0:
         raise DomainError("exponent p must be positive")
     auto = radial_nodes is None and angular_nodes is None
+    _require_evaluable(product, 1.0, " as r -> 1")
+    ends = _radial_panels(product)
+    panels = ends.size - 1
+    pmap = _PoissonMap(product)
+
+    def size(nr, na):
+        return panels * -(-nr // panels), na
 
     def tensor(nr, na):
-        x, w = np.polynomial.legendre.leggauss(nr)
-        rr = 0.5 * (x + 1.0)
-        ww = 0.5 * w
-        theta = np.linspace(0.0, 2.0 * np.pi, na, endpoint=False)
-        pts = rr[:, None] * np.exp(1j * theta)[None, :]
-        vals = np.abs(product.derivative(pts.ravel())).reshape(pts.shape) ** p
-        ang = vals.mean(axis=1) * 2.0 * np.pi
-        return float(np.sum(ww * rr * ang))
+        x, w = np.polynomial.legendre.leggauss(-(-nr // panels))
+        half = 0.5 * (ends[:-1] - ends[1:])[:, None]
+        delta = (ends[1:, None] + half * (1.0 + x)).ravel()
+        r = 1.0 - delta
+        grid = _AngularRule(pmap, r, delta, na)
+        sums = _weighted_powers(product, p, grid.r, grid.theta, grid.dphi)
+        return float(np.sum((half * w).ravel() * r * sums) * _TWO_PI / na)
 
     if radial_nodes is None:
         radial_nodes = max(64, 2 * product.degree)
@@ -132,7 +333,7 @@ def bergman_integral(product, p, radial_nodes=None, angular_nodes=None):
     nr, na = int(radial_nodes), int(angular_nodes)
     if min(nr, na) < 64:
         raise DomainError("node counts must be at least 64")
-    return _doubled(tensor, [nr, na], auto, "integral")
+    return _doubled(tensor, size, [nr, na], auto, "integral", f" for degree {product.degree}")
 
 
 @dataclass(frozen=True)

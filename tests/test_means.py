@@ -1,19 +1,47 @@
 import numpy as np
 import pytest
 
+import blab.means
 from blab import (
     BlaschkeProduct,
+    BoundarySet,
     DomainError,
     InvalidZeroError,
     MeansTable,
+    ModelFunction,
+    PowerLaw,
     ResolutionError,
+    StolzSpec,
     ZeroSequence,
     bergman_integral,
     default_hardy_nodes,
     hardy_mean,
     hp_trend,
     radial_geometric_family,
+    sample_zeros,
 )
+
+RIM = 1.0 - 1e-6
+
+
+def sampled_exp_zeros(n):
+    """The benchmark's boundary-clustered sets: exp gauge at a vertex, sampling stream 6."""
+    spec = StolzSpec(ModelFunction.exp_tangential(1.0), BoundarySet.from_points([0.0]), 1.0)
+    return sample_zeros(spec, n, seed=6, law=PowerLaw(2.0, 0.5)).zeros
+
+
+@pytest.fixture
+def handed(monkeypatch):
+    """Point counts handed to BlaschkeProduct.derivative, one entry per call."""
+    counts = []
+    derivative = BlaschkeProduct.derivative
+
+    def counting(self, z):
+        counts.append(int(np.size(z)))
+        return derivative(self, z)
+
+    monkeypatch.setattr(BlaschkeProduct, "derivative", counting)
+    return counts
 
 
 def reference_circle_mean(zeros, p, r, nodes=1 << 15):
@@ -75,16 +103,68 @@ class TestHardyMean:
         assert default_hardy_nodes(10, 0.999) == 10_000
 
     def test_explicit_coarse_nodes_fail_loudly(self):
-        rng = np.random.default_rng(9)
-        zs = 0.99 * np.exp(2j * np.pi * rng.uniform(0, 1, 20))
-        with pytest.raises(ResolutionError, match="doubling"):
-            hardy_mean(BlaschkeProduct(zs), 0.5, 0.999, nodes=320)
-
-    def test_default_first_pass_over_the_cap_fails_before_evaluating(self):
-        # degree 2 at r = 1 - 1e-6 starts at 2e6 nodes, validated at 4e6 > 2^21
+        angles = 2j * np.pi * np.random.default_rng(9).uniform(0, 1, 20)
+        # coarse for a uniform rule, resolved by the mapped one at its floor
+        wide = BlaschkeProduct(0.99 * np.exp(angles))
+        assert hardy_mean(wide, 0.5, 0.999, nodes=320) == pytest.approx(
+            hardy_mean(wide, 0.5, 0.999), rel=1e-9)
+        # 8 mapped nodes per zero cannot resolve |B'|^(1/2) at the rim
         with pytest.raises(ResolutionError,
-                           match=r"degree 2 at r = .* 2000000 nodes.*cap 2097152"):
-            hardy_mean([0.5, -0.5], 1.0, 1.0 - 1e-6)
+                           match=r"doubling .* at r = 0.999999 on a pass of 640 nodes"):
+            hardy_mean(BlaschkeProduct(RIM * np.exp(angles)), 0.5, RIM, nodes=320)
+
+    def test_rim_degree_two_needs_no_rim_sized_grid(self, handed):
+        # the uniform rule would start at 2e6 nodes here; the rim limit is the degree
+        assert 2.0 - 1e-5 < hardy_mean([0.5, -0.5], 1.0, RIM) <= 2.0
+        assert sum(handed) <= 1024
+
+    def test_default_start_over_the_cap_fails_before_evaluating(self, handed):
+        # 16 nodes per degree: 131073 zeros start past the cap of 2^21 nodes
+        with pytest.raises(ResolutionError,
+                           match=r"doubling .* degree 131073 at r = 0.5 .* 2097168 nodes"
+                                 r".*cap 2097152"):
+            hardy_mean(np.full(131073, 0.5), 1.0, 0.5)
+        assert handed == []
+
+    def test_degree_one_rim_closed_forms(self):
+        a = r = RIM
+        gap = (1.0 - r) + r * (1.0 - a)  # 1 - r|a| without cancellation
+        lo, hi = gap * (2.0 - gap), 1.0 + (1.0 - gap) ** 2  # 1 -/+ r^2 |a|^2
+        one = (1.0 - a * a) / lo
+        two = (1.0 - a * a) ** 2 * hi / lo ** 3
+        assert hardy_mean([a], 1.0, r) == pytest.approx(one, rel=1e-9)
+        assert hardy_mean([a], 2.0, r) ** 2 == pytest.approx(two, rel=1e-9)
+
+    def test_float64_floor_fails_before_evaluating(self, handed):
+        a = r = 1.0 - 1e-9  # 1 - r|a| = 2e-9: rounding in B' still under the 1e-6 target
+        gap = (1.0 - r) + r * (1.0 - a)
+        assert hardy_mean([a], 1.0, r) == pytest.approx(
+            (1.0 - a * a) / (gap * (2.0 - gap)), rel=1e-6)
+        handed.clear()
+        a = r = 1.0 - 1e-12  # 2e-12: rounding alone would move the mean by about 5e-5
+        with pytest.raises(ResolutionError, match=r"zero #1 at r = .* float64 floor"):
+            hardy_mean([0.5, a], 1.0, r)
+        assert handed == []
+
+    def test_h1_mean_rises_to_the_degree(self):
+        zeros = sampled_exp_zeros(10)
+        radii = (0.5, 0.9, 0.99, 0.999, 1 - 1e-4, 1 - 1e-5, RIM, 1 - 1e-7, 1 - 1e-9)
+        vals = np.array([hardy_mean(zeros, 1.0, r) for r in radii])
+        assert np.all(np.diff(vals) > 0.0)
+        assert np.all(vals <= 10.0)
+        assert vals[-1] > 10.0 * (1.0 - 1e-6)
+
+    def test_doubling_evaluates_only_new_nodes(self, handed):
+        # the s-grid at 2N holds the one at N: 80, then 80 more, 160 more, ...
+        hardy_mean([0.9, -0.5j, 0.99j, 0.3 + 0.6j, -0.999], 0.3, 0.9999)
+        assert handed == [80, 80, 160, 320, 640]
+
+    def test_node_cap_bounds_every_pass(self, handed, monkeypatch):
+        monkeypatch.setattr(blab.means, "_NODE_CAP", 512)
+        with pytest.raises(ResolutionError, match=r"doubling .* on a pass of 320 nodes"):
+            hardy_mean([0.9, -0.5j, 0.99j, 0.3 + 0.6j, -0.999], 0.3, 0.9999)
+        # passes of 80, 160 and 320 nodes; the next, 640, would exceed the cap
+        assert handed == [80, 80, 160]
 
     def test_explicit_nodes_over_the_cap_are_honored(self):
         a, r = 0.5, 0.7
@@ -122,12 +202,63 @@ class TestBergmanIntegral:
 
     def test_explicit_coarse_nodes_fail_loudly(self):
         zs = (1.0 - 10.0 ** np.linspace(-6, -1, 40)).astype(complex)
-        with pytest.raises(ResolutionError, match="doubling"):
+        # 21 panels down to 2^-20 < 1e-6: 64 radial nodes become 4 per panel, 128 become 7
+        with pytest.raises(ResolutionError, match=r"doubling .* on a pass of 147 x 1280 nodes"):
             bergman_integral(BlaschkeProduct(zs), 2.0, radial_nodes=64, angular_nodes=640)
 
     def test_exponent_domain(self):
         with pytest.raises(DomainError):
             bergman_integral([0.5], 0.0)
+
+    @pytest.mark.parametrize("n", [5, 10])
+    def test_p2_is_n_pi_on_sampled_exp_sets(self, n):
+        assert bergman_integral(sampled_exp_zeros(n), 2.0) == pytest.approx(n * np.pi, rel=1e-9)
+
+    def test_p2_is_n_pi_where_newton_alone_stalls(self):
+        # one circle of this set has a node at which plain bracketed Newton
+        # bounces between the bracket ends; a wrong node there cost 1.1e-2
+        rng = np.random.default_rng([3, 1, 5])
+        gaps = rng.uniform(0.05, 0.5, 5)
+        zeros = (1.0 - gaps) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 5))
+        assert bergman_integral(zeros, 2.0) == pytest.approx(5 * np.pi, rel=1e-9)
+
+    def test_node_cap_bounds_every_pass(self, handed, monkeypatch):
+        monkeypatch.setattr(blab.means, "_NODE_CAP", 1 << 16)
+        bergman_integral([0.9, 0.9j, -0.9], 0.5)
+        # 65 x 64 and 130 x 128 nodes; the next pass, 260 x 256, would exceed the cap
+        assert handed == [4160, 16640]
+
+    def test_float64_floor_fails_before_evaluating(self, handed):
+        # 1 - 2^-40: the p = 2 mass of that zero lies within about 1e-12 of the circle
+        with pytest.raises(ResolutionError, match=r"zero #39 as r -> 1 .* float64 floor"):
+            bergman_integral(radial_geometric_family(0.5)(40), 2.0)
+        assert handed == []
+
+    def test_default_start_over_the_cap_fails_before_evaluating(self, handed, monkeypatch):
+        monkeypatch.setattr(blab.means, "_NODE_CAP", 1 << 13)
+        with pytest.raises(ResolutionError,
+                           match=r"doubling .* degree 3 would start at 65 x 64 nodes "
+                                 r"and validate at 130 x 128, beyond the node cap 8192"):
+            bergman_integral([0.9, 0.9j, -0.9], 0.5)
+        assert handed == []
+
+
+class TestAngularRule:
+    def test_nodes_invert_the_map_and_nest(self):
+        product = BlaschkeProduct(sampled_exp_zeros(10))
+        pmap = blab.means._PoissonMap(product)
+        r = np.array([0.5, 0.99, RIM])
+        grid = blab.means._AngularRule(pmap, r, 1.0 - r, 80)
+        coarse = grid.theta.copy()
+        grid.refine()
+        assert np.array_equal(grid.theta[:, ::2], coarse)
+        rows, n = grid.theta.shape
+        phi, dphi = pmap(grid.theta.ravel(), np.repeat(r, n), np.repeat(1.0 - r, n))
+        phi0, _ = pmap(np.zeros(3), r, 1.0 - r)
+        want = phi0[:, None] + 2.0 * np.pi * np.arange(n) / n
+        assert np.abs(phi.reshape(rows, n) - want).max() < 1e-12
+        assert np.allclose(dphi.reshape(rows, n), grid.dphi, rtol=1e-12)
+        assert np.all(np.diff(grid.theta, axis=1) > 0.0) and grid.theta.max() < 2.0 * np.pi
 
 
 class TestMeansTable:
