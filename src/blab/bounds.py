@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyRegionError, SamplingError
 from .products import _as_product, _factor_blocks
-from .regions import MEMBERSHIP_TOL, angular_halfwidth, in_stolz, region_is_empty
+from .regions import MEMBERSHIP_TOL, _seed_int, angular_halfwidth, in_stolz, region_is_empty
 
 _DRAWS = 4096  # draws per RNG stream of the lemma sampler
 _UNIT_TOL = 1e-9  # |t| = 1 validated to this
@@ -190,6 +190,7 @@ def lemma_check(spec, n_samples, seed, rtol=1e-12, keep=10):
         raise EmptyRegionError(
             f"no interior point satisfies {phi.kind} membership with K = {k}"
         )
+    seed = _seed_int(seed)
     bound = lemma_bound(phi, k)
     accepted = 0
     drawn = 0
@@ -202,7 +203,7 @@ def lemma_check(spec, n_samples, seed, rtol=1e-12, keep=10):
             raise SamplingError(
                 f"admissible radii too rare: {accepted} of {drawn} draws accepted"
             )
-        rng = np.random.default_rng([int(seed), chunk_index])
+        rng = np.random.default_rng([seed, chunk_index])
         chunk_index += 1
         u = rng.uniform(0.0, 1.0, _DRAWS)
         psi_frac = rng.uniform(-1.0, 1.0, _DRAWS)

@@ -11,6 +11,7 @@ All distances here are chordal (straight-line), never arclength.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,8 @@ TWO_PI = 2.0 * math.pi
 # the region boundary (measure-zero regions exist for slope-one variants at
 # K = 1) are not lost to rounding.
 MEMBERSHIP_TOL = 1e-12
+
+_OUTSIDE_DISK = "membership is defined strictly inside the unit disk"
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +396,7 @@ def in_stolz(lam, spec, tol=MEMBERSHIP_TOL):
     scalar = arr.ndim == 0
     r = np.abs(arr)
     if np.any(r >= 1.0):
-        raise DomainError("membership is defined strictly inside the unit disk")
+        raise DomainError(_OUTSIDE_DISK)
     lhs = spec.phi(spec.boundary.distance(arr))
     rhs = spec.k_const * (1.0 - r)
     ok = lhs <= rhs + tol * np.maximum(lhs, rhs)
@@ -462,14 +465,58 @@ class PowerLaw:
         return self.scale * float(n) ** (-self.exponent)
 
 
-def _draw_anchor(boundary_set, rng):
-    """Uniform anchor angle on E: by arclength over arcs, else over the points."""
+def _anchor_sampler(boundary_set):
+    """A function of a generator that draws a uniform anchor angle on E: by
+    arclength over arcs, else over the points. The arc weights are computed
+    once, here."""
     arc, lo, hi = boundary_set._arc, boundary_set._lo, boundary_set._hi
     if arc.any():
-        lengths = hi[arc] - lo[arc]
-        k = int(rng.choice(lengths.size, p=lengths / lengths.sum()))
-        return float(rng.uniform(lo[arc][k], hi[arc][k]))
-    return float(lo[int(rng.integers(lo.size))])
+        lo, hi = lo[arc], hi[arc]
+        p = (hi - lo) / (hi - lo).sum()
+
+        def draw(rng):
+            k = int(rng.choice(p.size, p=p))
+            return float(rng.uniform(lo[k], hi[k]))
+
+        return draw
+    return lambda rng: float(lo[int(rng.integers(lo.size))])
+
+
+def _seed_int(s):
+    """One seed component as an int; it must be a nonnegative integer."""
+    if isinstance(s, bool) or not isinstance(s, numbers.Integral) or s < 0:
+        raise DomainError(f"seed component must be a nonnegative integer, got {s!r}")
+    return int(s)
+
+
+def _first_barred_gap(spec, u):
+    """(stop, error) for the first zero whose gap u[stop] rules out every draw:
+    outside (0, 1), below float64 resolution at the circle, or inadmissible
+    (phi(u) > K u). (len(u), None) when no gap does."""
+    bad = ~((0.0 < u) & (u < 1.0)) | ~(1.0 - u < 1.0)
+    stop = int(np.argmax(bad)) if bad.any() else u.size
+    phi_u = spec.phi(u[:stop])
+    thin = phi_u > spec.k_const * u[:stop] * (1.0 + MEMBERSHIP_TOL)
+    if thin.any():
+        stop = int(np.argmax(thin))
+    if stop == u.size:
+        return stop, None
+    i, gap = stop + 1, float(u[stop])
+    if not 0.0 < gap < 1.0:
+        return stop, SamplingError(f"radial law gives gap {gap} at index {i}, outside (0, 1)")
+    if not 1.0 - gap < 1.0:
+        return stop, SamplingError(
+            f"cannot place zero #{i}: gap {gap:g} is below float64 resolution "
+            "at the circle (1 - gap rounds to 1)"
+        )
+    return stop, SamplingError(
+        f"region too thin to place zero #{i}: gap {gap:g} inadmissible for "
+        f"phi({gap:g}) = {phi_u[stop]:g} > K u = {spec.k_const * gap:g}"
+    )
+
+
+_SAMPLE_DRAWS = 1000  # angle draws per zero before its placement fails
+_SAMPLE_BLOCK = 4096  # zeros, and so generators, in flight at once
 
 
 def sample_zeros(spec, n, seed, law=GeometricLaw(0.5)):
@@ -478,8 +525,15 @@ def sample_zeros(spec, n, seed, law=GeometricLaw(0.5)):
     Radii follow the law exactly (gap of zero #i is law.gap(i), i from 1), so
     the Blaschke sum is a property of the law alone. Angles are drawn near a
     uniformly chosen anchor of E, restricted to the admissible window at that
-    radius, and re-checked by membership with up to 1000 retries. Each index
-    has its own RNG stream, so prefixes agree across different n.
+    radius, and re-checked by membership with up to 1000 draws per zero.
+    Each index has its own RNG stream, so prefixes agree across different n.
+
+    The draws go in rounds: in each, every zero not yet placed takes its next
+    anchor and angle from its own stream, and one membership test covers the
+    round's candidates. A zero therefore draws exactly what it would draw
+    alone. Zeros go through in blocks of 4096, which bounds the generators
+    alive at once. An error names the smallest index that fails, as if the
+    zeros were placed one after another.
     """
     n = int(n)
     if n < 0:
@@ -488,37 +542,40 @@ def sample_zeros(spec, n, seed, law=GeometricLaw(0.5)):
         raise EmptyRegionError(
             f"region is empty: slope-one gauge with K = {spec.k_const} < 1"
         )
-    base = [int(s) for s in seed] if isinstance(seed, (tuple, list)) else [int(seed)]
+    base = [_seed_int(s) for s in (seed if isinstance(seed, (tuple, list)) else [seed])]
+    u = np.array([float(law.gap(i)) for i in range(1, n + 1)], dtype=np.float64)
+    stop, barred = _first_barred_gap(spec, u)
+    half = angular_halfwidth(spec.phi, spec.k_const, u[:stop]).tolist()
+    draw = _anchor_sampler(spec.boundary)
     out = np.empty(n, dtype=np.complex128)
-    for i in range(1, n + 1):
-        u = float(law.gap(i))
-        if not 0.0 < u < 1.0:
-            raise SamplingError(f"radial law gives gap {u} at index {i}, outside (0, 1)")
-        if not 1.0 - u < 1.0:
-            raise SamplingError(
-                f"cannot place zero #{i}: gap {u:g} is below float64 resolution "
-                "at the circle (1 - gap rounds to 1)"
-            )
-        if spec.phi(u) > spec.k_const * u * (1.0 + MEMBERSHIP_TOL):
-            raise SamplingError(
-                f"region too thin to place zero #{i}: gap {u:g} inadmissible for "
-                f"phi({u:g}) = {spec.phi(u):g} > K u = {spec.k_const * u:g}"
-            )
-        rng = np.random.default_rng(base + [i])
-        placed = False
-        half = angular_halfwidth(spec.phi, spec.k_const, u)
-        for _ in range(1000):
-            anchor = _draw_anchor(spec.boundary, rng)
-            psi = float(rng.uniform(-half, half)) if half > 0.0 else 0.0
-            cand = (1.0 - u) * np.exp(1j * (anchor + psi))
-            if in_stolz(cand, spec):
-                out[i - 1] = cand
-                placed = True
+    for start in range(0, stop, _SAMPLE_BLOCK):
+        left = np.arange(start, min(start + _SAMPLE_BLOCK, stop))
+        rngs = [np.random.default_rng(base + [i + 1]) for i in left.tolist()]
+        failed = {}
+        for _ in range(_SAMPLE_DRAWS):
+            if not left.size:
                 break
-        if not placed:
-            raise SamplingError(
-                f"region too thin to place zero #{i} after 1000 angle draws (gap {u:g})"
-            )
+            angle = np.empty(left.size)
+            for m, i in enumerate(left.tolist()):
+                rng, h = rngs[i - start], half[i]
+                anchor = draw(rng)
+                angle[m] = anchor + (float(rng.uniform(-h, h)) if h > 0.0 else 0.0)
+            cand = (1.0 - u[left]) * np.exp(1j * angle)
+            # near gap 2^-53, |cand| can round to 1: membership refuses such
+            # a point, so its zero fails with membership's own error
+            rim = np.abs(cand) >= 1.0
+            failed.update((i, DomainError(_OUTSIDE_DISK)) for i in left[rim].tolist())
+            ok = np.zeros(left.size, dtype=bool)
+            ok[~rim] = in_stolz(cand[~rim], spec)
+            out[left[ok]] = cand[ok]
+            left = left[~(ok | rim)]
+        failed.update((i, SamplingError(
+            f"region too thin to place zero #{i + 1} after {_SAMPLE_DRAWS} angle "
+            f"draws (gap {u[i]:g})")) for i in left.tolist())
+        if failed:
+            raise failed[min(failed)]
+    if barred is not None:
+        raise barred
     return ZeroSequence(out)
 
 

@@ -193,6 +193,17 @@ class TestLemmaSampled:
             assert abs(lam.imag) < 1e-6
             assert lam.real > 0.0
 
+    @pytest.mark.parametrize("seed", [-1, None, 1.5, True, (13, -2)])
+    def test_seed_components_must_be_nonnegative_integers(self, seed):
+        spec = StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 1.0)
+        with pytest.raises(DomainError, match="seed component must be a nonnegative integer"):
+            lemma_check(spec, 100, seed=seed)
+
+    def test_numpy_integer_seed_is_the_integer(self):
+        spec = StolzSpec.at_vertex(ModelFunction.exp_tangential(0.5), 1.0, 2.0)
+        a = lemma_check(spec, 500, seed=np.int64(13))
+        assert a.to_payload() == lemma_check(spec, 500, seed=13).to_payload()
+
     def test_sample_count_validation(self):
         spec = StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 1.0)
         with pytest.raises(DomainError):

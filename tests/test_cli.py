@@ -9,6 +9,7 @@ import pytest
 
 import blab
 from blab import BoundReport, cli, parse_zero_line
+from test_regions import _reference_sample_zeros
 
 
 @pytest.fixture(autouse=True)
@@ -599,3 +600,57 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "region-boundary.json").exists()
+
+
+SAMPLED_CONFIGS = {
+    "verify-theorem1": {
+        "region": {"model": {"kind": "power", "gamma": 2.0}, "K": 1.0,
+                   "set": {"arcs": [[0.0, 0.785]]}},
+        "products": {"count": 4, "min_degree": 2, "max_degree": 40},
+        "grid_points": 200,
+        "law": {"kind": "power", "exponent": 2.0, "scale": 0.5},
+        "seed": 11,
+        "out": {"report": "thm.json", "csv": "rows.csv"},
+    },
+    "envelope-fit": {
+        "rho": 1.0,
+        "sampling": {
+            "region": {"model": {"kind": "exp", "rho": 1.0}, "K": 1.0,
+                       "set": {"cantor": {"base": [0.0, 6.283185307179586],
+                                          "ratio": 0.3333333333333333, "depth": 10}}},
+            "law": {"kind": "power", "exponent": 2.0, "scale": 0.5},
+            "count": 30,
+        },
+        "grid": {"depth": 8, "rays": 4, "ring": 16},
+        "seed": 2,
+    },
+    "means-trend": {
+        "family": {"kind": "region_sampled",
+                   "region": {"model": {"kind": "exp", "rho": 1.0}, "K": 1.0,
+                              "set": {"points": [0.0]}},
+                   "law": {"kind": "power", "exponent": 2.0, "scale": 0.5}},
+        "p_list": [0.4, 0.6], "truncations": [4, 8], "r_grid": [0.5, 0.9],
+        "seed": 6, "out": {"report": "rep.json", "csv": "means.csv"},
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(SAMPLED_CONFIGS))
+def test_sampled_outputs_match_reference_sampler_bytewise(command, tmp_path, monkeypatch):
+    """Every file the sampling subcommands write is the same with the per-index sampler."""
+    cfg = write_cfg(tmp_path, SAMPLED_CONFIGS[command])
+    batched, reference = tmp_path / "batched", tmp_path / "reference"
+    assert cli.main([command, "--config", cfg, "--out", str(batched)]) == 0
+    calls = []
+
+    def reference_sampler(*args, **kwargs):
+        calls.append(args[1])
+        return _reference_sample_zeros(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_zeros", reference_sampler)
+    assert cli.main([command, "--config", cfg, "--out", str(reference)]) == 0
+    assert calls
+    names = sorted(p.name for p in batched.iterdir())
+    assert names and names == sorted(p.name for p in reference.iterdir())
+    for name in names:
+        assert (batched / name).read_bytes() == (reference / name).read_bytes(), name

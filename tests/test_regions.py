@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blab import (
+    BlabError,
     BoundarySet,
     DomainError,
     EmptyRegionError,
@@ -13,6 +14,7 @@ from blab import (
     PowerLaw,
     SamplingError,
     StolzSpec,
+    ZeroSequence,
     angular_halfwidth,
     in_stolz,
     region_boundary,
@@ -20,6 +22,8 @@ from blab import (
     sample_zeros,
     type_beta,
 )
+from blab import regions
+from blab.regions import MEMBERSHIP_TOL
 
 ALL_GAUGES = [
     ModelFunction.linear(),
@@ -547,6 +551,184 @@ class TestSampling:
             PowerLaw(0.9)
         with pytest.raises(DomainError):
             PowerLaw(2.0, scale=1.5)
+
+
+def _reference_draw_anchor(boundary_set, rng):
+    arc, lo, hi = boundary_set._arc, boundary_set._lo, boundary_set._hi
+    if arc.any():
+        lengths = hi[arc] - lo[arc]
+        k = int(rng.choice(lengths.size, p=lengths / lengths.sum()))
+        return float(rng.uniform(lo[arc][k], hi[arc][k]))
+    return float(lo[int(rng.integers(lo.size))])
+
+
+def _reference_sample_zeros(spec, n, seed, law=GeometricLaw(0.5)):
+    """The per-index loop of sample_zeros, one zero and one membership test at a
+    time, kept as an oracle for the batched sampler."""
+    n = int(n)
+    if n < 0:
+        raise DomainError("sample size must be nonnegative")
+    if region_is_empty(spec.phi, spec.k_const):
+        raise EmptyRegionError(
+            f"region is empty: slope-one gauge with K = {spec.k_const} < 1"
+        )
+    base = [int(s) for s in seed] if isinstance(seed, (tuple, list)) else [int(seed)]
+    out = np.empty(n, dtype=np.complex128)
+    for i in range(1, n + 1):
+        u = float(law.gap(i))
+        if not 0.0 < u < 1.0:
+            raise SamplingError(f"radial law gives gap {u} at index {i}, outside (0, 1)")
+        if not 1.0 - u < 1.0:
+            raise SamplingError(
+                f"cannot place zero #{i}: gap {u:g} is below float64 resolution "
+                "at the circle (1 - gap rounds to 1)"
+            )
+        if spec.phi(u) > spec.k_const * u * (1.0 + MEMBERSHIP_TOL):
+            raise SamplingError(
+                f"region too thin to place zero #{i}: gap {u:g} inadmissible for "
+                f"phi({u:g}) = {spec.phi(u):g} > K u = {spec.k_const * u:g}"
+            )
+        rng = np.random.default_rng(base + [i])
+        placed = False
+        half = angular_halfwidth(spec.phi, spec.k_const, u)
+        for _ in range(1000):
+            anchor = _reference_draw_anchor(spec.boundary, rng)
+            psi = float(rng.uniform(-half, half)) if half > 0.0 else 0.0
+            cand = (1.0 - u) * np.exp(1j * (anchor + psi))
+            if in_stolz(cand, spec):
+                out[i - 1] = cand
+                placed = True
+                break
+        if not placed:
+            raise SamplingError(
+                f"region too thin to place zero #{i} after 1000 angle draws (gap {u:g})"
+            )
+    return ZeroSequence(out)
+
+
+def _outcome(sampler, *args, **kwargs):
+    """The zeros' bytes, or the class and message of the error raised."""
+    try:
+        return sampler(*args, **kwargs).zeros.tobytes()
+    except BlabError as exc:
+        return type(exc), str(exc)
+
+
+class _ListLaw:
+    """Gaps from a list: zero #i gets gaps[i - 1]."""
+
+    def __init__(self, gaps):
+        self.gaps = gaps
+
+    def gap(self, i):
+        return self.gaps[i - 1]
+
+
+SAMPLING_GAUGES = {
+    "linear": ModelFunction.linear(),
+    "power": ModelFunction.truncated_power(2.0),
+    "exp": ModelFunction.exp_tangential(1.0),
+}
+SAMPLING_SETS = {
+    "vertex": BoundarySet.from_points([1.0]),
+    "arc": BoundarySet.from_arcs([(0.3, 1.7)]),
+    "cantor-10": BoundarySet.cantor((0.0, TWO_PI), 1.0 / 3.0, 10),
+    "arcs+points": BoundarySet(arcs=[(0.1, 0.5), (2.0, 2.2)], points=[4.0, 5.0]),
+}
+SAMPLING_LAWS = {"geometric": GeometricLaw(0.5), "power": PowerLaw(2.0, 0.5)}
+
+
+class TestBatchedSampling:
+    """sample_zeros against the per-index loop: same zeros bit for bit, same errors."""
+
+    @pytest.mark.parametrize("law", sorted(SAMPLING_LAWS))
+    @pytest.mark.parametrize("k_const", [1.0, 2.0])
+    @pytest.mark.parametrize("boundary", sorted(SAMPLING_SETS))
+    @pytest.mark.parametrize("gauge", sorted(SAMPLING_GAUGES))
+    def test_matches_reference_bitwise(self, gauge, boundary, k_const, law):
+        spec = StolzSpec(SAMPLING_GAUGES[gauge], SAMPLING_SETS[boundary], k_const)
+        for seed in (7, (7, 3)):
+            for n in (0, 1, 53):
+                args = (spec, n, seed, SAMPLING_LAWS[law])
+                assert _outcome(sample_zeros, *args) == _outcome(_reference_sample_zeros, *args)
+
+    @pytest.mark.parametrize("gauge, boundary, k_const, seed", [
+        ("exp", "cantor-10", 2.0, 11),
+        ("power", "arcs+points", 1.0, (11, 2)),
+    ])
+    def test_crossing_a_block_boundary(self, gauge, boundary, k_const, seed):
+        spec = StolzSpec(SAMPLING_GAUGES[gauge], SAMPLING_SETS[boundary], k_const)
+        n = regions._SAMPLE_BLOCK + 1
+        new = sample_zeros(spec, n, seed, PowerLaw(2.0, 0.5)).zeros
+        ref = _reference_sample_zeros(spec, n, seed, PowerLaw(2.0, 0.5)).zeros
+        assert new.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("vertex, n, seed", [(1.0, 54, 1), (0.0, 54, 1), (0.5, 45, (2, 5))])
+    def test_small_blocks_change_nothing(self, monkeypatch, vertex, n, seed):
+        # linear K = 1 at vertex 1 fails placement at #17; at vertex 0 it
+        # stops at #54, whose 1 - gap rounds to 1
+        spec = StolzSpec.at_vertex(ModelFunction.linear(), vertex, 1.0)
+        expect = _outcome(sample_zeros, spec, n, seed)
+        monkeypatch.setattr(regions, "_SAMPLE_BLOCK", 5)
+        assert _outcome(sample_zeros, spec, n, seed) == expect
+        assert _outcome(sample_zeros, spec, n, seed) == _outcome(_reference_sample_zeros,
+                                                                 spec, n, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(arcs=st.lists(st.tuples(st.floats(-7.0, 13.0), st.floats(1e-3, 3.0)),
+                         min_size=1, max_size=3),
+           points=st.lists(st.floats(-7.0, 13.0), max_size=2),
+           gauge=st.sampled_from(sorted(SAMPLING_GAUGES)),
+           k_const=st.sampled_from([1.0, 2.0]),
+           law=st.sampled_from(sorted(SAMPLING_LAWS)),
+           seed=st.one_of(st.integers(0, 2**63),
+                          st.tuples(st.integers(0, 2**16), st.integers(0, 2**16))),
+           n=st.integers(0, 30))
+    def test_random_arcs_and_seeds_match_reference(self, arcs, points, gauge, k_const,
+                                                   law, seed, n):
+        E = BoundarySet(arcs=[(a, a + d) for a, d in arcs], points=points)
+        args = (StolzSpec(SAMPLING_GAUGES[gauge], E, k_const), n, seed, SAMPLING_LAWS[law])
+        assert _outcome(sample_zeros, *args) == _outcome(_reference_sample_zeros, *args)
+
+    @pytest.mark.parametrize("spec, n, seed, law, error, message", [
+        # 1 - gap rounds to 1 at #54
+        (StolzSpec.at_vertex(ModelFunction.exp_tangential(1.0), 0.0, 1.0), 54, 1,
+         GeometricLaw(0.5), SamplingError, "cannot place zero #54"),
+        # the first gap is inadmissible: phi(1/2) > K/2
+        (StolzSpec.at_vertex(ModelFunction.exp_tangential(1.0), 0.0, 0.1), 3, 1,
+         GeometricLaw(0.5), SamplingError, "too thin to place zero #1:"),
+        # every draw of #17 misses by rounding, below #54's barred gap
+        (StolzSpec.at_vertex(ModelFunction.linear(), 1.0, 1.0), 54, 1,
+         GeometricLaw(0.5), SamplingError, "zero #17 after 1000 angle draws"),
+        # the same placement failure, before a gap outside (0, 1) at #18
+        (StolzSpec.at_vertex(ModelFunction.linear(), 1.0, 1.0), 20, 1,
+         _ListLaw([2.0**-i for i in range(1, 18)] + [1.5, 0.1, 0.1]), SamplingError,
+         "zero #17 after 1000 angle draws"),
+        # a barred gap at #5 comes before the placement failure at #17
+        (StolzSpec.at_vertex(ModelFunction.linear(), 1.0, 1.0), 20, 1,
+         _ListLaw([2.0**-i for i in range(1, 5)] + [0.0] + [2.0**-i for i in range(6, 21)]),
+         SamplingError, "gap 0.0 at index 5"),
+        # a candidate at gap 2^-53 rounds onto the circle, which membership refuses
+        (StolzSpec(ModelFunction.exp_tangential(1.0), BoundarySet.from_arcs([(0.3, 1.7)]), 1.0),
+         53, 3, GeometricLaw(0.5), DomainError, "strictly inside the unit disk"),
+    ])
+    def test_errors_match_reference(self, spec, n, seed, law, error, message):
+        with pytest.raises(error, match=message) as new:
+            sample_zeros(spec, n, seed, law)
+        with pytest.raises(error) as ref:
+            _reference_sample_zeros(spec, n, seed, law)
+        assert str(new.value) == str(ref.value)
+
+    @pytest.mark.parametrize("seed", [-1, None, 1.5, True, "4", (3, -1), (3, 2.0), [None]])
+    def test_seed_components_must_be_nonnegative_integers(self, seed):
+        spec = StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 1.0)
+        with pytest.raises(DomainError, match="seed component must be a nonnegative integer"):
+            sample_zeros(spec, 3, seed=seed)
+
+    def test_numpy_integer_seeds_are_integers(self):
+        spec = StolzSpec.at_vertex(ModelFunction.exp_tangential(1.0), 0.0, 1.0)
+        a = sample_zeros(spec, 10, seed=(np.int64(4), np.uint8(2))).zeros
+        assert a.tobytes() == sample_zeros(spec, 10, seed=(4, 2)).zeros.tobytes()
 
 
 class TestRegionBoundary:
