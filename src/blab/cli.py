@@ -28,7 +28,7 @@ from .errors import BlabError
 from .fileio import (_csv, _reject_constant, atomic_write_text, canonical_json, complex_pair,
                      read_boundary, read_zeros, write_means_csv, write_points_csv,
                      write_report, write_series_csv, write_zeros)
-from .means import MeansTable, hp_trend, radial_geometric_family
+from .means import hp_trend, radial_geometric_family
 from .products import BlaschkeProduct
 from .regions import (BoundarySet, GeometricLaw, ModelFunction, PowerLaw,
                       StolzSpec, region_boundary, sample_zeros, type_beta)
@@ -455,15 +455,10 @@ def _run_means_trend(plan, out_dir):
 
         fam_payload = dict(_region_payload(spec.phi, spec.k_const, spec.boundary),
                            kind=fam["kind"], law=_law_payload(law))
-    all_rows = []
-    sups = {}
-    for p in plan["p_list"]:
-        table = hp_trend(family, p, plan["truncations"], plan["r_grid"])
-        all_rows.extend(table.rows)
-        for (n, pp), v in table.sup_over_r().items():
-            sups[f"N={n},p={pp}"] = v
+    table = hp_trend(family, plan["p_list"], plan["truncations"], plan["r_grid"])
+    sups = {f"N={n},p={p}": v for (n, p), v in table.sup_over_r().items()}
     if "csv" in plan["out"]:
-        write_means_csv(os.path.join(out_dir, plan["out"]["csv"]), MeansTable(all_rows))
+        write_means_csv(os.path.join(out_dir, plan["out"]["csv"]), table)
     return {
         "config": {
             "family": fam_payload,

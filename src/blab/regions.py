@@ -26,8 +26,6 @@ TWO_PI = 2.0 * math.pi
 # K = 1) are not lost to rounding.
 MEMBERSHIP_TOL = 1e-12
 
-_OUTSIDE_DISK = "membership is defined strictly inside the unit disk"
-
 
 # ---------------------------------------------------------------------------
 # model functions
@@ -396,7 +394,7 @@ def in_stolz(lam, spec, tol=MEMBERSHIP_TOL):
     scalar = arr.ndim == 0
     r = np.abs(arr)
     if np.any(r >= 1.0):
-        raise DomainError(_OUTSIDE_DISK)
+        raise DomainError("membership is defined strictly inside the unit disk")
     lhs = spec.phi(spec.boundary.distance(arr))
     rhs = spec.k_const * (1.0 - r)
     ok = lhs <= rhs + tol * np.maximum(lhs, rhs)
@@ -561,10 +559,11 @@ def sample_zeros(spec, n, seed, law=GeometricLaw(0.5)):
                 anchor = draw(rng)
                 angle[m] = anchor + (float(rng.uniform(-h, h)) if h > 0.0 else 0.0)
             cand = (1.0 - u[left]) * np.exp(1j * angle)
-            # near gap 2^-53, |cand| can round to 1: membership refuses such
-            # a point, so its zero fails with membership's own error
+            # near gap 2^-53, |cand| can round to 1, a point membership refuses
             rim = np.abs(cand) >= 1.0
-            failed.update((i, DomainError(_OUTSIDE_DISK)) for i in left[rim].tolist())
+            failed.update((i, SamplingError(
+                f"cannot place zero #{i + 1}: a candidate at gap {u[i]:g} rounds onto the "
+                "unit circle")) for i in left[rim].tolist())
             ok = np.zeros(left.size, dtype=bool)
             ok[~rim] = in_stolz(cand[~rim], spec)
             out[left[ok]] = cand[ok]

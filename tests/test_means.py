@@ -74,6 +74,23 @@ class TestHardyMean:
         closed = (1 - a * a) * np.sqrt((1 + (a * r) ** 2) / (1 - (a * r) ** 2) ** 3)
         assert hardy_mean([a], 2.0, r) == pytest.approx(closed, rel=1e-12)
 
+    def test_degree_one_p2_closed_form_on_a_uniform_circle(self):
+        a = r = 0.5  # 64 (1 - r a) = 48 >= 40: the unmapped rule
+        closed = (1 - a * a) * np.sqrt((1 + (a * r) ** 2) / (1 - (a * r) ** 2) ** 3)
+        assert hardy_mean([a], 2.0, r) == pytest.approx(closed, rel=1e-12)
+
+    def test_exponent_sequence_gives_the_single_means(self):
+        zeros = sampled_exp_zeros(10)
+        for r in (0.5, 0.9, 0.999):
+            got = hardy_mean(zeros, [0.4, 1.0, 2.0], r)
+            assert got == [hardy_mean(zeros, q, r) for q in (0.4, 1.0, 2.0)]
+
+    def test_exponent_sequence_fails_as_its_first_failing_exponent(self):
+        with pytest.raises(DomainError, match="exponent p must be positive"):
+            hardy_mean([0.5], [1.0, 0.0], 0.5)
+        with pytest.raises(DomainError, match="radius"):
+            hardy_mean([0.5], [1.0, 0.0], 1.0)
+
     def test_matches_independent_reconstruction(self):
         zeros = [0.5, -0.3 + 0.4j, 0.2j]
         got = hardy_mean(zeros, 1.0, 0.8)
@@ -210,7 +227,7 @@ class TestBergmanIntegral:
         with pytest.raises(DomainError):
             bergman_integral([0.5], 0.0)
 
-    @pytest.mark.parametrize("n", [5, 10])
+    @pytest.mark.parametrize("n", [5, 10, 50])
     def test_p2_is_n_pi_on_sampled_exp_sets(self, n):
         assert bergman_integral(sampled_exp_zeros(n), 2.0) == pytest.approx(n * np.pi, rel=1e-9)
 
@@ -221,6 +238,13 @@ class TestBergmanIntegral:
         gaps = rng.uniform(0.05, 0.5, 5)
         zeros = (1.0 - gaps) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 5))
         assert bergman_integral(zeros, 2.0) == pytest.approx(5 * np.pi, rel=1e-9)
+
+    def test_p2_is_n_pi_on_interior_zeros(self):
+        # gaps >= 0.05: the uniform rule serves most radii (lam = 0 there)
+        rng = np.random.default_rng([31, 1, 20])
+        gaps = rng.uniform(0.05, 0.5, 20)
+        zeros = (1.0 - gaps) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 20))
+        assert bergman_integral(zeros, 2.0) == pytest.approx(20 * np.pi, rel=1e-9)
 
     def test_node_cap_bounds_every_pass(self, handed, monkeypatch):
         monkeypatch.setattr(blab.means, "_NODE_CAP", 1 << 16)
@@ -261,6 +285,29 @@ class TestAngularRule:
         assert np.all(np.diff(grid.theta, axis=1) > 0.0) and grid.theta.max() < 2.0 * np.pi
 
 
+    def test_resolved_circles_keep_the_uniform_rule(self):
+        # 64 nodes x (1 - r|a|) = 48 >= 40: lam = 0 on this circle
+        pmap = blab.means._PoissonMap(BlaschkeProduct([0.5]))
+        pmap._turn = np.full_like(pmap._turn, np.nan)  # a zero summed would show as NaN
+        r = np.array([0.5])
+        grid = blab.means._AngularRule(pmap, r, 1.0 - r, 64)
+        for _ in range(3):
+            grid.refine()
+        n = grid.theta.shape[1]
+        exact = 2.0 * np.pi * np.arange(n) / n
+        assert np.abs(grid.theta[0] - exact).max() <= np.spacing(2.0 * np.pi)
+        assert np.all(grid.dphi == 1.0)
+
+    def test_only_unresolved_circles_are_mapped(self):
+        pmap = blab.means._PoissonMap(BlaschkeProduct([0.5]))
+        # 64 (1 - r/2) < 40 once r > 0.75
+        r = np.array([0.5, 0.74, 0.76, 0.99])
+        theta = np.full(4, 1.0)
+        phi, dphi = pmap(theta, r, 1.0 - r)
+        assert np.array_equal(phi[:2], theta[:2]) and np.array_equal(dphi[:2], [1.0, 1.0])
+        assert np.all(phi[2:] != theta[2:]) and np.all(dphi[2:] != 1.0)
+
+
 class TestMeansTable:
     def test_sup_over_r(self):
         t = MeansTable([(50, 0.4, 0.9, 1.0), (50, 0.4, 0.99, 2.0), (100, 0.4, 0.9, 1.5)])
@@ -286,6 +333,53 @@ class TestHpTrend:
         # r = 0 row equals the center derivative
         prod = BlaschkeProduct(fam(3))
         assert t.value(3, 1.0, 0.0) == pytest.approx(abs(prod.derivative(0.0)))
+
+    def test_exponent_sequence_rows_are_the_single_runs(self):
+        def fam(n):
+            return sampled_exp_zeros(n)
+
+        grid = [0.5, 0.9, 0.999]
+        both = hp_trend(fam, [0.4, 0.6], [5, 10], grid).rows
+        assert both == (hp_trend(fam, 0.4, [5, 10], grid).rows
+                        + hp_trend(fam, 0.6, [5, 10], grid).rows)
+
+    def test_exponents_share_every_evaluation(self, monkeypatch):
+        seen = []
+        derivative = BlaschkeProduct.derivative
+
+        def recording(self, z):
+            seen.append(np.array(z, copy=True))
+            return derivative(self, z)
+
+        monkeypatch.setattr(BlaschkeProduct, "derivative", recording)
+        fam = radial_geometric_family(0.5)
+        hp_trend(fam, [0.4, 0.6], [5, 10], [0.9, 0.99, 0.999])
+        both, seen[:] = list(seen), []
+        hp_trend(fam, [0.4], [5, 10], [0.9, 0.99, 0.999])
+        assert len(both) == len(seen)
+        assert all(np.array_equal(a, b) for a, b in zip(both, seen))
+
+    def test_failures_follow_the_exponent_major_order(self):
+        # 0.5 fails first, at degree 4; 1.0 fails later, at degree 6, and
+        # comes first in the order exponent, truncation, radius
+        zeros = RIM * np.exp(2j * np.pi * np.random.default_rng(9).uniform(0, 1, 20))
+
+        def fam(n):
+            return zeros[:n]
+
+        args = ([4, 6], [0.999])
+        with pytest.raises(ResolutionError) as single:
+            for q in (1.0, 0.5):
+                hp_trend(fam, q, *args, nodes=128)
+        with pytest.raises(ResolutionError) as both:
+            hp_trend(fam, [1.0, 0.5], *args, nodes=128)
+        assert "degree 6" in str(single.value)
+        assert str(both.value) == str(single.value)
+        with pytest.raises(ResolutionError, match="degree 4"):
+            hp_trend(fam, 0.5, *args, nodes=128)
+        # a bad exponent fails after the exponents before it have run
+        with pytest.raises(ResolutionError, match="degree 6"):
+            hp_trend(fam, [1.0, -1.0], *args, nodes=128)
 
     def test_family_degree_mismatch(self):
         with pytest.raises(DomainError, match="family returned"):

@@ -595,6 +595,10 @@ def _reference_sample_zeros(spec, n, seed, law=GeometricLaw(0.5)):
             anchor = _reference_draw_anchor(spec.boundary, rng)
             psi = float(rng.uniform(-half, half)) if half > 0.0 else 0.0
             cand = (1.0 - u) * np.exp(1j * (anchor + psi))
+            if np.abs(cand) >= 1.0:
+                raise SamplingError(
+                    f"cannot place zero #{i}: a candidate at gap {u:g} rounds onto the unit circle"
+                )
             if in_stolz(cand, spec):
                 out[i - 1] = cand
                 placed = True
@@ -708,9 +712,6 @@ class TestBatchedSampling:
         (StolzSpec.at_vertex(ModelFunction.linear(), 1.0, 1.0), 20, 1,
          _ListLaw([2.0**-i for i in range(1, 5)] + [0.0] + [2.0**-i for i in range(6, 21)]),
          SamplingError, "gap 0.0 at index 5"),
-        # a candidate at gap 2^-53 rounds onto the circle, which membership refuses
-        (StolzSpec(ModelFunction.exp_tangential(1.0), BoundarySet.from_arcs([(0.3, 1.7)]), 1.0),
-         53, 3, GeometricLaw(0.5), DomainError, "strictly inside the unit disk"),
     ])
     def test_errors_match_reference(self, spec, n, seed, law, error, message):
         with pytest.raises(error, match=message) as new:
@@ -718,6 +719,16 @@ class TestBatchedSampling:
         with pytest.raises(error) as ref:
             _reference_sample_zeros(spec, n, seed, law)
         assert str(new.value) == str(ref.value)
+
+    def test_candidate_on_the_circle_names_its_zero(self):
+        # at gap 2^-53 a candidate can round onto the circle, where membership
+        # is undefined: the zero fails by index and gap, not with in_stolz's error
+        spec = StolzSpec(ModelFunction.exp_tangential(1.0),
+                         BoundarySet.from_arcs([(0.3, 1.7)]), 1.0)
+        args = (spec, 53, 3, GeometricLaw(0.5))
+        message = "cannot place zero #53: a candidate at gap 1.11022e-16 rounds onto the unit circle"
+        assert _outcome(sample_zeros, *args) == (SamplingError, message)
+        assert _outcome(_reference_sample_zeros, *args) == (SamplingError, message)
 
     @pytest.mark.parametrize("seed", [-1, None, 1.5, True, "4", (3, -1), (3, 2.0), [None]])
     def test_seed_components_must_be_nonnegative_integers(self, seed):
