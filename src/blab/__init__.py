@@ -60,7 +60,6 @@ from .fileio import (
 from .means import (
     MeansTable,
     bergman_integral,
-    default_hardy_nodes,
     hardy_mean,
     hp_trend,
     radial_geometric_family,

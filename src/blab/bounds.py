@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, EmptyRegionError, SamplingError
-from .products import _as_product, _factor_blocks
+from .products import _BLOCK, _as_product, _factor_blocks
 from .regions import MEMBERSHIP_TOL, _seed_int, angular_halfwidth, in_stolz, region_is_empty
 
 _DRAWS = 4096  # draws per RNG stream of the lemma sampler
 _UNIT_TOL = 1e-9  # |t| = 1 validated to this
+_FIT_BLOCK = 4096  # grid points per derivative call of envelope_fit's pruned pass
 
 
 def _as_complex(z):
@@ -322,7 +323,10 @@ def envelope_fit(product, boundary_set, rho, grid):
 
     c1 caps |B'| on the grid points far from E (d >= 1/2); c2 is the largest
     d^rho log+(|B'|/c1) over the whole grid, so the envelope inequality holds
-    on every grid point by construction.
+    on every grid point by construction. Both are the exact grid maxima, to
+    the bit, yet |B'| is evaluated only at the far points and then at the
+    others in decreasing order of their Schwarz-Pick bound on d^rho log+(|B'|/c1),
+    until no bound left exceeds the largest term found: no skipped term can.
     """
     product = _as_product(product)
     rho = float(rho)
@@ -336,15 +340,55 @@ def envelope_fit(product, boundary_set, rho, grid):
     d = boundary_set.distance(grid)
     if np.any(d <= 0.0):
         raise DomainError("grid touches the boundary set")
-    vals = np.abs(product.derivative(grid))
     far = d >= 0.5
     if not far.any():
         raise DomainError("grid has no points with d(z, E) >= 1/2 to anchor c1")
+    vals = np.zeros(grid.size)  # |B'| where evaluated; a skipped point's 0 adds 0 to c2
+    cols = max(1, _BLOCK // product.degree)
+    # a point alone in a factor block may take other bits (see _factor_blocks);
+    # a full pass leaves only the last point so, where grid.size % cols == 1
+    lone = int(grid.size % cols == 1)
+    if lone:
+        vals[-1] = np.abs(product.derivative(grid[-1:]))[0]
+
+    def evaluate(idx):
+        if idx.size % cols == 1:  # no point alone in the last block
+            idx = np.append(idx, idx[-1])
+        vals[idx] = np.abs(product.derivative(grid[idx]))
+
+    def gain(v, pw):  # d^rho log+(|B'|/c1)
+        with np.errstate(divide="ignore"):
+            return pw * np.maximum(np.log(v / c1, where=v > 0, out=np.full_like(v, -np.inf)), 0.0)
+
+    evaluate(np.flatnonzero(far[:grid.size - lone]))
     c1 = float(np.max(vals[far]))
-    with np.errstate(divide="ignore"):
-        logplus = np.maximum(np.log(vals / c1, where=vals > 0,
-                                    out=np.full_like(vals, -np.inf)), 0.0)
-    c2 = float(np.max(d ** rho * logplus))
+    pw = d ** rho
+    near = np.flatnonzero(~far[:grid.size - lone])
+    # Schwarz-Pick: |B'(z)| <= (1 - |B(z)|^2)/(1 - |z|^2) <= 1/(1 - |z|^2). The
+    # computed 1 - |z|^2 is off by under 2 eps, so minus 4 eps (exact) it is
+    # under the true one where positive. The factor pass has each b_k and
+    # h_k = b_k'/b_k to 9u/g_k + 8u relative (u = eps/2, g_k = 1 - |a_k|, as
+    # 1/conj(a_k) and 1 - |a_k|^2 lose digits next to the circle), and the
+    # product and sum add (n + 1)u; as |B h_k| <= |b_k'| <= 1/(1 - |z|^2), the
+    # computed |B'| is under (1 + 8 eps (n^2 + sum_k 1/g_k))/(1 - |z|^2) to first
+    # order. The 2^-20 covers the rest, so no computed term exceeds its bound.
+    eps = np.finfo(float).eps
+    slack = 2.0 ** -20 + 8.0 * eps * (product.degree ** 2
+                                      + np.sum(1.0 / (1.0 - product.zeros.moduli)))
+    w = grid[near]
+    room = 1.0 - (w.real ** 2 + w.imag ** 2) - 4.0 * eps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = gain((1.0 + slack) / room, pw[near])
+    bound = np.where((room > 0.0) & ~np.isnan(bound), bound, np.inf)  # nan: 0 * inf, c1 = 0
+    order = np.argsort(-bound)
+    near, key = near[order], -bound[order]  # key ascends: bounds in decreasing order
+    c2, pos = 0.0, 0  # c2 of the far points: |B'| <= c1 there
+    while pos < (end := np.searchsorted(key, -c2)):  # end: the first bound <= c2
+        idx = near[pos:min(end, pos + _FIT_BLOCK)]
+        evaluate(idx)
+        c2 = max(c2, float(np.max(gain(vals[idx], pw[idx]))))
+        pos += idx.size
+    c2 = float(np.max(gain(vals, pw)))
     return EnvelopeFit(c1=c1, c2=max(c2, 0.0), rho=rho, grid_size=int(grid.size))
 
 

@@ -69,6 +69,11 @@ _FLOAT_FLOOR = np.finfo(float).eps / _DOUBLING_TARGET
 _TWO_PI = 2.0 * np.pi
 
 
+def _start_nodes(product):
+    """The default angular start count, max(64, 16 per degree)."""
+    return max(64, 16 * product.degree)
+
+
 class _PoissonMap:
     """Phi and Phi' at (theta, r) pairs, summed over the zeros in blocks.
 
@@ -86,7 +91,7 @@ class _PoissonMap:
         self._rho, self._gap = moduli, 1.0 - moduli
         self._turn = np.exp(-0.5j * np.angle(product.zeros.zeros))[:, None]
         self._nearest = float(self._gap.min())
-        self._start = max(64, 16 * product.degree)
+        self._start = _start_nodes(product)
 
     def __call__(self, theta, r, delta):
         """Phi(theta) and Phi'(theta) on flat arrays theta, r and delta = 1 - r."""
@@ -243,22 +248,11 @@ def _doubled(rule, size, counts, auto, what, where=""):
     return fine
 
 
-def default_hardy_nodes(degree, r):
-    """Node count a uniform trapezoid rule needs: 64, 16 per degree, and degree/(1-r) near the rim.
-
-    The mapped rule of `hardy_mean` starts at max(64, 16 degree) whatever r.
-    """
-    base = max(64, 16 * int(degree))
-    if r > 0.0:
-        base = max(base, int(np.ceil(degree / (1.0 - r))))
-    return base
-
-
 def hardy_mean(product, p, r, nodes=None):
     """(1/2pi integral |B'(r e^{i theta})|^p dtheta)^(1/p), doubling-validated.
 
-    p is an exponent or a sequence of them; a sequence gives the list of
-    means. r = 0 collapses to |B'(0)|. The angular rule is the Poisson-mapped
+    p is a positive finite exponent or a sequence of them; a sequence gives
+    the list of means. r = 0 collapses to |B'(0)|. The angular rule is the Poisson-mapped
     trapezoid rule of the module docstring; each doubling evaluates B' only
     at the new nodes, once for every exponent. With nodes unset, the count
     starts at max(64, 16 per degree) and doubles until the validation step
@@ -279,10 +273,10 @@ def hardy_mean(product, p, r, nodes=None):
     r = float(r)
     # a call per exponent checks its exponent before the circle and fails
     # after the exponents before it have run
-    valid = next((i for i, q in enumerate(exponents) if q <= 0.0), len(exponents))
+    valid = next((i for i, q in enumerate(exponents) if not 0.0 < q < math.inf), len(exponents))
     means = _circle_means(product, exponents[:valid], r, nodes) if valid else []
     if valid < len(exponents):
-        raise DomainError("exponent p must be positive")
+        raise DomainError("exponent p must be positive and finite")
     return means if np.ndim(p) else means[0]
 
 
@@ -292,7 +286,7 @@ def _circle_means(product, ps, r, nodes):
         raise DomainError("radius must lie in [0, 1)")
     if r == 0.0:
         return [float(abs(product.derivative(0.0)))] * len(ps)
-    floor = max(64, 16 * product.degree)
+    floor = _start_nodes(product)
     auto = nodes is None
     nodes = floor if auto else int(nodes)
     if nodes < floor:
@@ -354,8 +348,8 @@ def bergman_integral(product, p, radial_nodes=None, angular_nodes=None):
     """
     product = _as_product(product)
     p = float(p)
-    if p <= 0.0:
-        raise DomainError("exponent p must be positive")
+    if not 0.0 < p < math.inf:
+        raise DomainError("exponent p must be positive and finite")
     auto = radial_nodes is None and angular_nodes is None
     _require_evaluable(product, 1.0, " as r -> 1")
     ends = _radial_panels(product)
@@ -377,7 +371,7 @@ def bergman_integral(product, p, radial_nodes=None, angular_nodes=None):
     if radial_nodes is None:
         radial_nodes = max(64, 2 * product.degree)
     if angular_nodes is None:
-        angular_nodes = max(64, 16 * product.degree)
+        angular_nodes = _start_nodes(product)
     nr, na = int(radial_nodes), int(angular_nodes)
     if min(nr, na) < 64:
         raise DomainError("node counts must be at least 64")

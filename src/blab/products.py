@@ -49,7 +49,9 @@ def _factor_blocks(zeros, z):
 
     Zeros run along axis 0 and points along axis 1; a block holds at most
     _BLOCK entries (at least one point), so the temporaries stay small
-    whatever the degree.
+    whatever the degree. numpy reduces a block of two or more points along
+    axis 0 in zero order, whatever the other points, but a block of one point
+    in another order (pairwise for sums), which may move its last bits.
     """
     refl = 1.0 / np.conj(zeros)[:, None]
     cols = max(1, _BLOCK // zeros.size)
@@ -228,8 +230,9 @@ class BlaschkeProduct:
         with np.errstate(divide="ignore", invalid="ignore"):
             for sl, d, r in _factor_blocks(zeros, flat):
                 out[sl] = np.prod(d * r * inv, axis=0) * (coef * r / d).sum(axis=0)
-            bad = np.flatnonzero(~np.isfinite(out))
-            for sl, d, r in _factor_blocks(zeros, flat[bad]):
+            # one point per block: its bits do not depend on the other points
+            for k in np.flatnonzero(~np.isfinite(out)):
+                (_, d, r), = _factor_blocks(zeros, flat[k:k + 1])
                 fac = d * r * inv
                 hit = d == 0.0
                 # the vanishing factor b_k gives way to b_k' = coef_k r_k^2 / |a_k|
@@ -237,7 +240,7 @@ class BlaschkeProduct:
                 # with no vanishing factor B H failed for another reason
                 # (a zero of subnormal modulus), and the point stays nan
                 hits = hit.sum(axis=0)
-                out[bad[sl]] = np.select([hits == 1, hits > 1],
+                out[k:k + 1] = np.select([hits == 1, hits > 1],
                                          [np.prod(fac, axis=0), 0.0], np.nan)
         return _unscalar(out.reshape(arr.shape), scalar)
 

@@ -14,7 +14,7 @@ EXPORTS = [
     "RootFindingError", "SamplingError", "StolzSpec", "SumSeries", "ZeroSequence",
     "__version__", "angular_halfwidth", "argument_principle_count", "atomic_write_text",
     "bergman_integral", "blaschke_factor", "blaschke_sum", "canonical_json", "chord_check",
-    "complex_pair", "critical_points", "critical_sum", "default_hardy_nodes",
+    "complex_pair", "critical_points", "critical_sum",
     "envelope_fit", "envelope_grid", "factor_derivative", "format_zeros", "hardy_mean",
     "hp_trend", "in_stolz", "lemma_bound", "lemma_check", "lemma_lhs", "log_weighted_sum",
     "means_csv", "parse_zero_line", "points_csv", "protas_sum", "radial_geometric_family",

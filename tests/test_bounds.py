@@ -12,6 +12,7 @@ from blab import (
     DomainError,
     EmptyRegionError,
     ModelFunction,
+    PowerLaw,
     StolzSpec,
     chord_check,
     envelope_fit,
@@ -19,12 +20,14 @@ from blab import (
     lemma_bound,
     lemma_check,
     lemma_lhs,
+    sample_zeros,
     schwarz_pick_bound,
     schwarz_pick_check,
     theorem_bound,
     theorem_check,
     three_point_check,
 )
+from blab.products import _BLOCK
 
 GAUGES = [
     ModelFunction.linear(),
@@ -366,6 +369,138 @@ class TestEnvelope:
         grid = envelope_grid(E, depth=6, rays=4, ring=16)
         # endpoint and midpoint anchors all sprout rays
         assert grid.size > 16
+
+
+def full_fit(product, boundary_set, rho, grid, vals=None):
+    """(c1, c2, grid size) with |B'| evaluated at every grid point: the reference."""
+    d = boundary_set.distance(grid)
+    if vals is None:
+        vals = np.abs(product.derivative(grid))
+    c1 = float(np.max(vals[d >= 0.5]))
+    with np.errstate(divide="ignore"):
+        logplus = np.maximum(np.log(vals / c1, where=vals > 0,
+                                    out=np.full_like(vals, -np.inf)), 0.0)
+    return c1, max(float(np.max(d ** rho * logplus)), 0.0), grid.size
+
+
+def pruned_fit(product, boundary_set, rho, grid):
+    fit = envelope_fit(product, boundary_set, rho, grid)
+    return fit.c1, fit.c2, fit.grid_size
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """Sizes of the point arrays passed to BlaschkeProduct.derivative."""
+    sizes = []
+    derivative = BlaschkeProduct.derivative
+
+    def counted(self, z):
+        sizes.append(np.size(z))
+        return derivative(self, z)
+
+    monkeypatch.setattr(BlaschkeProduct, "derivative", counted)
+    return sizes
+
+
+def vertex_product(seed, count=60):
+    spec = StolzSpec(ModelFunction.exp_tangential(1.0), BoundarySet.from_points([0.0]), 1.0)
+    return BlaschkeProduct(sample_zeros(spec, count, seed=seed, law=PowerLaw(2.0, 0.5)))
+
+
+def alone_differs(product, z):
+    """True where B'(z) alone in a call has other bits than inside a block."""
+    return product.derivative(z[None])[0] != product.derivative(np.array([z, 0.0]))[0]
+
+
+class TestEnvelopePruning:
+    """envelope_fit evaluates |B'| only where it can set c1 or c2; the fit
+    must be the full evaluation's to the bit."""
+
+    @pytest.mark.parametrize("depth", [8, 10])
+    def test_cantor_grids_match_the_full_evaluation(self, depth, evaluated):
+        E = BoundarySet.cantor([0.0, 2.0 * np.pi], 1.0 / 3.0, depth)
+        spec = StolzSpec(ModelFunction.exp_tangential(1.0), E, 1.0)
+        grid = envelope_grid(E, depth=12, rays=4, ring=32)
+        for seed in (1, 2, 3):
+            product = BlaschkeProduct(sample_zeros(spec, 60, seed=seed, law=PowerLaw(2.0, 0.5)))
+            vals = np.abs(product.derivative(grid))
+            for rho in (0.5, 1.0, 2.0):
+                evaluated.clear()
+                assert pruned_fit(product, E, rho, grid) == full_fit(product, E, rho, grid, vals)
+                if depth == 10:  # 85,163 of 331,808 points at seed 1, rho 1
+                    assert sum(evaluated) <= 0.3 * grid.size
+
+    @pytest.mark.parametrize("sets", ["c1", "c2"])
+    def test_lone_last_point_keeps_the_bits_of_the_full_pass(self, sets):
+        # the full pass evaluates the last point alone when the grid size is
+        # 1 mod the block width; the point that sets c1 (or c2) goes last, on
+        # a zero set where evaluating it inside a block would change the fit
+        E = BoundarySet.from_points([0.0])
+        rng = np.random.default_rng(5)
+        for seed in range(1, 40):
+            product = vertex_product(seed)
+            cols = max(1, _BLOCK // product.degree)
+            base = np.concatenate([envelope_grid(E), np.sqrt(rng.uniform(0, 1, 2 * cols)) * np.exp(
+                2j * np.pi * rng.uniform(0, 1, 2 * cols))])
+            d, vals = E.distance(base), np.abs(product.derivative(base))
+            c1 = np.max(vals[d >= 0.5])
+            with np.errstate(divide="ignore"):
+                key = np.where(d >= 0.5, vals, -1.0) if sets == "c1" else d * np.log(vals / c1)
+            k = np.argmax(key)
+            grid = np.append(np.delete(base, k)[:2 * cols], base[k])
+            # the last point inside a block, next to a copy of itself
+            blocked = np.abs(product.derivative(np.append(grid, grid[-1])))[:-1]
+            if full_fit(product, E, 1.0, grid) != full_fit(product, E, 1.0, grid, blocked):
+                break
+        else:
+            pytest.fail("no zero set where the last point's bits alone change the fit")
+        assert grid.size % cols == 1
+        assert pruned_fit(product, E, 1.0, grid) == full_fit(product, E, 1.0, grid)
+
+    def test_single_survivor_is_not_evaluated_alone(self, evaluated):
+        # c1 comes from next to the zero at -0.9, so that of the points near
+        # E = {0} only the one at radius 0.95 has a positive bound
+        E = BoundarySet.from_points([0.0])
+        product = BlaschkeProduct([-0.9] + [0.1 * np.exp(2j * np.pi * k / 9) for k in range(9)])
+        theta = next(t for t in np.linspace(0.01, 0.2, 20)
+                     if alone_differs(product, 0.95 * np.exp(1j * t)))
+        far = np.concatenate([[-0.9 + 0.001j], 0.25 * np.exp(2j * np.pi * np.arange(16) / 16)])
+        near = np.array([0.6, 0.65 * np.exp(0.1j), 0.7, 0.95 * np.exp(1j * theta)])
+        grid = np.concatenate([far, near])
+        evaluated.clear()
+        got = pruned_fit(product, E, 1.0, grid)
+        assert evaluated == [far.size, 2]  # the survivor, repeated
+        assert got == full_fit(product, E, 1.0, grid)
+        assert got[1] > 0.0
+
+    def test_points_on_the_circle(self, evaluated):
+        # 1 - |z|^2 leaves no room for a Schwarz-Pick bound there: always evaluated
+        E = BoundarySet.from_points([0.0])
+        product = vertex_product(2)
+        zeros = product.zeros.zeros
+        rim = np.concatenate([zeros / np.abs(zeros), np.exp(1j * np.linspace(0.05, 6.2, 50))])
+        grid = np.concatenate([envelope_grid(E), rim])
+        got = pruned_fit(product, E, 1.0, grid)
+        assert sum(evaluated) >= rim.size
+        assert got == full_fit(product, E, 1.0, grid)
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
+    def test_points_on_zeros_take_the_fallback(self, rho):
+        E = BoundarySet.from_points([0.0])
+        product = vertex_product(3)
+        zeros = product.zeros.zeros
+        grid = np.concatenate([zeros[::7], envelope_grid(E), zeros[3::11]])
+        assert pruned_fit(product, E, rho, grid) == full_fit(product, E, rho, grid)
+
+    @pytest.mark.parametrize("zeros", [[1.0 - 1e-6],
+                                       (1.0 - 1e-6) * np.exp([0.01j, -0.01j])])
+    def test_zero_next_to_the_circle_evaluated_on_itself(self, zeros):
+        # there the computed |B'| (1 - |z|^2) exceeds 1 by rounding (4.5e-11
+        # for the single zero), which the bound's allowance must cover
+        E = BoundarySet.from_points([0.0])
+        product = BlaschkeProduct(zeros)
+        grid = np.concatenate([envelope_grid(E), np.asarray(zeros, dtype=complex)])
+        assert pruned_fit(product, E, 1.0, grid) == full_fit(product, E, 1.0, grid)
 
 
 class TestReportPayload:

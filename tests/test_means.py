@@ -14,7 +14,6 @@ from blab import (
     StolzSpec,
     ZeroSequence,
     bergman_integral,
-    default_hardy_nodes,
     hardy_mean,
     hp_trend,
     radial_geometric_family,
@@ -115,10 +114,6 @@ class TestHardyMean:
         with pytest.raises(DomainError, match="under-resolves"):
             hardy_mean(p, 1.0, 0.5, nodes=70)
 
-    def test_default_nodes_scale_with_rim_distance(self):
-        assert default_hardy_nodes(2, 0.0) == 64
-        assert default_hardy_nodes(10, 0.999) == 10_000
-
     def test_explicit_coarse_nodes_fail_loudly(self):
         angles = 2j * np.pi * np.random.default_rng(9).uniform(0, 1, 20)
         # coarse for a uniform rule, resolved by the mapped one at its floor
@@ -196,6 +191,14 @@ class TestHardyMean:
         with pytest.raises(DomainError):
             hardy_mean([0.5], 1.0, -0.1)
 
+    @pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf])
+    def test_non_finite_exponents_are_refused(self, q):
+        # NaN would pass a `p <= 0` test and run every doubling to the node cap
+        with pytest.raises(DomainError, match="positive and finite"):
+            hardy_mean([0.5], q, 0.5)
+        with pytest.raises(DomainError, match="positive and finite"):
+            hardy_mean([0.5], [1.0, q], 0.5)
+
 
 class TestBergmanIntegral:
     def test_degree_one_p2_is_disk_area(self):
@@ -226,6 +229,11 @@ class TestBergmanIntegral:
     def test_exponent_domain(self):
         with pytest.raises(DomainError):
             bergman_integral([0.5], 0.0)
+
+    @pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf])
+    def test_non_finite_exponents_are_refused(self, q):
+        with pytest.raises(DomainError, match="positive and finite"):
+            bergman_integral([0.5], q)
 
     @pytest.mark.parametrize("n", [5, 10, 50])
     def test_p2_is_n_pi_on_sampled_exp_sets(self, n):
@@ -380,6 +388,11 @@ class TestHpTrend:
         # a bad exponent fails after the exponents before it have run
         with pytest.raises(ResolutionError, match="degree 6"):
             hp_trend(fam, [1.0, -1.0], *args, nodes=128)
+
+    @pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf])
+    def test_non_finite_exponents_are_refused(self, q):
+        with pytest.raises(DomainError, match="positive and finite"):
+            hp_trend(radial_geometric_family(), [1.0, q], [2, 4], [0.5])
 
     def test_family_degree_mismatch(self):
         with pytest.raises(DomainError, match="family returned"):

@@ -12,6 +12,7 @@ from blab import (
     factor_derivative,
     truncation_tail,
 )
+from blab.products import _BLOCK
 
 
 def interior_zero(rng, lo=0.05, hi=0.95):
@@ -230,6 +231,35 @@ class TestProductDerivative:
         assert whole[1] == pytest.approx(factor_derivative(simple, simple) * rest(simple),
                                          rel=1e-14)
         assert np.all(np.isfinite(whole)) and np.all(whole[[0, 2, 4]] != 0.0)
+
+    @pytest.mark.parametrize("deg", [40, 300])
+    def test_batch_independent_bits(self, deg):
+        # a point's B' has the same bits in every call that leaves no factor
+        # block holding that point alone, whatever the other points are; a
+        # point on a zero falls back alone in every call. The pruned envelope
+        # fit rests on this
+        rng = np.random.default_rng(deg)
+        zs = np.asarray([interior_zero(rng, 0.05, 0.999) for _ in range(deg)])
+        B = BlaschkeProduct(zs)
+        cols = max(1, _BLOCK // deg)
+        pts = 0.999 * np.sqrt(rng.uniform(0, 1, 2000)) * np.exp(
+            2j * np.pi * rng.uniform(0, 1, 2000))
+        rim = np.exp(2j * np.pi * rng.uniform(0, 1, 50))
+        pts = np.concatenate([pts, rim, zs[:3]])  # three points on zeros: the fallback path
+        rng.shuffle(pts)
+        whole = B.derivative(pts)
+        sizes = [2, 3, 17, cols, cols + 2, 2 * cols + 5, 2000]
+        for size in sizes:
+            assert size % cols != 1
+            for idx in (rng.choice(pts.size, size, replace=False),
+                        rng.integers(0, pts.size, size),  # repeats allowed
+                        np.arange(pts.size - size, pts.size)):
+                assert np.array_equal(B.derivative(pts[idx]), whole[idx])
+        # the exception: alone in its block, a point has its sum (pairwise)
+        # and product over the zeros taken in another order by numpy, which
+        # may move the last bits
+        for k in rng.integers(0, pts.size, 20):
+            assert B.derivative(pts[k:k + 1])[0] == pytest.approx(whole[k], rel=1e-13)
 
     def test_rim_poisson_oracle(self):
         # on the circle |B'(e^{i theta})| = sum (1 - |a|^2) / |e^{i theta} - a|^2
