@@ -23,7 +23,7 @@ from .regions import MEMBERSHIP_TOL, _seed_int, angular_halfwidth, in_stolz, reg
 
 _DRAWS = 4096  # draws per RNG stream of the lemma sampler
 _UNIT_TOL = 1e-9  # |t| = 1 validated to this
-_FIT_BLOCK = 4096  # grid points per derivative call of envelope_fit's pruned pass
+_DESCENT_MIN, _DESCENT_MAX = 64, 4096  # points per derivative call of a descent, doubling
 
 
 def _as_complex(z):
@@ -241,6 +241,87 @@ def lemma_check(spec, n_samples, seed, rtol=1e-12, keep=10):
 # the derivative bound
 
 
+class _LazyDerivative:
+    """|B'| at the points z, evaluated only where asked, with the bits of one full pass.
+
+    `vals` holds |B'| where `done`, else 0. A full pass evaluates z in blocks
+    of `cols` points, and numpy reduces a block of two or more points in zero
+    order whatever the others, but a point alone in another (see
+    _factor_blocks): so no call leaves a point alone in its last block, and
+    the full pass's own lone last point is evaluated alone, at once.
+    `ceiling` is the Schwarz-Pick bound on each computed |B'|.
+    """
+
+    def __init__(self, product, z):
+        self._product, self._z = product, z
+        self._cols = max(1, _BLOCK // product.degree)
+        self.vals = np.zeros(z.size)
+        self.done = np.zeros(z.size, dtype=bool)
+        if z.size % self._cols == 1:
+            self.vals[-1] = np.abs(product.derivative(z[-1:]))[0]
+            self.done[-1] = True
+        # |B'(z)| <= (1 - |B(z)|^2)/(1 - |z|^2) <= 1/(1 - |z|^2). The computed
+        # 1 - |z|^2 is off by under 2 eps, so minus 4 eps (exact) it is under
+        # the true one where positive. The factor pass has each b_k and
+        # h_k = b_k'/b_k to 9u/g_k + 8u relative (u = eps/2, g_k = 1 - |a_k|, as
+        # 1/conj(a_k) and 1 - |a_k|^2 lose digits next to the circle), and the
+        # product and sum add (n + 1)u; as |B h_k| <= |b_k'| <= 1/(1 - |z|^2), the
+        # computed |B'| is under (1 + 8 eps (n^2 + sum_k 1/g_k))/(1 - |z|^2) to
+        # first order. The 2^-20 covers the rest. A zero under 2^-256 in modulus
+        # can take the pass into subnormals (B H may come out nan), where none of
+        # this holds: no point is skipped then.
+        eps = np.finfo(float).eps
+        moduli = product.zeros.moduli
+        slack = 2.0 ** -20 + 8.0 * eps * (moduli.size ** 2 + np.sum(1.0 / (1.0 - moduli)))
+        room = 1.0 - (z.real ** 2 + z.imag ** 2) - 4.0 * eps
+        with np.errstate(divide="ignore"):
+            self.ceiling = np.where((room > 0.0) & (moduli.min() >= 2.0 ** -256),
+                                    (1.0 + slack) / room, np.inf)
+
+    def evaluate(self, idx):
+        idx = idx[~self.done[idx]]
+        if idx.size % self._cols == 1:
+            idx = np.append(idx, idx[-1])
+        if idx.size:
+            self.vals[idx] = np.abs(self._product.derivative(self._z[idx]))
+            self.done[idx] = True
+
+    def descend(self, idx, ceiling, score):
+        """Make the largest score(i) over the points idx exact, each score at most
+        its ceiling: evaluate in decreasing order of ceiling until no ceiling
+        left reaches the largest score found (ties included, so the first
+        point of largest score is among those evaluated)."""
+        done = self.done[idx]
+        best = float(np.max(score(idx[done]))) if done.any() else -np.inf
+        order = np.argsort(-ceiling[~done])
+        idx, key = idx[~done][order], -ceiling[~done][order]  # key ascends
+        pos, width = 0, _DESCENT_MIN
+        while pos < (end := np.searchsorted(key, -best, side="right")):  # first ceiling < best
+            blk = idx[pos:min(end, pos + width)]
+            self.evaluate(blk)
+            best = max(best, float(np.max(score(blk))))
+            pos, width = pos + blk.size, min(2 * width, _DESCENT_MAX)
+
+
+def _theorem_rhs(product, z, spec, check_zeros):
+    """z and the right side of the derivative bound there, after theorem_bound's checks."""
+    if check_zeros:
+        member = in_stolz(product.zeros.zeros, spec)
+        if not np.all(member):
+            k = int(np.flatnonzero(~member)[0])
+            raise DomainError(
+                f"zero #{k} = {complex(product.zeros.zeros[k])} lies outside the region"
+            )
+    z = _as_complex(z)
+    if np.any(np.abs(z) >= 1.0):
+        raise DomainError("the derivative bound is checked strictly inside the disk")
+    gauge = spec.phi(spec.boundary.distance(z) / 6.0)
+    const = 2.0 * lemma_bound(spec.phi, spec.k_const) ** 2 * product.zeros.alpha
+    with np.errstate(divide="ignore", over="ignore"):
+        rhs = np.where(gauge > 0.0, const / np.asarray(gauge) ** 2, np.inf)
+    return z, rhs
+
+
 def theorem_bound(product, z, spec, check_zeros=True):
     """(|B'(z)|, 2 (2C+K)^2 sum(1-|z_n|) / phi(d(z,E)/6)^2) for |z| < 1.
 
@@ -250,44 +331,42 @@ def theorem_bound(product, z, spec, check_zeros=True):
     inequality holds vacuously.
     """
     product = _as_product(product)
-    if check_zeros:
-        member = in_stolz(product.zeros.zeros, spec)
-        if not np.all(member):
-            k = int(np.flatnonzero(~member)[0])
-            raise DomainError(
-                f"zero #{k} = {complex(product.zeros.zeros[k])} lies outside the region"
-            )
-    z = _as_complex(z)
-    scalar = z.ndim == 0
-    if np.any(np.abs(z) >= 1.0):
-        raise DomainError("the derivative bound is checked strictly inside the disk")
+    z, rhs = _theorem_rhs(product, z, spec, check_zeros)
     lhs = np.abs(product.derivative(z))
-    gauge = spec.phi(spec.boundary.distance(z) / 6.0)
-    const = 2.0 * lemma_bound(spec.phi, spec.k_const) ** 2 * product.zeros.alpha
-    with np.errstate(divide="ignore", over="ignore"):
-        rhs = np.where(gauge > 0.0, const / np.asarray(gauge) ** 2, np.inf)
-    return _scalarize(lhs, scalar), _scalarize(rhs, scalar)
+    return _scalarize(lhs, z.ndim == 0), _scalarize(rhs, z.ndim == 0)
+
+
+def _ratio(lhs, rhs):
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isinf(rhs), 0.0, lhs / rhs)
 
 
 def theorem_check(product, z, spec, rtol=1e-9, check_zeros=True):
-    """Violation count and worst ratio of the derivative bound over points z."""
-    lhs, rhs = theorem_bound(product, z, spec, check_zeros=check_zeros)
-    lhs = np.atleast_1d(np.asarray(lhs))
-    rhs = np.atleast_1d(np.asarray(rhs))
-    zv = np.atleast_1d(_as_complex(z))
-    with np.errstate(invalid="ignore"):
-        ratio = np.where(np.isinf(rhs), 0.0, lhs / rhs)
-    bad = lhs > rhs * (1.0 + rtol)
+    """Violation count and worst ratio of the derivative bound over points z.
+
+    The report is the one of evaluating |B'| at every point, to the bit
+    (witness: the first point of largest ratio), but |B'| is evaluated only
+    where its Schwarz-Pick ceiling exceeds rhs (1 + rtol), since nowhere else
+    can the bound fail, and then in decreasing order of ceiling / rhs until
+    no ceiling left reaches the worst ratio found. A point where rhs is
+    infinite has ratio 0 and is never needed.
+    """
+    product = _as_product(product)
+    z, rhs = _theorem_rhs(product, z, spec, check_zeros)
+    z, rhs = np.ravel(z), np.ravel(rhs)
+    lazy = _LazyDerivative(product, z)
+    lazy.evaluate(np.flatnonzero(lazy.ceiling > rhs * (1.0 + rtol)))
+    fin = np.flatnonzero(np.isfinite(rhs))
+    lazy.descend(fin, _ratio(lazy.ceiling[fin], rhs[fin]), lambda i: _ratio(lazy.vals[i], rhs[i]))
+    lhs = lazy.vals
+    ratio = _ratio(lhs, rhs)
     worst = int(np.argmax(ratio))
-    witness = {
-        "ratio": float(ratio[worst]),
-        "z": complex(zv[worst]),
-        "lhs": float(lhs[worst]),
-        "rhs": float(rhs[worst]),
-    }
+    lazy.evaluate(np.array([worst]))  # unevaluated only when every ratio is 0
+    witness = {"ratio": float(ratio[worst]), "z": complex(z[worst]),
+               "lhs": float(lhs[worst]), "rhs": float(rhs[worst])}
     return BoundReport(
         samples=int(lhs.size),
-        violations=int(np.count_nonzero(bad)),
+        violations=int(np.count_nonzero(lhs > rhs * (1.0 + rtol))),
         worst_ratio=float(ratio[worst]),
         worst_witness=witness,
     )
@@ -324,9 +403,11 @@ def envelope_fit(product, boundary_set, rho, grid):
     c1 caps |B'| on the grid points far from E (d >= 1/2); c2 is the largest
     d^rho log+(|B'|/c1) over the whole grid, so the envelope inequality holds
     on every grid point by construction. Both are the exact grid maxima, to
-    the bit, yet |B'| is evaluated only at the far points and then at the
-    others in decreasing order of their Schwarz-Pick bound on d^rho log+(|B'|/c1),
-    until no bound left exceeds the largest term found: no skipped term can.
+    the bit, yet |B'| is evaluated only where it can set them: at the far
+    points in decreasing order of their Schwarz-Pick ceiling on |B'|, until no
+    ceiling left reaches the largest |B'| found, then at the others in
+    decreasing order of that ceiling's d^rho log+(ceiling/c1), until none left
+    reaches the largest term found. No skipped point can exceed either.
     """
     product = _as_product(product)
     rho = float(rho)
@@ -343,51 +424,21 @@ def envelope_fit(product, boundary_set, rho, grid):
     far = d >= 0.5
     if not far.any():
         raise DomainError("grid has no points with d(z, E) >= 1/2 to anchor c1")
-    vals = np.zeros(grid.size)  # |B'| where evaluated; a skipped point's 0 adds 0 to c2
-    cols = max(1, _BLOCK // product.degree)
-    # a point alone in a factor block may take other bits (see _factor_blocks);
-    # a full pass leaves only the last point so, where grid.size % cols == 1
-    lone = int(grid.size % cols == 1)
-    if lone:
-        vals[-1] = np.abs(product.derivative(grid[-1:]))[0]
-
-    def evaluate(idx):
-        if idx.size % cols == 1:  # no point alone in the last block
-            idx = np.append(idx, idx[-1])
-        vals[idx] = np.abs(product.derivative(grid[idx]))
+    lazy = _LazyDerivative(product, grid)
+    vals, pw = lazy.vals, d ** rho  # a skipped point's |B'| reads 0, which adds 0 to c2
 
     def gain(v, pw):  # d^rho log+(|B'|/c1)
         with np.errstate(divide="ignore"):
             return pw * np.maximum(np.log(v / c1, where=v > 0, out=np.full_like(v, -np.inf)), 0.0)
 
-    evaluate(np.flatnonzero(far[:grid.size - lone]))
+    far, near = np.flatnonzero(far), np.flatnonzero(~far)
+    lazy.descend(far, lazy.ceiling[far], lambda i: vals[i])
     c1 = float(np.max(vals[far]))
-    pw = d ** rho
-    near = np.flatnonzero(~far[:grid.size - lone])
-    # Schwarz-Pick: |B'(z)| <= (1 - |B(z)|^2)/(1 - |z|^2) <= 1/(1 - |z|^2). The
-    # computed 1 - |z|^2 is off by under 2 eps, so minus 4 eps (exact) it is
-    # under the true one where positive. The factor pass has each b_k and
-    # h_k = b_k'/b_k to 9u/g_k + 8u relative (u = eps/2, g_k = 1 - |a_k|, as
-    # 1/conj(a_k) and 1 - |a_k|^2 lose digits next to the circle), and the
-    # product and sum add (n + 1)u; as |B h_k| <= |b_k'| <= 1/(1 - |z|^2), the
-    # computed |B'| is under (1 + 8 eps (n^2 + sum_k 1/g_k))/(1 - |z|^2) to first
-    # order. The 2^-20 covers the rest, so no computed term exceeds its bound.
-    eps = np.finfo(float).eps
-    slack = 2.0 ** -20 + 8.0 * eps * (product.degree ** 2
-                                      + np.sum(1.0 / (1.0 - product.zeros.moduli)))
-    w = grid[near]
-    room = 1.0 - (w.real ** 2 + w.imag ** 2) - 4.0 * eps
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = gain((1.0 + slack) / room, pw[near])
-    bound = np.where((room > 0.0) & ~np.isnan(bound), bound, np.inf)  # nan: 0 * inf, c1 = 0
-    order = np.argsort(-bound)
-    near, key = near[order], -bound[order]  # key ascends: bounds in decreasing order
-    c2, pos = 0.0, 0  # c2 of the far points: |B'| <= c1 there
-    while pos < (end := np.searchsorted(key, -c2)):  # end: the first bound <= c2
-        idx = near[pos:min(end, pos + _FIT_BLOCK)]
-        evaluate(idx)
-        c2 = max(c2, float(np.max(gain(vals[idx], pw[idx]))))
-        pos += idx.size
+    with np.errstate(invalid="ignore"):
+        bound = gain(lazy.ceiling[near], pw[near])
+    bound = np.where(np.isnan(bound), np.inf, bound)  # nan: 0 * inf
+    keep = bound > 0.0  # c2 >= 0 already, from the far points
+    lazy.descend(near[keep], bound[keep], lambda i: gain(vals[i], pw[i]))
     c2 = float(np.max(gain(vals, pw)))
     return EnvelopeFit(c1=c1, c2=max(c2, 0.0), rho=rho, grid_size=int(grid.size))
 

@@ -31,7 +31,7 @@ from .fileio import (_csv, _reject_constant, atomic_write_text, canonical_json, 
 from .means import hp_trend, radial_geometric_family
 from .products import BlaschkeProduct
 from .regions import (BoundarySet, GeometricLaw, ModelFunction, PowerLaw,
-                      StolzSpec, region_boundary, sample_zeros, type_beta)
+                      StolzSpec, _type_beta, region_boundary, sample_zeros)
 
 LEMMA_TAG = "phi(|t - z*|lam|| / 3) / |1 - conj(lam)*z| <= 2*C_phi + K"
 THEOREM_TAG = "|B'(z)| <= 2*(2*C_phi + K)^2 * sum(1 - |z_n|) / phi(d(z, E)/6)^2"
@@ -399,8 +399,7 @@ def _prep_beta_estimate(cfg, base_dir):
 
 def _run_beta_estimate(plan, out_dir):
     grid = 0.5 ** np.arange(plan["k_min"], plan["k_max"] + 1, dtype=np.float64)
-    beta = type_beta(plan["set"], grid)
-    measures = [float(plan["set"].neighborhood_measure(x)) for x in grid]
+    beta, measures = _type_beta(plan["set"], grid)
     return {
         "config": {
             "set": plan["set"].to_payload(),
@@ -409,7 +408,7 @@ def _run_beta_estimate(plan, out_dir):
         "results": {
             "beta": beta,
             "x_grid": [float(x) for x in grid],
-            "neighborhood_measures": measures,
+            "neighborhood_measures": measures.tolist(),
         },
     }, 0
 

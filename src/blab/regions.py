@@ -347,6 +347,11 @@ def type_beta(boundary_set, x_grid=None):
     scales around ratio^d, so the grid must not probe deeper: the dyadic
     depth of the smallest x must stay at or below d.
     """
+    return _type_beta(boundary_set, x_grid)[0]
+
+
+def _type_beta(boundary_set, x_grid=None):
+    """type_beta's slope and the neighborhood measures it is fitted to."""
     grid = default_beta_grid() if x_grid is None else np.asarray(x_grid, dtype=np.float64)
     if grid.size < 4:
         raise DomainError("beta estimation needs at least 4 grid values")
@@ -363,8 +368,7 @@ def type_beta(boundary_set, x_grid=None):
                 f"need depth >= {needed} or a coarser grid"
             )
     meas = np.asarray([boundary_set.neighborhood_measure(float(x)) for x in grid])
-    slope = np.polyfit(np.log(grid), np.log(meas), 1)[0]
-    return float(slope)
+    return float(np.polyfit(np.log(grid), np.log(meas), 1)[0]), meas
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +474,13 @@ def _anchor_sampler(boundary_set):
     arc, lo, hi = boundary_set._arc, boundary_set._lo, boundary_set._hi
     if arc.any():
         lo, hi = lo[arc], hi[arc]
-        p = (hi - lo) / (hi - lo).sum()
+        # rng.choice(p.size, p=p) with p = (hi - lo) / (hi - lo).sum() draws
+        # exactly this, but checks p on every draw
+        cdf = ((hi - lo) / (hi - lo).sum()).cumsum()
+        cdf /= cdf[-1]
 
         def draw(rng):
-            k = int(rng.choice(p.size, p=p))
+            k = int(cdf.searchsorted(rng.random(), side="right"))
             return float(rng.uniform(lo[k], hi[k]))
 
         return draw

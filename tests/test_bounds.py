@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -27,6 +28,7 @@ from blab import (
     theorem_check,
     three_point_check,
 )
+from blab import cli
 from blab.products import _BLOCK
 
 GAUGES = [
@@ -427,8 +429,8 @@ class TestEnvelopePruning:
             for rho in (0.5, 1.0, 2.0):
                 evaluated.clear()
                 assert pruned_fit(product, E, rho, grid) == full_fit(product, E, rho, grid, vals)
-                if depth == 10:  # 85,163 of 331,808 points at seed 1, rho 1
-                    assert sum(evaluated) <= 0.3 * grid.size
+                if depth == 10:  # 57,738 of 331,808 points at seed 1, rho 1
+                    assert sum(evaluated) <= (0.2 if (seed, rho) == (1, 1.0) else 0.3) * grid.size
 
     @pytest.mark.parametrize("sets", ["c1", "c2"])
     def test_lone_last_point_keeps_the_bits_of_the_full_pass(self, sets):
@@ -501,6 +503,139 @@ class TestEnvelopePruning:
         product = BlaschkeProduct(zeros)
         grid = np.concatenate([envelope_grid(E), np.asarray(zeros, dtype=complex)])
         assert pruned_fit(product, E, 1.0, grid) == full_fit(product, E, 1.0, grid)
+
+
+def full_check(product, z, spec, rtol=1e-9, check_zeros=True):
+    """theorem_check with |B'| evaluated at every point: the reference."""
+    lhs, rhs = theorem_bound(product, z, spec, check_zeros=check_zeros)
+    lhs = np.atleast_1d(np.asarray(lhs))
+    rhs = np.atleast_1d(np.asarray(rhs))
+    zv = np.atleast_1d(np.asarray(z, dtype=complex))
+    with np.errstate(invalid="ignore"):
+        ratio = np.where(np.isinf(rhs), 0.0, lhs / rhs)
+    bad = lhs > rhs * (1.0 + rtol)
+    worst = int(np.argmax(ratio))
+    witness = {"ratio": float(ratio[worst]), "z": complex(zv[worst]),
+               "lhs": float(lhs[worst]), "rhs": float(rhs[worst])}
+    return BoundReport(samples=int(lhs.size), violations=int(np.count_nonzero(bad)),
+                       worst_ratio=float(ratio[worst]), worst_witness=witness)
+
+
+def same_check(product, z, spec, **kw):
+    """theorem_check's report is the full evaluation's; repr tells nan, -0.0 and every bit."""
+    got = theorem_check(product, z, spec, **kw)
+    assert repr(got) == repr(full_check(product, z, spec, **kw))
+    return got
+
+
+ARC = BoundarySet.from_arcs([(0.0, math.pi / 4.0)])
+
+
+def theorem_products(spec, seed):
+    """The products and grids of verify-theorem1 on the README config, at this seed."""
+    for j in range(20):
+        n = int(np.random.default_rng([seed, 101, j]).integers(2, 201))
+        zeros = sample_zeros(spec, n, seed=(seed, j), law=PowerLaw(2.0, 0.5))
+        yield BlaschkeProduct(zeros), cli._disk_points(np.random.default_rng([seed, 202, j]), 2000)
+
+
+class TestTheoremPruning:
+    """theorem_check evaluates |B'| only where it can change the report; the
+    report must be the full evaluation's to the bit."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("phi", GAUGES, ids=["linear", "power", "exp"])
+    def test_theorem_products_match_the_full_evaluation(self, phi, seed):
+        spec = StolzSpec(phi, ARC, 1.0)
+        for product, grid in theorem_products(spec, seed):
+            same_check(product, grid, spec, check_zeros=False)
+
+    def test_bench_config_evaluates_at_most_three_tenths(self, tmp_path, evaluated):
+        cfg = tmp_path / "theorem.json"
+        cfg.write_text(json.dumps({
+            "region": {"model": {"kind": "power", "gamma": 2.0}, "K": 1.0,
+                       "set": {"arcs": [[0.0, math.pi / 4.0]]}},
+            "products": {"count": 20, "min_degree": 2, "max_degree": 200},
+            "grid_points": 2000, "law": {"kind": "power", "exponent": 2.0, "scale": 0.5},
+            "seed": 1}))
+        assert cli.main(["verify-theorem1", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert sum(evaluated) <= 0.3 * 40_000  # 10,508 points
+
+    def test_every_rhs_infinite(self, evaluated):
+        # the exp gauge vanishes next to the vertex: every ratio is 0 and only
+        # the witness, the first point, is evaluated (next to a copy of itself)
+        spec = StolzSpec.at_vertex(ModelFunction.exp_tangential(1.0), 0.0, 1.0)
+        z = (1.0 - np.linspace(1e-9, 5e-9, 50)) * np.exp(1j * np.linspace(-1e-10, 1e-10, 50))
+        rep = same_check([0.5, 0.9j], z, spec, check_zeros=False)
+        assert evaluated[:-1] == [2]  # the last call is the reference's
+        assert rep.worst_ratio == 0.0 and rep.worst_witness["lhs"] > 0.0
+
+    @pytest.mark.parametrize("rtol", [-0.5, -1.0, -3.0])
+    def test_negative_rtol_forces_violations(self, rtol):
+        spec = StolzSpec(ModelFunction.truncated_power(2.0), ARC, 1.0)
+        product, grid = next(theorem_products(spec, 2))
+        rep = same_check(product, grid, spec, rtol=rtol, check_zeros=False)
+        assert rep.violations > 0 if rtol <= -1.0 else rep.violations == 0
+        vertex = StolzSpec.at_vertex(ModelFunction.exp_tangential(1.0), 0.0, 1.0)
+        z = np.concatenate([grid[:50], 1.0 - np.linspace(1e-9, 5e-9, 10)])
+        if rtol < -1.0:  # an infinite rhs times 1 + rtol < 0 is -inf: violated too
+            assert same_check(product, z, vertex, rtol=rtol, check_zeros=False).violations == 60
+
+    def test_grid_one_past_a_block_keeps_the_last_points_bits(self, evaluated):
+        # the full pass evaluates the last point alone when the grid size is
+        # 1 mod the block width; the witness goes last, on a product where
+        # evaluating it inside a block would change its bits
+        spec = StolzSpec(ModelFunction.truncated_power(2.0), ARC, 1.0)
+        for product, grid in theorem_products(spec, 3):
+            cols = max(1, _BLOCK // product.degree)
+            if 2 * cols + 1 > grid.size:
+                continue
+            grid = grid[:2 * cols + 1]
+            lhs, rhs = theorem_bound(product, grid, spec, check_zeros=False)
+            k = int(np.argmax(lhs / rhs))
+            grid = np.append(np.delete(grid, k), grid[k])
+            if alone_differs(product, grid[-1]):
+                break
+        else:
+            pytest.fail("no product where the last point's bits alone differ")
+        assert grid.size % cols == 1
+        evaluated.clear()
+        rep = same_check(product, grid, spec, check_zeros=False)
+        assert evaluated[0] == 1 and rep.worst_witness["z"] == grid[-1]
+
+    def test_points_on_zeros_and_next_to_the_circle(self):
+        spec = StolzSpec(ModelFunction.truncated_power(2.0), ARC, 1.0)
+        product, grid = next(theorem_products(spec, 1))
+        zeros = product.zeros.zeros
+        radii = 1.0 - np.logspace(-1, -12, 200)
+        rim = radii * np.exp(1j * np.linspace(-0.5, 1.5, 200))
+        for z in (np.concatenate([zeros, grid[:300]]), np.concatenate([grid[:300], rim]),
+                  np.concatenate([rim, zeros * (1.0 + 1e-13)])):
+            same_check(product, z, spec, check_zeros=False)
+
+    def test_non_finite_derivative_gives_the_full_result(self):
+        # next to a zero of modulus 1e-300, a - z is subnormal and B H comes
+        # out nan: the Schwarz-Pick ceiling does not hold, no point is skipped,
+        # though the ratios next to the zero opposite E dwarf that point's ceiling
+        spec = StolzSpec(ModelFunction.truncated_power(2.0), ARC, 1.0)
+        tiny = 1e-300
+        product = BlaschkeProduct([tiny, 0.5, 0.9 * np.exp(3j)])
+        z = np.concatenate([0.95 * np.exp(1j * np.linspace(2.5, 3.5, 100)),
+                            [tiny * (1.0 + 2.0 ** -52)]])
+        with np.errstate(over="ignore"):
+            assert np.isnan(product.derivative(z[-1]))
+            rep = same_check(product, z, spec, check_zeros=False)
+        assert math.isnan(rep.worst_ratio) and rep.worst_witness["z"] == z[-1]
+
+    def test_scalar_and_two_dimensional_points_and_error_order(self):
+        spec = StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 1.0)
+        same_check([0.5, 0.25], 0.3 + 0.1j, spec)
+        z = 0.5 * np.exp(1j * np.arange(6.0))
+        assert theorem_check([0.5, 0.25], z.reshape(2, 3), spec) == same_check([0.5, 0.25], z, spec)
+        with pytest.raises(DomainError, match="zero #0"):
+            theorem_check([0.9j], 1.5, spec)
+        with pytest.raises(DomainError, match="strictly inside"):
+            theorem_check([0.9j], 1.5, spec, check_zeros=False)
 
 
 class TestReportPayload:

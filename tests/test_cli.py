@@ -385,6 +385,33 @@ class TestBetaEstimate:
         assert len(rep["results"]["x_grid"]) == 11
         assert len(rep["results"]["neighborhood_measures"]) == 11
 
+    def test_measures_computed_once_and_report_unchanged(self, tmp_path, monkeypatch):
+        # the slope and the reported measures share one pass over the grid;
+        # the report must be the one of fitting and measuring separately
+        cfg = write_cfg(tmp_path, {"set": {"cantor": {
+            "base": [0.0, 6.283185307179586], "ratio": 0.3333333333333333, "depth": 14}}})
+        shared, separate = tmp_path / "shared", tmp_path / "separate"
+        calls = []
+        measure = blab.BoundarySet.neighborhood_measure
+
+        def counted(self, x):
+            calls.append(x)
+            return measure(self, x)
+
+        monkeypatch.setattr(blab.BoundarySet, "neighborhood_measure", counted)
+        assert cli.main(["beta-estimate", "--config", cfg, "--out", str(shared)]) == 0
+        assert len(calls) == 11
+
+        def fit_then_measure(boundary_set, grid):
+            return (blab.type_beta(boundary_set, grid),
+                    np.asarray([boundary_set.neighborhood_measure(float(x)) for x in grid]))
+
+        monkeypatch.setattr(cli, "_type_beta", fit_then_measure)
+        assert cli.main(["beta-estimate", "--config", cfg, "--out", str(separate)]) == 0
+        assert len(calls) == 33
+        assert ((shared / "beta-estimate.json").read_bytes()
+                == (separate / "beta-estimate.json").read_bytes())
+
     def test_shallow_cantor_fails_at_run(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {
             "set": {"cantor": {"base": [0.0, 1.0], "ratio": 0.3333333333333333,

@@ -678,6 +678,22 @@ class TestBatchedSampling:
         assert _outcome(sample_zeros, spec, n, seed) == _outcome(_reference_sample_zeros,
                                                                  spec, n, seed)
 
+    @pytest.mark.parametrize("count", [1, 2, 3, 1024])
+    def test_anchor_draws_match_rng_choice(self, count):
+        # the sampler searches the arc-length cdf itself, as rng.choice does
+        # with p, but without checking p on every draw: same index, same stream
+        rng = np.random.default_rng(count)
+        width = 2.0 * np.pi / count
+        starts = width * np.arange(count)
+        E = BoundarySet(arcs=[(a, a + width * f) for a, f in zip(starts, rng.uniform(0.05, 0.9, count))],
+                        points=[0.5 * width])
+        draw = regions._anchor_sampler(E)
+        for seed in range(300):
+            new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            angle = draw(new)
+            assert angle == _reference_draw_anchor(E, ref)
+            assert new.random() == ref.random()
+
     @settings(max_examples=40, deadline=None)
     @given(arcs=st.lists(st.tuples(st.floats(-7.0, 13.0), st.floats(1e-3, 3.0)),
                          min_size=1, max_size=3),
