@@ -51,10 +51,7 @@ from .fileio import (
     read_zeros,
     series_csv,
     write_boundary,
-    write_means_csv,
-    write_points_csv,
     write_report,
-    write_series_csv,
     write_zeros,
 )
 from .means import (

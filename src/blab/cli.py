@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -26,8 +27,8 @@ from .bounds import envelope_fit, envelope_grid, lemma_bound, lemma_check, theor
 from .critical import critical_points, critical_sum, log_weighted_sum, protas_sum
 from .errors import BlabError
 from .fileio import (_csv, _reject_constant, atomic_write_text, canonical_json, complex_pair,
-                     read_boundary, read_zeros, write_means_csv, write_points_csv,
-                     write_report, write_series_csv, write_zeros)
+                     format_zeros, means_csv, points_csv, read_boundary, read_zeros,
+                     series_csv, write_report)
 from .means import hp_trend, radial_geometric_family
 from .products import BlaschkeProduct
 from .regions import (BoundarySet, GeometricLaw, ModelFunction, PowerLaw,
@@ -74,9 +75,10 @@ def _config(cfg, required, optional, side=()):
     """The top-level schema plus the fields every subcommand shares.
 
     `seed` is a nonnegative integer; `out` names the report and the
-    subcommand's `side` files. The parsed `out` is always present.
+    subcommand's `side` files, each a plain file name in the output
+    directory. The parsed `out` is always present.
     """
-    names = {name: _string for name in ("report", *side)}
+    names = {name: _file_name for name in ("report", *side)}
     parsed = _fields(cfg, "config", required, dict(
         optional,
         seed=lambda v, p: _integer(v, p, minimum=0),
@@ -89,7 +91,12 @@ def _config(cfg, required, optional, side=()):
 def _number(value, path, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number")
     if positive and not value > 0.0:
         raise ConfigError(f"{path}: must be positive")
     return value
@@ -111,6 +118,13 @@ def _string(value, path):
     if not isinstance(value, str) or not value:
         raise ConfigError(f"{path}: expected a non-empty string")
     return value
+
+
+def _file_name(value, path):
+    name = _string(value, path)
+    if os.path.basename(name) != name or name in (os.curdir, os.pardir) or "\0" in name:
+        raise ConfigError(f"{path}: expected a plain file name, got {name!r}")
+    return name
 
 
 def _list_of(parse, noun):
@@ -179,18 +193,36 @@ def _parse_region(value, path, base_dir):
     return StolzSpec(parsed["model"], parsed["set"], parsed["K"])
 
 
-def _region_payload(model, k_const, boundary=None):
-    """The {"model": {"kind", "param"}, "K", "set"} part of a report's config."""
-    payload = {"model": {"kind": model.kind, "param": model.param}, "K": k_const}
-    if boundary is not None:
-        payload["set"] = boundary.to_payload()
-    return payload
+def _echo(value):
+    """A parsed config value in its report form: the object config it was
+    parsed from, with defaults filled in. A region spreads into its parent as
+    `model`, `K` and `set`."""
+    if isinstance(value, dict):
+        out = {}
+        for key, item in value.items():
+            if isinstance(item, StolzSpec):
+                out.update(model=_echo(item.phi), K=item.k_const, set=_echo(item.boundary))
+            else:
+                out[key] = _echo(item)
+        return out
+    if isinstance(value, ModelFunction):
+        return {"kind": value.kind, "param": value.param}
+    if isinstance(value, GeometricLaw):
+        return {"kind": "geometric", "ratio": value.ratio}
+    if isinstance(value, PowerLaw):
+        return {"kind": "power", "exponent": value.exponent, "scale": value.scale}
+    if isinstance(value, BoundarySet):
+        return value.to_payload()
+    return value
 
 
-def _law_payload(law):
-    if isinstance(law, GeometricLaw):
-        return {"kind": "geometric", "ratio": law.ratio}
-    return {"kind": "power", "exponent": law.exponent, "scale": law.scale}
+def _side(plan, out_dir, key, text, default=None):
+    """Write a side file named by out[key], else `default` (no file when both
+    are unset); return the name used."""
+    name = plan["out"].get(key, default)
+    if name is not None:
+        atomic_write_text(os.path.join(out_dir, name), text)
+    return name
 
 
 def _disk_points(rng, count):
@@ -224,9 +256,11 @@ def _resolve_seed(config_seed, flag_seed, required):
 
 # ---------------------------------------------------------------------------
 # subcommand runners: prep(cfg, base_dir) -> (plan, seeded), where `seeded`
-# says whether the experiment needs a seed; run(plan, out_dir) -> (report,
-# exit code). `main` resolves plan["seed"] between the two, and adds
-# `experiment` and `config.threads` to the report before writing it.
+# says whether the experiment needs a seed; run(plan, out_dir) -> (results,
+# exit code), writing the side files through `_side`. `main` resolves
+# plan["seed"] between the two. The report's `config` is `_echo(plan)`
+# without `out` and the zeros read from a file, plus `threads`; `_RUNNERS`
+# gives each subcommand's inequality and whether its report records the seed.
 
 
 def _prep_verify_lemma(cfg, base_dir):
@@ -239,20 +273,12 @@ def _prep_verify_lemma(cfg, base_dir):
 def _run_verify_lemma(plan, out_dir):
     spec = plan["region"]
     report = lemma_check(spec, plan["samples"], plan["seed"])
-    if "csv" in plan["out"]:
-        rows = [(rank, w["ratio"], w["z"].real, w["z"].imag, w["t"].real, w["t"].imag,
-                 w["lambda"].real, w["lambda"].imag)
-                for rank, w in enumerate(report.worst_k, 1)]
-        atomic_write_text(os.path.join(out_dir, plan["out"]["csv"]), _csv(
-            "rank,ratio,z_re,z_im,t_re,t_im,lambda_re,lambda_im", rows))
-    return {
-        "inequality": LEMMA_TAG,
-        "config": dict(
-            _region_payload(spec.phi, spec.k_const, spec.boundary),
-            samples=plan["samples"], seed=plan["seed"],
-        ),
-        "results": dict(report.to_payload(), bound=lemma_bound(spec.phi, spec.k_const)),
-    }, 1 if report.violations else 0
+    _side(plan, out_dir, "csv", _csv(
+        "rank,ratio,z_re,z_im,t_re,t_im,lambda_re,lambda_im",
+        [(rank, w["ratio"], w["z"].real, w["z"].imag, w["t"].real, w["t"].imag,
+          w["lambda"].real, w["lambda"].imag) for rank, w in enumerate(report.worst_k, 1)]))
+    results = dict(report.to_payload(), bound=lemma_bound(spec.phi, spec.k_const))
+    return results, 1 if report.violations else 0
 
 
 def _prep_verify_theorem1(cfg, base_dir):
@@ -286,28 +312,13 @@ def _run_verify_theorem1(plan, out_dir):
         rows.append((j, n, rep.worst_ratio, rep.violations))
         if worst is None or rep.worst_ratio > worst["ratio"]:
             worst = dict(rep.worst_witness, product=j, degree=n)
-    if "csv" in plan["out"]:
-        atomic_write_text(os.path.join(out_dir, plan["out"]["csv"]),
-                          _csv("product,degree,worst_ratio,violations", rows))
+    _side(plan, out_dir, "csv", _csv("product,degree,worst_ratio,violations", rows))
+    worst_ratio = worst.pop("ratio")
     return {
-        "inequality": THEOREM_TAG,
-        "config": dict(
-            _region_payload(spec.phi, spec.k_const, spec.boundary),
-            products=prod, grid_points=plan["grid_points"],
-            law=_law_payload(plan["law"]), seed=seed,
-        ),
-        "results": {
-            "samples": prod["count"] * plan["grid_points"],
-            "violations": total_viol,
-            "worst_ratio": worst["ratio"],
-            "worst_witness": {
-                "product": worst["product"],
-                "degree": worst["degree"],
-                "z": complex_pair(worst["z"]),
-                "lhs": worst["lhs"],
-                "rhs": worst["rhs"],
-            },
-        },
+        "samples": prod["count"] * plan["grid_points"],
+        "violations": total_viol,
+        "worst_ratio": worst_ratio,
+        "worst_witness": dict(worst, z=complex_pair(worst["z"])),
     }, 1 if total_viol else 0
 
 
@@ -330,21 +341,16 @@ def _prep_critical_points(cfg, base_dir):
 
 def _run_critical_points(plan, out_dir):
     cs = critical_points(BlaschkeProduct(plan["zero_seq"]))
-    points_name = plan["out"].get("points", "critical_points.txt")
-    residuals_name = plan["out"].get("residuals", "critical_points_residuals.json")
-    write_zeros(os.path.join(out_dir, points_name), cs.points,
-                header="critical points, one per line: re im")
-    atomic_write_text(os.path.join(out_dir, residuals_name),
-                      canonical_json({"residuals": [float(r) for r in cs.residuals]}))
+    points_file = _side(plan, out_dir, "points", format_zeros(
+        cs.points, header="critical points, one per line: re im"), "critical_points.txt")
+    residuals_file = _side(plan, out_dir, "residuals", canonical_json(
+        {"residuals": [float(r) for r in cs.residuals]}), "critical_points_residuals.json")
     return {
-        "config": {"zeros": plan["zeros"]},
-        "results": {
-            "degree": cs.degree,
-            "count": cs.count,
-            "max_residual": float(np.max(cs.residuals)) if cs.count else 0.0,
-            "points_file": points_name,
-            "residuals_file": residuals_name,
-        },
+        "degree": cs.degree,
+        "count": cs.count,
+        "max_residual": float(np.max(cs.residuals)) if cs.count else 0.0,
+        "points_file": points_file,
+        "residuals_file": residuals_file,
     }, 0
 
 
@@ -363,24 +369,14 @@ def _prep_critical_sum(cfg, base_dir):
 def _run_critical_sum(plan, out_dir):
     cs = critical_points(BlaschkeProduct(plan["zero_seq"]))
     weighted = critical_sum(cs, plan["set"], plan["rho"], plan["beta"], plan["eps"])
-    logw = log_weighted_sum(cs, plan["eps"])
-    unweighted = protas_sum(cs, 1.0) if cs.count else 0.0
-    if "csv" in plan["out"]:
-        write_series_csv(os.path.join(out_dir, plan["out"]["csv"]), weighted)
-    return {
-        "inequality": CRITICAL_SUM_TAG,
-        "config": {
-            "zeros": plan["zeros"],
-            "set": plan["set"].to_payload(),
-            "rho": plan["rho"], "beta": plan["beta"], "eps": plan["eps"],
-        },
-        "results": {
-            "critical_count": cs.count,
-            "weighted_total": weighted.total,
-            "log_weighted_total": logw.total,
-            "unweighted_total": unweighted,
-        },
-    }, 0
+    results = {
+        "critical_count": cs.count,
+        "weighted_total": weighted.total,
+        "log_weighted_total": log_weighted_sum(cs, plan["eps"]).total,
+        "unweighted_total": protas_sum(cs, 1.0) if cs.count else 0.0,
+    }
+    _side(plan, out_dir, "csv", series_csv(weighted))
+    return results, 0
 
 
 def _prep_beta_estimate(cfg, base_dir):
@@ -401,15 +397,9 @@ def _run_beta_estimate(plan, out_dir):
     grid = 0.5 ** np.arange(plan["k_min"], plan["k_max"] + 1, dtype=np.float64)
     beta, measures = _type_beta(plan["set"], grid)
     return {
-        "config": {
-            "set": plan["set"].to_payload(),
-            "k_min": plan["k_min"], "k_max": plan["k_max"],
-        },
-        "results": {
-            "beta": beta,
-            "x_grid": [float(x) for x in grid],
-            "neighborhood_measures": measures.tolist(),
-        },
+        "beta": beta,
+        "x_grid": [float(x) for x in grid],
+        "neighborhood_measures": measures.tolist(),
     }, 0
 
 
@@ -445,29 +435,12 @@ def _run_means_trend(plan, out_dir):
     fam = plan["family"]
     if fam["kind"] == "radial_geometric":
         family = radial_geometric_family(fam["ratio"])
-        fam_payload = fam
     else:
-        spec, law, seed = fam["region"], fam["law"], plan["seed"]
-
         def family(n):
-            return sample_zeros(spec, n, seed=seed, law=law)
-
-        fam_payload = dict(_region_payload(spec.phi, spec.k_const, spec.boundary),
-                           kind=fam["kind"], law=_law_payload(law))
+            return sample_zeros(fam["region"], n, seed=plan["seed"], law=fam["law"])
     table = hp_trend(family, plan["p_list"], plan["truncations"], plan["r_grid"])
-    sups = {f"N={n},p={p}": v for (n, p), v in table.sup_over_r().items()}
-    if "csv" in plan["out"]:
-        write_means_csv(os.path.join(out_dir, plan["out"]["csv"]), table)
-    return {
-        "config": {
-            "family": fam_payload,
-            "p_list": plan["p_list"],
-            "truncations": plan["truncations"],
-            "r_grid": plan["r_grid"],
-            "seed": plan["seed"],
-        },
-        "results": {"sup_over_r": sups},
-    }, 0
+    _side(plan, out_dir, "csv", means_csv(table))
+    return {"sup_over_r": {f"N={n},p={p}": v for (n, p), v in table.sup_over_r().items()}}, 0
 
 
 def _prep_envelope_fit(cfg, base_dir):
@@ -505,24 +478,13 @@ def _prep_envelope_fit(cfg, base_dir):
 def _run_envelope_fit(plan, out_dir):
     if "zero_seq" in plan:
         zeros = plan["zero_seq"]
-        source = {"zeros": plan["zeros"]}
     else:
         samp = plan["sampling"]
-        region = samp["region"]
-        zeros = sample_zeros(region, samp["count"], seed=plan["seed"], law=samp["law"])
-        source = {"sampling": dict(
-            _region_payload(region.phi, region.k_const, region.boundary),
-            law=_law_payload(samp["law"]), count=samp["count"],
-        )}
+        zeros = sample_zeros(samp["region"], samp["count"], seed=plan["seed"],
+                             law=samp["law"])
     grid = envelope_grid(plan["set"], **plan["grid"])
     fit = envelope_fit(BlaschkeProduct(zeros), plan["set"], plan["rho"], grid)
-    return {
-        "inequality": ENVELOPE_TAG,
-        "config": dict(source, set=plan["set"].to_payload(), rho=plan["rho"],
-                       grid=plan["grid"], seed=plan["seed"]),
-        "results": {"c1": fit.c1, "c2": fit.c2, "rho": fit.rho,
-                    "grid_size": fit.grid_size},
-    }, 0
+    return {"c1": fit.c1, "c2": fit.c2, "rho": fit.rho, "grid_size": fit.grid_size}, 0
 
 
 def _prep_region_boundary(cfg, base_dir):
@@ -538,26 +500,20 @@ def _prep_region_boundary(cfg, base_dir):
 def _run_region_boundary(plan, out_dir):
     pts = region_boundary(plan["model"], plan["K"], plan["vertex_angle"],
                           plan["resolution"])
-    csv_name = plan["out"].get("csv", "region_boundary.csv")
-    write_points_csv(os.path.join(out_dir, csv_name), pts)
-    return {
-        "config": dict(
-            _region_payload(plan["model"], plan["K"]),
-            vertex_angle=plan["vertex_angle"], resolution=plan["resolution"],
-        ),
-        "results": {"points": int(pts.size), "csv_file": csv_name},
-    }, 0
+    csv_file = _side(plan, out_dir, "csv", points_csv(pts), "region_boundary.csv")
+    return {"points": int(pts.size), "csv_file": csv_file}, 0
 
 
+# name: (prep, run, the inequality checked, whether the report records the seed)
 _RUNNERS = {
-    "verify-lemma": (_prep_verify_lemma, _run_verify_lemma),
-    "verify-theorem1": (_prep_verify_theorem1, _run_verify_theorem1),
-    "critical-points": (_prep_critical_points, _run_critical_points),
-    "critical-sum": (_prep_critical_sum, _run_critical_sum),
-    "beta-estimate": (_prep_beta_estimate, _run_beta_estimate),
-    "means-trend": (_prep_means_trend, _run_means_trend),
-    "envelope-fit": (_prep_envelope_fit, _run_envelope_fit),
-    "region-boundary": (_prep_region_boundary, _run_region_boundary),
+    "verify-lemma": (_prep_verify_lemma, _run_verify_lemma, LEMMA_TAG, True),
+    "verify-theorem1": (_prep_verify_theorem1, _run_verify_theorem1, THEOREM_TAG, True),
+    "critical-points": (_prep_critical_points, _run_critical_points, None, False),
+    "critical-sum": (_prep_critical_sum, _run_critical_sum, CRITICAL_SUM_TAG, False),
+    "beta-estimate": (_prep_beta_estimate, _run_beta_estimate, None, False),
+    "means-trend": (_prep_means_trend, _run_means_trend, None, True),
+    "envelope-fit": (_prep_envelope_fit, _run_envelope_fit, ENVELOPE_TAG, True),
+    "region-boundary": (_prep_region_boundary, _run_region_boundary, None, False),
 }
 
 
@@ -578,7 +534,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    prep, run = _RUNNERS[args.command]
+    prep, run, inequality, records_seed = _RUNNERS[args.command]
     try:
         threads = _threads_config()
         try:
@@ -594,17 +550,24 @@ def main(argv=None):
             raise ConfigError(f"{args.config}: invalid JSON: {exc}") from exc
         plan, seeded = prep(cfg, os.path.dirname(os.path.abspath(args.config)))
         plan["seed"] = _resolve_seed(plan.get("seed"), args.seed, seeded)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {args.out}: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
+    hidden = {"out", "zero_seq"} if records_seed else {"out", "zero_seq", "seed"}
+    config = _echo({key: v for key, v in plan.items() if key not in hidden})
+    config["threads"] = threads
     try:
-        report, code = run(plan, args.out)
+        results, code = run(plan, args.out)
     except BlabError as exc:
         print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
-    report["experiment"] = args.command
-    report["config"]["threads"] = threads
+    report = {"experiment": args.command, "config": config, "results": results}
+    if inequality is not None:
+        report["inequality"] = inequality
     write_report(os.path.join(args.out, plan["out"].get("report", f"{args.command}.json")),
                  report)
     return code

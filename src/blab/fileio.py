@@ -123,25 +123,13 @@ def series_csv(series):
     return _csv("index,term,partial_sum", series.rows())
 
 
-def write_series_csv(path, series):
-    atomic_write_text(path, series_csv(series))
-
-
 def means_csv(table):
     return _csv("N,p,r,value", table.rows)
-
-
-def write_means_csv(path, table):
-    atomic_write_text(path, means_csv(table))
 
 
 def points_csv(points):
     """Complex points as re,im rows (region boundary polylines and the like)."""
     return _csv("re,im", ((float(z.real), float(z.imag)) for z in np.asarray(points)))
-
-
-def write_points_csv(path, points):
-    atomic_write_text(path, points_csv(points))
 
 
 def complex_pair(z):

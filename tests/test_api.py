@@ -1,4 +1,5 @@
 """The public surface: the exported names, the README quick start, the imports."""
+import ast
 import os
 import re
 import subprocess
@@ -21,7 +22,7 @@ EXPORTS = [
     "read_boundary", "read_zeros", "region_boundary", "region_is_empty", "sample_zeros",
     "schwarz_pick_bound", "schwarz_pick_check", "series_csv", "theorem_bound",
     "theorem_check", "three_point_check", "truncation_tail", "type_beta", "write_boundary",
-    "write_means_csv", "write_points_csv", "write_report", "write_series_csv", "write_zeros",
+    "write_report", "write_zeros",
 ]
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -54,3 +55,22 @@ def test_numpy_is_the_only_runtime_dependency():
                          text=True, check=True).stdout.split()
     assert "blab" in out and "numpy" in out
     assert set(out) - set(sys.stdlib_module_names) - {"numpy", "blab"} == set()
+
+
+def test_every_import_is_used():
+    """Each name imported into a module of the package is used there."""
+    unused = {}
+    for path in sorted(Path(blab.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":  # it imports to export
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    assert unused == {}

@@ -40,6 +40,22 @@ def lemma_cfg(samples=2000, seed=7, **extra):
 PAIR_ZEROS = "0.5 0.0\n-0.5 0.0\n"
 
 
+# per field: the subcommand, a config with "BIG" where the number goes, its path
+NON_FINITE = {
+    "K": ("region-boundary",
+          {"model": {"kind": "linear"}, "K": "BIG", "resolution": 4}, "config.K"),
+    "vertex_angle": ("region-boundary",
+                     {"model": {"kind": "linear"}, "K": 1.0, "resolution": 8,
+                      "vertex_angle": "BIG"}, "config.vertex_angle"),
+    "rho": ("critical-sum",
+            {"zeros": "pair.txt", "set": {"points": [0.0]}, "rho": "BIG", "beta": 1.0,
+             "eps": 0.5}, "config.rho"),
+    "p_list": ("means-trend",
+               {"family": {"kind": "radial_geometric"}, "p_list": ["BIG"], "truncations": [3]},
+               "config.p_list[0]"),
+}
+
+
 class TestConfigRejection:
     def test_unknown_top_level_field(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, lemma_cfg(bogus=1))
@@ -182,6 +198,40 @@ class TestConfigRejection:
         assert cli.main(["verify-lemma", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "config.out.bogus: unknown field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("literal", ["1e999", "-1e999", "1" + "0" * 400])
+    @pytest.mark.parametrize("field", sorted(NON_FINITE))
+    def test_non_finite_number(self, field, literal, tmp_path, capsys):
+        # json reads an overflowing literal as +-inf, past parse_constant
+        command, payload, path = NON_FINITE[field]
+        (tmp_path / "pair.txt").write_text(PAIR_ZEROS)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload).replace('"BIG"', literal))
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: expected a finite number\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,name", [("report", "sub/x.json"), ("report", "."),
+                                          ("report", ".."), ("csv", "../c.csv")])
+    def test_out_names_are_plain_file_names(self, key, name, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"model": {"kind": "linear"}, "K": 1.0, "resolution": 4,
+                                   "out": {key: name}})
+        out = tmp_path / "out"
+        assert cli.main(["region-boundary", "--config", cfg, "--out", str(out)]) == 2
+        assert (f"config.out.{key}: expected a plain file name, got {name!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_out_dir_that_cannot_be_made(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"model": {"kind": "linear"}, "K": 1.0, "resolution": 4})
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for out in (blocker, blocker / "sub"):
+            assert cli.main(["region-boundary", "--config", cfg, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"config error: cannot create output directory {out}: ")
+        assert blocker.read_text() == ""
+
     def test_threads_env_validated(self, tmp_path, capsys, monkeypatch):
         cfg = write_cfg(tmp_path, lemma_cfg(samples=10))
         monkeypatch.setenv("BLAB_THREADS", "abc")
@@ -235,6 +285,95 @@ class TestReportPath:
         assert not (named_out / f"{command}.json").exists()
         assert rep["experiment"] == command
         assert rep["config"]["threads"] is None
+
+
+VERTEX = {"points": [0.0]}
+EXP_REGION = {"model": {"kind": "exp", "rho": 1.0}, "K": 2, "set": VERTEX}
+EXP_MODEL = {"kind": "exp", "param": 1.0}
+POWER_LAW = {"kind": "power", "exponent": 2.0, "scale": 0.5}
+
+# (command, config, extra argv, BLAB_THREADS, the report's config) per case;
+# the configs leave out every optional field with a default, so the echo
+# shows the defaults filled in, and the regions spread into their parent
+CONFIG_ECHO = {
+    "verify-lemma": (
+        "verify-lemma",
+        {"region": EXP_REGION, "samples": 5, "seed": 1, "out": {"csv": "w.csv"}},
+        ["--seed", "4"], "2",
+        {"model": EXP_MODEL, "K": 2.0, "set": VERTEX, "samples": 5, "seed": 4,
+         "threads": 2}),
+    "verify-theorem1": (
+        "verify-theorem1",
+        {"region": EXP_REGION, "products": {"count": 1, "min_degree": 2, "max_degree": 3},
+         "grid_points": 5, "seed": 3},
+        [], None,
+        {"model": EXP_MODEL, "K": 2.0, "set": VERTEX,
+         "products": {"count": 1, "min_degree": 2, "max_degree": 3}, "grid_points": 5,
+         "law": {"kind": "geometric", "ratio": 0.5}, "seed": 3, "threads": None}),
+    "critical-points": (
+        "critical-points", {"zeros": "pair.txt", "out": {"points": "p.txt"}}, [], None,
+        {"zeros": "pair.txt", "threads": None}),
+    "critical-sum": (
+        "critical-sum",
+        {"zeros": "pair.txt", "set": {"arcs": [[0, 1]]}, "rho": 1, "beta": -1,
+         "eps": 0.5},
+        [], "1",
+        {"zeros": "pair.txt", "set": {"arcs": [[0.0, 1.0]]}, "rho": 1.0, "beta": -1.0,
+         "eps": 0.5, "threads": 1}),
+    "beta-estimate": (
+        "beta-estimate", {"set": VERTEX}, [], None,
+        {"set": VERTEX, "k_min": 4, "k_max": 14, "threads": None}),
+    "means-trend/radial": (
+        "means-trend",
+        {"family": {"kind": "radial_geometric"}, "p_list": [1], "truncations": [2]},
+        [], None,
+        {"family": {"kind": "radial_geometric", "ratio": 0.5}, "p_list": [1.0],
+         "truncations": [2], "r_grid": [0.9, 0.99, 0.999], "seed": None,
+         "threads": None}),
+    "means-trend/sampled": (
+        "means-trend",
+        {"family": {"kind": "region_sampled", "region": EXP_REGION, "law": POWER_LAW},
+         "p_list": [0.5], "truncations": [2], "r_grid": [0.5], "seed": 6},
+        [], None,
+        {"family": {"kind": "region_sampled", "model": EXP_MODEL, "K": 2.0, "set": VERTEX,
+                    "law": POWER_LAW},
+         "p_list": [0.5], "truncations": [2], "r_grid": [0.5], "seed": 6,
+         "threads": None}),
+    "envelope-fit/zeros": (
+        "envelope-fit", {"rho": 1, "zeros": "pair.txt", "set": VERTEX}, [], None,
+        {"zeros": "pair.txt", "set": VERTEX, "rho": 1.0,
+         "grid": {"depth": 14, "rays": 12, "ring": 64}, "seed": None, "threads": None}),
+    "envelope-fit/sampling": (
+        "envelope-fit",
+        {"rho": 1.0, "sampling": {"region": EXP_REGION, "law": {"kind": "geometric"},
+                                  "count": 3},
+         "grid": {"rays": 2, "ring": 8, "depth": 4}, "seed": 8},
+        [], None,
+        {"sampling": {"model": EXP_MODEL, "K": 2.0, "set": VERTEX,
+                      "law": {"kind": "geometric", "ratio": 0.5}, "count": 3},
+         "set": VERTEX, "rho": 1.0, "grid": {"depth": 4, "rays": 2, "ring": 8},
+         "seed": 8, "threads": None}),
+    "region-boundary": (
+        "region-boundary", {"model": {"kind": "power", "gamma": 2}, "K": 1, "resolution": 3},
+        [], None,
+        {"model": {"kind": "power", "param": 2.0}, "K": 1.0, "vertex_angle": 0.0,
+         "resolution": 3, "threads": None}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ECHO))
+def test_report_config_echo(case, tmp_path, monkeypatch):
+    """The report's `config` is the parsed config with its defaults filled in."""
+    command, payload, argv, threads, expected = CONFIG_ECHO[case]
+    (tmp_path / "pair.txt").write_text(PAIR_ZEROS)
+    if threads is not None:
+        monkeypatch.setenv("BLAB_THREADS", threads)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", write_cfg(tmp_path, payload), *argv,
+                     "--out", str(out)]) == 0
+    rep = json.loads((out / f"{command}.json").read_text())
+    # compared as text, so that an integer written for a float shows
+    assert json.dumps(rep["config"], sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 class TestVerifyLemma:
