@@ -249,7 +249,8 @@ class _LazyDerivative:
     order whatever the others, but a point alone in another (see
     _factor_blocks): so no call leaves a point alone in its last block, and
     the full pass's own lone last point is evaluated alone, at once.
-    `ceiling` is the Schwarz-Pick bound on each computed |B'|.
+    `ceiling` bounds each computed |B'|: the Schwarz-Pick bound at first,
+    which `tighten` lowers to the factor-sum bound where asked.
     """
 
     def __init__(self, product, z):
@@ -277,6 +278,27 @@ class _LazyDerivative:
         with np.errstate(divide="ignore"):
             self.ceiling = np.where((room > 0.0) & (moduli.min() >= 2.0 ** -256),
                                     (1.0 + slack) / room, np.inf)
+        # The same terms give |B'| <= sum_k |B h_k| <= S = sum_k s_k, with
+        # s_k = |b_k'| = (1 - |a_k|^2)/|1 - conj(a_k) z|^2, so the computed |B'|
+        # is under (1 + slack) S. Each computed s_k is off by under 12u/g_k + 4u,
+        # as 1 - |a_k|^2 and 1 - conj(a_k) z lose digits next to the circle
+        # (|1 - conj(a_k) z| >= g_k), and the sum of positive terms adds (n - 1)u:
+        # so S is under (1 + slack) times the computed one. Points of infinite
+        # ceiling keep it.
+        self._tight = ~np.isfinite(self.ceiling)
+        self._conj = np.conj(product.zeros.zeros)[:, None]
+        self._gap2 = (1.0 - moduli ** 2)[:, None]
+        self._scale = (1.0 + slack) ** 2
+
+    def tighten(self, idx):
+        """Lower the ceiling at the points idx to (1 + slack)^2 S where that is lower."""
+        idx = idx[~self._tight[idx]]
+        self._tight[idx] = True
+        for lo in range(0, idx.size, self._cols):
+            blk = idx[lo:lo + self._cols]
+            w = self._conj * self._z[None, blk]
+            s = (self._gap2 / ((1.0 - w.real) ** 2 + w.imag ** 2)).sum(axis=0)
+            self.ceiling[blk] = np.minimum(self.ceiling[blk], self._scale * s)
 
     def evaluate(self, idx):
         idx = idx[~self.done[idx]]
@@ -286,21 +308,41 @@ class _LazyDerivative:
             self.vals[idx] = np.abs(self._product.derivative(self._z[idx]))
             self.done[idx] = True
 
-    def descend(self, idx, ceiling, score):
-        """Make the largest score(i) over the points idx exact, each score at most
-        its ceiling: evaluate in decreasing order of ceiling until no ceiling
-        left reaches the largest score found (ties included, so the first
-        point of largest score is among those evaluated)."""
+    def descend(self, idx, key, score):
+        """Make the largest score(i) over the points idx exact, where key(c, i)
+        bounds score(i) given a ceiling c on |B'| there and grows with c:
+        take the points in decreasing order of key at the Schwarz-Pick ceiling,
+        a block at a time, tighten the block's ceilings and evaluate those
+        whose key still reaches the largest score found, until no key left
+        reaches it (ties included, so the first point of largest score is
+        among those evaluated). With nothing evaluated yet, the points of top
+        tightened key among those of top key give a first largest score, and
+        only the points whose key reaches it are sorted."""
         done = self.done[idx]
         best = float(np.max(score(idx[done]))) if done.any() else -np.inf
-        order = np.argsort(-ceiling[~done])
-        idx, key = idx[~done][order], -ceiling[~done][order]  # key ascends
+        idx = idx[~done]
+        neg = -key(self.ceiling[idx], idx)
+        if best == -np.inf and idx.size > _DESCENT_MAX:
+            top = np.argpartition(neg, _DESCENT_MAX)[:_DESCENT_MAX]
+            self.tighten(idx[top])
+            tight = -key(self.ceiling[idx[top]], idx[top])
+            top = top[np.argpartition(tight, _DESCENT_MIN)[:_DESCENT_MIN]]
+            self.evaluate(idx[top])
+            best = max(best, float(np.max(score(idx[top]))))
+            rest = neg <= -best
+            rest[top] = False
+            idx, neg = idx[rest], neg[rest]
+        order = np.argsort(neg)
+        idx, neg = idx[order], neg[order]  # ascends
         pos, width = 0, _DESCENT_MIN
-        while pos < (end := np.searchsorted(key, -best, side="right")):  # first ceiling < best
+        while pos < (end := np.searchsorted(neg, -best, side="right")):  # first key < best
             blk = idx[pos:min(end, pos + width)]
-            self.evaluate(blk)
-            best = max(best, float(np.max(score(blk))))
             pos, width = pos + blk.size, min(2 * width, _DESCENT_MAX)
+            self.tighten(blk)
+            blk = blk[key(self.ceiling[blk], blk) >= best]
+            if blk.size:
+                self.evaluate(blk)
+                best = max(best, float(np.max(score(blk))))
 
 
 def _theorem_rhs(product, z, spec, check_zeros):
@@ -346,18 +388,22 @@ def theorem_check(product, z, spec, rtol=1e-9, check_zeros=True):
 
     The report is the one of evaluating |B'| at every point, to the bit
     (witness: the first point of largest ratio), but |B'| is evaluated only
-    where its Schwarz-Pick ceiling exceeds rhs (1 + rtol), since nowhere else
-    can the bound fail, and then in decreasing order of ceiling / rhs until
-    no ceiling left reaches the worst ratio found. A point where rhs is
-    infinite has ratio 0 and is never needed.
+    where a ceiling on it exceeds rhs (1 + rtol), since nowhere else can the
+    bound fail, and then in decreasing order of ceiling / rhs until no
+    ceiling left reaches the worst ratio found. The ceiling is the
+    Schwarz-Pick bound, lowered to the factor sum sum_k |b_k'| only at the
+    points the former lets through. A point where rhs is infinite has ratio 0
+    and is never needed.
     """
     product = _as_product(product)
     z, rhs = _theorem_rhs(product, z, spec, check_zeros)
     z, rhs = np.ravel(z), np.ravel(rhs)
     lazy = _LazyDerivative(product, z)
-    lazy.evaluate(np.flatnonzero(lazy.ceiling > rhs * (1.0 + rtol)))
+    live = np.flatnonzero(lazy.ceiling > rhs * (1.0 + rtol))
+    lazy.tighten(live)
+    lazy.evaluate(live[lazy.ceiling[live] > rhs[live] * (1.0 + rtol)])
     fin = np.flatnonzero(np.isfinite(rhs))
-    lazy.descend(fin, _ratio(lazy.ceiling[fin], rhs[fin]), lambda i: _ratio(lazy.vals[i], rhs[i]))
+    lazy.descend(fin, lambda c, i: _ratio(c, rhs[i]), lambda i: _ratio(lazy.vals[i], rhs[i]))
     lhs = lazy.vals
     ratio = _ratio(lhs, rhs)
     worst = int(np.argmax(ratio))
@@ -404,10 +450,12 @@ def envelope_fit(product, boundary_set, rho, grid):
     d^rho log+(|B'|/c1) over the whole grid, so the envelope inequality holds
     on every grid point by construction. Both are the exact grid maxima, to
     the bit, yet |B'| is evaluated only where it can set them: at the far
-    points in decreasing order of their Schwarz-Pick ceiling on |B'|, until no
-    ceiling left reaches the largest |B'| found, then at the others in
-    decreasing order of that ceiling's d^rho log+(ceiling/c1), until none left
-    reaches the largest term found. No skipped point can exceed either.
+    points in decreasing order of a ceiling on |B'|, until no ceiling left
+    reaches the largest |B'| found, then at the others in decreasing order of
+    that ceiling's d^rho log+(ceiling/c1), until none left reaches the largest
+    term found. No skipped point can exceed either. The ceiling is the
+    Schwarz-Pick bound, lowered to the factor sum sum_k |b_k'| only at the
+    points the former lets through.
     """
     product = _as_product(product)
     rho = float(rho)
@@ -421,25 +469,34 @@ def envelope_fit(product, boundary_set, rho, grid):
     d = boundary_set.distance(grid)
     if np.any(d <= 0.0):
         raise DomainError("grid touches the boundary set")
+    return _fit_envelope(product, rho, grid, d)
+
+
+def _fit_envelope(product, rho, grid, d):
+    """envelope_fit on a checked flat grid whose distances to E are d."""
     far = d >= 0.5
     if not far.any():
         raise DomainError("grid has no points with d(z, E) >= 1/2 to anchor c1")
     lazy = _LazyDerivative(product, grid)
-    vals, pw = lazy.vals, d ** rho  # a skipped point's |B'| reads 0, which adds 0 to c2
+    vals, pw = lazy.vals, d ** rho
 
     def gain(v, pw):  # d^rho log+(|B'|/c1)
         with np.errstate(divide="ignore"):
             return pw * np.maximum(np.log(v / c1, where=v > 0, out=np.full_like(v, -np.inf)), 0.0)
 
+    def bound(c, i):  # gain at a ceiling c > 0; nan (0 * inf) bounds nothing
+        with np.errstate(invalid="ignore"):
+            g = pw[i] * np.log(np.maximum(c / c1, 1.0))
+        return np.where(np.isnan(g), np.inf, g)
+
     far, near = np.flatnonzero(far), np.flatnonzero(~far)
-    lazy.descend(far, lazy.ceiling[far], lambda i: vals[i])
+    lazy.descend(far, lambda c, i: c, lambda i: vals[i])
     c1 = float(np.max(vals[far]))
-    with np.errstate(invalid="ignore"):
-        bound = gain(lazy.ceiling[near], pw[near])
-    bound = np.where(np.isnan(bound), np.inf, bound)  # nan: 0 * inf
-    keep = bound > 0.0  # c2 >= 0 already, from the far points
-    lazy.descend(near[keep], bound[keep], lambda i: gain(vals[i], pw[i]))
-    c2 = float(np.max(gain(vals, pw)))
+    near = near[lazy.ceiling[near] > c1]  # c2 >= 0 already, from the far points
+    lazy.descend(near, bound, lambda i: gain(vals[i], pw[i]))
+    # a skipped point's term is 0, which max(c2, 0) covers
+    done = np.flatnonzero(lazy.done)
+    c2 = float(np.max(gain(vals[done], pw[done])))
     return EnvelopeFit(c1=c1, c2=max(c2, 0.0), rho=rho, grid_size=int(grid.size))
 
 
@@ -452,6 +509,11 @@ def envelope_grid(boundary_set, depth=14, rays=12, ring=64):
     ring at radius 1/4 guarantees far points for the c1 anchor. Refining
     `depth` and `rays` extends the grid toward E without moving old points.
     """
+    return _envelope_grid(boundary_set, depth, rays, ring)[0]
+
+
+def _envelope_grid(boundary_set, depth, rays, ring):
+    """envelope_grid, and the distances to the set of its points."""
     anchors = list(np.atleast_1d(boundary_set.point_angles))
     for a, b in boundary_set.segments:
         anchors.extend((a, b, (a + b) / 2.0))
@@ -460,10 +522,11 @@ def envelope_grid(boundary_set, depth=14, rays=12, ring=64):
     offs = [0.0]
     for m in range(int(rays)):
         offs.extend((2.0 ** -m, -(2.0 ** -m)))
-    angles = np.asarray([a + o for a in anchors for o in offs])
+    angles = (np.asarray(anchors)[:, None] + np.asarray(offs)).ravel()
     radii = 1.0 - 0.5 ** np.arange(1, int(depth) + 1)
     pts = (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
     ring_pts = 0.25 * np.exp(2j * np.pi * np.arange(int(ring)) / int(ring))
     grid = np.concatenate([pts, ring_pts])
     d = boundary_set.distance(grid)
-    return grid[d > 0.0]
+    keep = d > 0.0
+    return grid[keep], d[keep]

@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .bounds import envelope_fit, envelope_grid, lemma_bound, lemma_check, theorem_check
+from .bounds import _envelope_grid, _fit_envelope, lemma_bound, lemma_check, theorem_check
 from .critical import critical_points, critical_sum, log_weighted_sum, protas_sum
 from .errors import BlabError
 from .fileio import (_csv, _reject_constant, atomic_write_text, canonical_json, complex_pair,
@@ -71,12 +71,14 @@ def _fields(cfg, path, required, optional):
     return out
 
 
-def _config(cfg, required, optional, side=()):
+def _config(cfg, required, optional, **side):
     """The top-level schema plus the fields every subcommand shares.
 
     `seed` is a nonnegative integer; `out` names the report and the
-    subcommand's `side` files, each a plain file name in the output
-    directory. The parsed `out` is always present.
+    subcommand's side files, each a plain file name in the output
+    directory. `side` maps each side file to its default name, or to None
+    when it is written only if named. The parsed `out` is always present,
+    with the side files' defaults filled in.
     """
     names = {name: _file_name for name in ("report", *side)}
     parsed = _fields(cfg, "config", required, dict(
@@ -84,8 +86,22 @@ def _config(cfg, required, optional, side=()):
         seed=lambda v, p: _integer(v, p, minimum=0),
         out=lambda v, p: _fields(v, p, {}, names),
     ))
-    parsed.setdefault("out", {})
+    out = parsed.setdefault("out", {})
+    for key, default in side.items():
+        if default is not None:
+            out.setdefault(key, default)
     return parsed
+
+
+def _check_out_names(out, out_dir):
+    """Reject two outputs of one name, and a name that is a directory in out_dir."""
+    seen = {}
+    for key, name in out.items():
+        if name in seen:
+            raise ConfigError(f"config.out: {seen[name]} and {key} both name {name!r}")
+        if os.path.isdir(os.path.join(out_dir, name)):
+            raise ConfigError(f"config.out.{key}: {name!r} is a directory in {out_dir}")
+        seen[name] = key
 
 
 def _number(value, path, positive=False):
@@ -216,10 +232,9 @@ def _echo(value):
     return value
 
 
-def _side(plan, out_dir, key, text, default=None):
-    """Write a side file named by out[key], else `default` (no file when both
-    are unset); return the name used."""
-    name = plan["out"].get(key, default)
+def _side(plan, out_dir, key, text):
+    """Write the side file named by out[key], if any; return the name."""
+    name = plan["out"].get(key)
     if name is not None:
         atomic_write_text(os.path.join(out_dir, name), text)
     return name
@@ -258,7 +273,8 @@ def _resolve_seed(config_seed, flag_seed, required):
 # subcommand runners: prep(cfg, base_dir) -> (plan, seeded), where `seeded`
 # says whether the experiment needs a seed; run(plan, out_dir) -> (results,
 # exit code), writing the side files through `_side`. `main` resolves
-# plan["seed"] between the two. The report's `config` is `_echo(plan)`
+# plan["seed"] and the report's name between the two, and refuses output names
+# that collide, before anything runs. The report's `config` is `_echo(plan)`
 # without `out` and the zeros read from a file, plus `threads`; `_RUNNERS`
 # gives each subcommand's inequality and whether its report records the seed.
 
@@ -267,7 +283,7 @@ def _prep_verify_lemma(cfg, base_dir):
     return _config(cfg, {
         "region": lambda v, p: _parse_region(v, p, base_dir),
         "samples": _integer,
-    }, {}, side=("csv",)), True
+    }, {}, csv=None), True
 
 
 def _run_verify_lemma(plan, out_dir):
@@ -287,7 +303,7 @@ def _prep_verify_theorem1(cfg, base_dir):
         "products": lambda v, p: _fields(v, p, {
             "count": _integer, "min_degree": _integer, "max_degree": _integer}, {}),
         "grid_points": _integer,
-    }, {"law": _parse_law}, side=("csv",))
+    }, {"law": _parse_law}, csv=None)
     prod = parsed["products"]
     if prod["min_degree"] > prod["max_degree"]:
         raise ConfigError("config.products: min_degree exceeds max_degree")
@@ -334,7 +350,8 @@ def _read_zeros_file(name, base_dir):
 
 
 def _prep_critical_points(cfg, base_dir):
-    parsed = _config(cfg, {"zeros": _string}, {}, side=("points", "residuals"))
+    parsed = _config(cfg, {"zeros": _string}, {}, points="critical_points.txt",
+                     residuals="critical_points_residuals.json")
     parsed["zero_seq"] = _read_zeros_file(parsed["zeros"], base_dir)
     return parsed, False
 
@@ -342,9 +359,9 @@ def _prep_critical_points(cfg, base_dir):
 def _run_critical_points(plan, out_dir):
     cs = critical_points(BlaschkeProduct(plan["zero_seq"]))
     points_file = _side(plan, out_dir, "points", format_zeros(
-        cs.points, header="critical points, one per line: re im"), "critical_points.txt")
+        cs.points, header="critical points, one per line: re im"))
     residuals_file = _side(plan, out_dir, "residuals", canonical_json(
-        {"residuals": [float(r) for r in cs.residuals]}), "critical_points_residuals.json")
+        {"residuals": [float(r) for r in cs.residuals]}))
     return {
         "degree": cs.degree,
         "count": cs.count,
@@ -361,7 +378,7 @@ def _prep_critical_sum(cfg, base_dir):
         "rho": _positive,
         "beta": _number,
         "eps": _positive,
-    }, {}, side=("csv",))
+    }, {}, csv=None)
     parsed["zero_seq"] = _read_zeros_file(parsed["zeros"], base_dir)
     return parsed, False
 
@@ -424,7 +441,7 @@ def _prep_means_trend(cfg, base_dir):
         "family": lambda v, p: _parse_family(v, p, base_dir),
         "p_list": _list_of(_positive, "numbers"),
         "truncations": _list_of(_integer, "integers"),
-    }, {"r_grid": _list_of(_number, "numbers")}, side=("csv",))
+    }, {"r_grid": _list_of(_number, "numbers")}, csv=None)
     r_grid = parsed.setdefault("r_grid", [0.9, 0.99, 0.999])
     if any(not 0.0 <= r < 1.0 for r in r_grid):
         raise ConfigError("config.r_grid: radii must lie in [0, 1)")
@@ -482,8 +499,8 @@ def _run_envelope_fit(plan, out_dir):
         samp = plan["sampling"]
         zeros = sample_zeros(samp["region"], samp["count"], seed=plan["seed"],
                              law=samp["law"])
-    grid = envelope_grid(plan["set"], **plan["grid"])
-    fit = envelope_fit(BlaschkeProduct(zeros), plan["set"], plan["rho"], grid)
+    grid, d = _envelope_grid(plan["set"], **plan["grid"])
+    fit = _fit_envelope(BlaschkeProduct(zeros), plan["rho"], grid, d)
     return {"c1": fit.c1, "c2": fit.c2, "rho": fit.rho, "grid_size": fit.grid_size}, 0
 
 
@@ -492,7 +509,7 @@ def _prep_region_boundary(cfg, base_dir):
         "model": _parse_model,
         "K": _positive,
         "resolution": lambda v, p: _integer(v, p, minimum=2),
-    }, {"vertex_angle": _number}, side=("csv",))
+    }, {"vertex_angle": _number}, csv="region_boundary.csv")
     parsed.setdefault("vertex_angle", 0.0)
     return parsed, False
 
@@ -500,7 +517,7 @@ def _prep_region_boundary(cfg, base_dir):
 def _run_region_boundary(plan, out_dir):
     pts = region_boundary(plan["model"], plan["K"], plan["vertex_angle"],
                           plan["resolution"])
-    csv_file = _side(plan, out_dir, "csv", points_csv(pts), "region_boundary.csv")
+    csv_file = _side(plan, out_dir, "csv", points_csv(pts))
     return {"points": int(pts.size), "csv_file": csv_file}, 0
 
 
@@ -550,6 +567,8 @@ def main(argv=None):
             raise ConfigError(f"{args.config}: invalid JSON: {exc}") from exc
         plan, seeded = prep(cfg, os.path.dirname(os.path.abspath(args.config)))
         plan["seed"] = _resolve_seed(plan.get("seed"), args.seed, seeded)
+        plan["out"].setdefault("report", f"{args.command}.json")
+        _check_out_names(plan["out"], args.out)
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
@@ -568,8 +587,7 @@ def main(argv=None):
     report = {"experiment": args.command, "config": config, "results": results}
     if inequality is not None:
         report["inequality"] = inequality
-    write_report(os.path.join(args.out, plan["out"].get("report", f"{args.command}.json")),
-                 report)
+    write_report(os.path.join(args.out, plan["out"]["report"]), report)
     return code
 
 

@@ -9,8 +9,8 @@ Every per-product quantity comes from one blocked pass over the factors
 (`_factor_blocks`): with d = a - z and r = 1/(1/conj(a) - z) the factor is
 d r / |a|, and the logarithmic derivative is
 H = B'/B = sum ((|a|^2 - 1)/conj(a)) r / d, so B' = B H. Only at points
-where B H is not finite (z equal to a zero) does the derivative fall back
-to the leave-one-out product.
+where B H is not finite (z equal to a zero, or next to a zero of tiny
+modulus) does the derivative fall back to the leave-one-out product.
 """
 from __future__ import annotations
 
@@ -215,7 +215,8 @@ class BlaschkeProduct:
     def derivative(self, z):
         """Analytic derivative B' = B H, with H = B'/B summed over the factors.
 
-        Where B H is not finite, z is a zero of the product, and the
+        Where B H is not finite (z on a zero of the product, or next to a
+        zero of tiny modulus, where B underflows and H overflows), the
         leave-one-out sum over n of b_n'(z) prod_{m!=n} b_m(z) is used on
         those points only: b_k'(a_k) prod_{j!=k} b_j(a_k) at a simple zero,
         exactly 0 at a repeated one.
@@ -227,21 +228,24 @@ class BlaschkeProduct:
         zeros = self._seq.zeros
         inv = 1.0 / self._seq.moduli[:, None]
         coef = (self._seq.moduli[:, None] ** 2 - 1.0) / np.conj(zeros)[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for sl, d, r in _factor_blocks(zeros, flat):
                 out[sl] = np.prod(d * r * inv, axis=0) * (coef * r / d).sum(axis=0)
             # one point per block: its bits do not depend on the other points
             for k in np.flatnonzero(~np.isfinite(out)):
                 (_, d, r), = _factor_blocks(zeros, flat[k:k + 1])
-                fac = d * r * inv
+                fac, der = d * r * inv, coef * r * r * inv  # b_n, and b_n' = coef_n r_n^2 / |a_n|
                 hit = d == 0.0
-                # the vanishing factor b_k gives way to b_k' = coef_k r_k^2 / |a_k|
-                fac[hit] = (coef * r * r * inv)[hit]
-                # with no vanishing factor B H failed for another reason
-                # (a zero of subnormal modulus), and the point stays nan
-                hits = hit.sum(axis=0)
-                out[k:k + 1] = np.select([hits == 1, hits > 1],
-                                         [np.prod(fac, axis=0), 0.0], np.nan)
+                if hit.sum() == 1:  # on a simple zero b_k gives way to b_k'
+                    fac[hit] = der[hit]
+                    out[k:k + 1] = np.prod(fac, axis=0)
+                elif hit.any():  # on a repeated zero
+                    out[k] = 0.0
+                else:  # next to a zero of tiny modulus B underflows and H overflows
+                    one = np.ones((1, 1), dtype=fac.dtype)
+                    before = np.cumprod(np.concatenate([one, fac[:-1]]), axis=0)
+                    after = np.cumprod(np.concatenate([one, fac[:0:-1]]), axis=0)[::-1]
+                    out[k] = np.sum(der * before * after)
         return _unscalar(out.reshape(arr.shape), scalar)
 
     def derivative_fd(self, z, h=1e-5):

@@ -232,6 +232,39 @@ class TestConfigRejection:
                 f"config error: cannot create output directory {out}: ")
         assert blocker.read_text() == ""
 
+    def test_out_names_that_collide(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"model": {"kind": "linear"}, "K": 1.0, "resolution": 4,
+                                   "out": {"report": "a.csv", "csv": "a.csv"}})
+        out = tmp_path / "out"
+        assert cli.main(["region-boundary", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: config.out: report and csv both name 'a.csv'\n")
+        assert not out.exists()
+
+    def test_out_name_that_collides_with_a_default(self, tmp_path, capsys):
+        (tmp_path / "pair.txt").write_text(PAIR_ZEROS)
+        cfg = write_cfg(tmp_path, {"zeros": "pair.txt",
+                                   "out": {"points": "critical_points_residuals.json"}})
+        out = tmp_path / "out"
+        assert cli.main(["critical-points", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("config error: config.out: points and residuals "
+                                           "both name 'critical_points_residuals.json'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out_names, name", [({"report": "d"}, "d"),
+                                                 ({}, "region_boundary.csv")],
+                             ids=["given", "default"])
+    def test_out_name_that_is_a_directory(self, out_names, name, tmp_path, capsys):
+        key = "report" if out_names else "csv"
+        cfg = write_cfg(tmp_path, {"model": {"kind": "linear"}, "K": 1.0, "resolution": 4,
+                                   "out": out_names})
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert cli.main(["region-boundary", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config.out.{key}: {name!r} is a directory in {out}\n")
+        assert [p.name for p in out.rglob("*")] == [name]
+
     def test_threads_env_validated(self, tmp_path, capsys, monkeypatch):
         cfg = write_cfg(tmp_path, lemma_cfg(samples=10))
         monkeypatch.setenv("BLAB_THREADS", "abc")

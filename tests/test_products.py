@@ -232,6 +232,18 @@ class TestProductDerivative:
                                          rel=1e-14)
         assert np.all(np.isfinite(whole)) and np.all(whole[[0, 2, 4]] != 0.0)
 
+    def test_next_to_a_zero_of_tiny_modulus(self):
+        # a - z is subnormal there: B underflows to 0 and H overflows, and the
+        # leave-one-out sum gives b_1'(z) b_2(z) b_3(z) = -1 * 0.5 * 0.9 (+ O(1e-300))
+        tiny = 1e-300
+        B = BlaschkeProduct([tiny, 0.5, 0.9 * np.exp(3j)])
+        z = tiny * (1.0 + 2.0 ** -52)
+        pts = np.asarray([0.3, z, 0.2j, tiny])
+        whole = B.derivative(pts)
+        assert whole[1] == pytest.approx(-0.45, rel=1e-14)
+        assert whole[1] == B.derivative(z) and whole[3] == B.derivative(tiny)
+        assert np.allclose(whole[[0, 2]], [B.derivative(0.3), B.derivative(0.2j)], rtol=1e-14)
+
     @pytest.mark.parametrize("deg", [40, 300])
     def test_batch_independent_bits(self, deg):
         # a point's B' has the same bits in every call that leaves no factor
