@@ -3,9 +3,12 @@
 Every check here states an inequality that is mathematically exact; what the
 functions add is bookkeeping (violation counts, worst observed ratios,
 witnesses) and honest tolerances separating closed-form arithmetic (relative
-slack 1e-12, absolute 1e-14 near zero) from anything fed by quadrature or
-root finding (1e-9). A reported violation therefore means a genuine defect
-in the surrounding code, never an expected numerical artifact.
+slack _CLOSED_RTOL = 1e-12 in schwarz_pick_check and lemma_check, absolute
+_ABS_TOL = 1e-14 near zero in three_point_check and chord_check) from anything
+fed by quadrature or root finding (_THEOREM_RTOL = 1e-9 in theorem_check).
+The tolerances are module constants, not parameters. A reported violation
+therefore means a genuine defect in the surrounding code, never an expected
+numerical artifact.
 
 Sampling is chunked with one RNG stream per chunk index, so reports are
 reproducible and independent of how chunks would be distributed across
@@ -24,6 +27,10 @@ from .regions import MEMBERSHIP_TOL, _seed_int, angular_halfwidth, in_stolz, reg
 _DRAWS = 4096  # draws per RNG stream of the lemma sampler
 _UNIT_TOL = 1e-9  # |t| = 1 validated to this
 _DESCENT_MIN, _DESCENT_MAX = 64, 4096  # points per derivative call of a descent, doubling
+_ABS_TOL = 1e-14  # absolute slack of the pointwise inequalities
+_CLOSED_RTOL = 1e-12  # relative slack of the closed-form bounds
+_THEOREM_RTOL = 1e-9  # relative slack of the derivative bound
+_WITNESSES = 10  # worst witnesses a lemma report keeps
 
 
 def _as_complex(z):
@@ -45,7 +52,7 @@ def _scalarize(vals, scalar):
 # pointwise inequalities
 
 
-def three_point_check(phi, x, y, u, tol=1e-14):
+def three_point_check(phi, x, y, u):
     """phi((x+y+u)/3) <= phi(x) + phi(y) + phi(u), up to absolute slack.
 
     True for any nondecreasing phi: the average is at most max(x, y, u).
@@ -54,18 +61,18 @@ def three_point_check(phi, x, y, u, tol=1e-14):
     scalar = x.ndim == 0 and y.ndim == 0 and u.ndim == 0
     if np.any(x < 0.0) or np.any(y < 0.0) or np.any(u < 0.0):
         raise DomainError("three_point_check needs nonnegative arguments")
-    ok = phi((x + y + u) / 3.0) <= phi(x) + phi(y) + phi(u) + tol
+    ok = phi((x + y + u) / 3.0) <= phi(x) + phi(y) + phi(u) + _ABS_TOL
     return bool(np.asarray(ok)[()]) if scalar else ok
 
 
-def chord_check(z, lam, t, tol=1e-14):
-    """|t - z| <= 2 |t - z |lam|| for |z| < 1, |lam| < 1, |t| = 1."""
+def chord_check(z, lam, t):
+    """|t - z| <= 2 |t - z |lam|| for |z| < 1, |lam| < 1, |t| = 1, up to absolute slack."""
     z, lam = _as_complex(z), _as_complex(lam)
     t = _check_unit(t)
     scalar = z.ndim == 0 and lam.ndim == 0 and t.ndim == 0
     if np.any(np.abs(z) >= 1.0) or np.any(np.abs(lam) >= 1.0):
         raise DomainError("z and lam must lie strictly inside the disk")
-    ok = np.abs(t - z) <= 2.0 * np.abs(t - z * np.abs(lam)) + tol
+    ok = np.abs(t - z) <= 2.0 * np.abs(t - z * np.abs(lam)) + _ABS_TOL
     return bool(np.asarray(ok)[()]) if scalar else ok
 
 
@@ -117,14 +124,14 @@ def schwarz_pick_bound(product, z):
     return _scalarize(vals, scalar)
 
 
-def schwarz_pick_check(product, z, rtol=1e-12):
+def schwarz_pick_check(product, z):
     """|B'(z)| <= (1 - |B(z)|^2)/(1 - |z|^2), with relative slack."""
     product = _as_product(product)
     z = _as_complex(z)
     scalar = z.ndim == 0
     lhs = np.abs(product.derivative(z))
     rhs = schwarz_pick_bound(product, z)
-    ok = lhs <= rhs * (1.0 + rtol)
+    ok = lhs <= rhs * (1.0 + _CLOSED_RTOL)
     return bool(np.asarray(ok)[()]) if scalar else ok
 
 
@@ -173,13 +180,14 @@ def _require_vertex(spec):
     return complex(np.exp(1j * angles[0]))
 
 
-def lemma_check(spec, n_samples, seed, rtol=1e-12, keep=10):
+def lemma_check(spec, n_samples, seed):
     """Sample (z, lam) with lam in the vertex region; verify the 2C+K bound.
 
     lam radii come from rejection on the admissibility condition
     phi(u) <= K u, angles uniform in the exact angular window at each
     admissible radius; z is uniform on the disk. Report counts violations of
-    lemma_lhs <= (2C+K)(1+rtol) and keeps the worst `keep` witnesses.
+    lemma_lhs <= (2C+K)(1 + _CLOSED_RTOL) and keeps the _WITNESSES = 10 worst
+    witnesses.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
@@ -196,7 +204,7 @@ def lemma_check(spec, n_samples, seed, rtol=1e-12, keep=10):
     accepted = 0
     drawn = 0
     violations = 0
-    best = []  # (ratio, z, t, lam) candidates, pruned to `keep`
+    best = []  # (ratio, z, t, lam) candidates, pruned to _WITNESSES
     max_draws = max(512 * n_samples, 1 << 22)
     chunk_index = 0
     while accepted < n_samples:
@@ -222,11 +230,11 @@ def lemma_check(spec, n_samples, seed, rtol=1e-12, keep=10):
         z = zr * np.exp(1j * zth)
         lhs = lemma_lhs(z, t, lam, phi)
         ratio = lhs / bound
-        violations += int(np.count_nonzero(lhs > bound * (1.0 + rtol)))
-        top = np.argsort(ratio)[-keep:]
+        violations += int(np.count_nonzero(lhs > bound * (1.0 + _CLOSED_RTOL)))
+        top = np.argsort(ratio)[-_WITNESSES:]
         best.extend(_witness(ratio[i], z[i], t, lam[i]) for i in top)
         best.sort(key=lambda w: -w["ratio"])
-        best = best[:keep]
+        best = best[:_WITNESSES]
         accepted += take
     return BoundReport(
         samples=accepted,
@@ -383,14 +391,14 @@ def _ratio(lhs, rhs):
         return np.where(np.isinf(rhs), 0.0, lhs / rhs)
 
 
-def theorem_check(product, z, spec, rtol=1e-9, check_zeros=True):
+def theorem_check(product, z, spec, check_zeros=True):
     """Violation count and worst ratio of the derivative bound over points z.
 
     The report is the one of evaluating |B'| at every point, to the bit
     (witness: the first point of largest ratio), but |B'| is evaluated only
-    where a ceiling on it exceeds rhs (1 + rtol), since nowhere else can the
-    bound fail, and then in decreasing order of ceiling / rhs until no
-    ceiling left reaches the worst ratio found. The ceiling is the
+    where a ceiling on it exceeds rhs (1 + _THEOREM_RTOL), since nowhere else
+    can the bound fail, and then in decreasing order of ceiling / rhs until
+    no ceiling left reaches the worst ratio found. The ceiling is the
     Schwarz-Pick bound, lowered to the factor sum sum_k |b_k'| only at the
     points the former lets through. A point where rhs is infinite has ratio 0
     and is never needed.
@@ -399,9 +407,9 @@ def theorem_check(product, z, spec, rtol=1e-9, check_zeros=True):
     z, rhs = _theorem_rhs(product, z, spec, check_zeros)
     z, rhs = np.ravel(z), np.ravel(rhs)
     lazy = _LazyDerivative(product, z)
-    live = np.flatnonzero(lazy.ceiling > rhs * (1.0 + rtol))
+    live = np.flatnonzero(lazy.ceiling > rhs * (1.0 + _THEOREM_RTOL))
     lazy.tighten(live)
-    lazy.evaluate(live[lazy.ceiling[live] > rhs[live] * (1.0 + rtol)])
+    lazy.evaluate(live[lazy.ceiling[live] > rhs[live] * (1.0 + _THEOREM_RTOL)])
     fin = np.flatnonzero(np.isfinite(rhs))
     lazy.descend(fin, lambda c, i: _ratio(c, rhs[i]), lambda i: _ratio(lazy.vals[i], rhs[i]))
     lhs = lazy.vals
@@ -412,7 +420,7 @@ def theorem_check(product, z, spec, rtol=1e-9, check_zeros=True):
                "lhs": float(lhs[worst]), "rhs": float(rhs[worst])}
     return BoundReport(
         samples=int(lhs.size),
-        violations=int(np.count_nonzero(lhs > rhs * (1.0 + rtol))),
+        violations=int(np.count_nonzero(lhs > rhs * (1.0 + _THEOREM_RTOL))),
         worst_ratio=float(ratio[worst]),
         worst_witness=witness,
     )
@@ -459,8 +467,8 @@ def envelope_fit(product, boundary_set, rho, grid):
     """
     product = _as_product(product)
     rho = float(rho)
-    if rho <= 0.0:
-        raise DomainError("rho must be positive")
+    if not 0.0 < rho < np.inf:
+        raise DomainError("rho must be positive and finite")
     grid = _as_complex(grid).ravel()
     if grid.size == 0:
         raise DomainError("empty fitting grid")

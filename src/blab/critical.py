@@ -32,6 +32,9 @@ from .products import _BLOCK, ZeroSequence, _as_product, _factor_blocks
 _INTERIOR_EDGE = 1e-12  # |root| < 1 - this counts as interior
 _RESIDUAL_MAX = 1e-8
 _FLOOR_FACTOR = 4.0  # a residual this close to the float64 floor is a float64 limit
+_MAX_SWEEPS = 500  # simultaneous-iteration sweeps before the solver gives up
+_STEP_TOL = 1e-12  # an estimate freezes at a step under this times 1 + |w|
+_POLISH_STEPS = 60  # Newton steps of the final polish
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +132,7 @@ def _geometric_seeds(unique):
     return _hyperbolic_midpoints(unique[ring[:-1]], unique[ring[1:]])
 
 
-def _aberth_free_points(unique, mult, max_iter=500, step_tol=1e-12):
+def _aberth_free_points(unique, mult):
     """The u-1 free critical points, by reflected-pair simultaneous iteration.
 
     B(1/conj(z)) = 1/conj(B(z)) makes the 2u-2 roots of W come in pairs
@@ -138,7 +141,7 @@ def _aberth_free_points(unique, mult, max_iter=500, step_tol=1e-12):
     Aberth repulsion as an implicit partner (an estimate at 0 has its partner
     at infinity, which adds nothing). An estimate that leaves the disk is
     folded back by reflection, and one whose step falls below
-    step_tol * (1 + |w|) is frozen while it keeps repelling the others.
+    _STEP_TOL * (1 + |w|) is frozen while it keeps repelling the others.
     Seeds come from the zeros' geometry (`_geometric_seeds`): by Walsh's
     theorem the critical points lie in the hyperbolic hull of the zeros.
 
@@ -146,7 +149,7 @@ def _aberth_free_points(unique, mult, max_iter=500, step_tol=1e-12):
     """
     w = _geometric_seeds(unique)
     live = np.ones(w.size, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(_MAX_SWEEPS):
         idx = np.flatnonzero(live)
         z = w[idx]
         with np.errstate(all="ignore"):
@@ -161,16 +164,16 @@ def _aberth_free_points(unique, mult, max_iter=500, step_tol=1e-12):
         out = np.abs(nxt) > 1.0
         nxt[out] = 1.0 / np.conj(nxt[out])  # fold back inside by reflection
         w[idx] = nxt
-        live[idx] = stalled | (np.abs(step) >= step_tol * (1.0 + np.abs(nxt)))
+        live[idx] = stalled | (np.abs(step) >= _STEP_TOL * (1.0 + np.abs(nxt)))
         if not live.any():
             break
     return w, int(live.sum())
 
 
-def _newton_on_h(unique, mult, points, max_iter=60):
+def _newton_on_h(unique, mult, points):
     """Polish free critical points on H = B'/B, which evaluates stably."""
     pts = np.array(points, dtype=np.complex128)
-    for _ in range(max_iter):
+    for _ in range(_POLISH_STEPS):
         h, hp, _ = _pole_sums(unique, mult, pts)
         with np.errstate(all="ignore"):
             step = h / hp
@@ -207,7 +210,7 @@ def _sorted_critical(points):
     return pts[order]
 
 
-def critical_points(product, max_iter=500):
+def critical_points(product):
     """All n-1 interior critical points of a degree-n product.
 
     Repeated zeros contribute themselves exactly; the free points come from
@@ -225,12 +228,12 @@ def critical_points(product, max_iter=500):
     if len(unique) == 1:
         free = np.asarray([], dtype=np.complex128)
     else:
-        raw, live = _aberth_free_points(unique, mult, max_iter=max_iter)
+        raw, live = _aberth_free_points(unique, mult)
         inside = raw[np.abs(raw) < 1.0 - _INTERIOR_EDGE]
         free = _newton_on_h(unique, mult, inside)
         free = free[np.abs(free) < 1.0 - _INTERIOR_EDGE]
         if live:
-            stalled = (f"simultaneous iteration did not converge within {max_iter} sweeps: "
+            stalled = (f"simultaneous iteration did not converge within {_MAX_SWEEPS} sweeps: "
                        f"{live} of {raw.size} estimates still moving")
             if free.size != len(unique) - 1:
                 raise RootFindingError(
@@ -350,8 +353,8 @@ def critical_sum(cs, boundary_set, rho, beta, eps):
     """Series sum (1 - |z'|) d(z', E)^max(rho - beta + eps, 0) over critical points."""
     pts = _point_array(cs)
     rho, beta, eps = float(rho), float(beta), float(eps)
-    if rho <= 0.0 or eps <= 0.0:
-        raise DomainError("rho and eps must be positive")
+    if not (0.0 < rho < np.inf and 0.0 < eps < np.inf and np.isfinite(beta)):
+        raise DomainError("rho and eps must be positive and finite, and beta finite")
     expo = max(rho - beta + eps, 0.0)
     gaps = 1.0 - np.abs(pts)
     d = boundary_set.distance(pts) if pts.size else np.asarray([])

@@ -18,14 +18,15 @@ P_t(x) = (1 - t^2)/(1 - 2t cos x + t^2). The nodes are
 theta_j = Phi^-1(Phi(0) + 2 pi j/N) and the weights 1/Phi'(theta_j): half the
 nodes follow the zeros, half stay uniform. The map is needed only where the
 uniform rule fails: its error from the nearest pole falls like
-exp(-N (1 - r|a|)), so a circle whose default start count
+exp(-N (1 - r|a|)), so a circle whose start count
 N = max(64, 16 degree) has N min_k (1 - r|a_k|) >= 40 takes lam = 0, the
 uniform rule, and every other circle lam = 1/2. The bound only picks the rule;
 doubling validates both alike. Bergman integrals use
 Gauss-Legendre on the geometric radial panels [1 - 2^-j, 1 - 2^-(j+1)], down
 past the smallest gap 1 - |a|, with the mapped angular rule on every radius.
 
-Quadrature is validated by node doubling on every call. The s-grid at 2N
+Quadrature is validated by node doubling on every call, from fixed start
+counts under a node cap: no function takes a node count. The s-grid at 2N
 holds the one at N, so a Hardy pass evaluates B' only at its new nodes; a
 Bergman pass has new radii throughout. A doubling disagreement above 1e-4
 relative signals an under-resolved rule, not a subtle accuracy loss, and is a
@@ -46,13 +47,12 @@ from .products import _as_product
 
 _DOUBLING_GATE = 1e-4
 _DOUBLING_TARGET = 1e-6
-# Node budget of automatic doubling: no pass evaluates more nodes than this
-# (explicit node counts aside).
+# Node budget of the doubling: no pass evaluates more nodes than this.
 _NODE_CAP = 1 << 21
 # Share lam of the angular nodes that follow the zeros' Poisson kernels on
 # a circle that needs the map.
 _MAP_WEIGHT = 0.5
-# A circle needs it where the default start count N leaves the nearest pole
+# A circle needs it where the start count N leaves the nearest pole
 # unresolved: N min_k (1 - r|a_k|) < _RESOLVED, a trapezoid error over e^-40.
 _RESOLVED = 40.0
 # Zero-node pairs per block of the map, so that its block temporaries stay
@@ -70,7 +70,7 @@ _TWO_PI = 2.0 * np.pi
 
 
 def _start_nodes(product):
-    """The default angular start count, max(64, 16 per degree)."""
+    """The angular start count, max(64, 16 per degree)."""
     return max(64, 16 * product.degree)
 
 
@@ -82,7 +82,7 @@ class _PoissonMap:
     e^{ix/2} = c + ih, 1 - t cos x = (1 - t) + 2t h^2 and
     1 - 2t cos x + t^2 = (1 - t)^2 + 4t h^2, with 1 - t = (1 - r) + r(1 - |a|),
     so both keep their digits next to a zero. lam is a property of the
-    circle: 1/2 where the default start count leaves the nearest pole
+    circle: 1/2 where the start count leaves the nearest pole
     unresolved, else 0, where Phi is the identity and no zero is summed.
     """
 
@@ -210,16 +210,15 @@ def _weighted_powers(product, ps, r, theta, dphi):
     return [np.sum(size ** p / dphi, axis=1) for p in ps]
 
 
-def _doubled(rule, size, counts, auto, what, where=""):
+def _doubled(rule, size, counts, what, where=""):
     """rule(*counts) validated by doubling every node count, at the finest pass run.
 
-    size(*counts) gives the node counts of a pass, one per dimension. With
-    auto set, a start whose validating pass exceeds the node cap is a
-    resolution failure before any evaluation, and the counts keep doubling
-    until two passes agree to 1e-6 relative or the next pass would exceed
-    the cap; otherwise one doubling decides. A last disagreement above 1e-4
-    is a resolution failure, naming the `what` that moved and the node
-    counts of the last pass.
+    size(*counts) gives the node counts of a pass, one per dimension. A
+    start whose validating pass exceeds the node cap is a resolution failure
+    before any evaluation; otherwise the counts keep doubling until two
+    passes agree to 1e-6 relative or the next pass would exceed the cap. A
+    last disagreement above 1e-4 is a resolution failure, naming the `what`
+    that moved and the node counts of the last pass.
     """
     def nodes(c):
         return " x ".join(str(k) for k in size(*c))
@@ -228,7 +227,7 @@ def _doubled(rule, size, counts, auto, what, where=""):
         return math.prod(size(*c)) > _NODE_CAP
 
     fine_counts = [2 * c for c in counts]
-    if auto and over(fine_counts):
+    if over(fine_counts):
         raise ResolutionError(
             f"node doubling of the {what}{where} would start at {nodes(counts)} nodes "
             f"and validate at {nodes(fine_counts)}, beyond the node cap {_NODE_CAP}"
@@ -237,36 +236,35 @@ def _doubled(rule, size, counts, auto, what, where=""):
     while True:
         fine = rule(*fine_counts)
         rel = abs(fine - coarse) / max(abs(fine), np.finfo(float).tiny)
-        if not auto or rel <= _DOUBLING_TARGET or over([2 * c for c in fine_counts]):
+        if rel <= _DOUBLING_TARGET or over([2 * c for c in fine_counts]):
             break
         coarse, fine_counts = fine, [2 * c for c in fine_counts]
     if rel > _DOUBLING_GATE:
         raise ResolutionError(
             f"node doubling moved the {what} by {rel:.3g} relative{where} on a pass of "
-            f"{nodes(fine_counts)} nodes; increase nodes"
+            f"{nodes(fine_counts)} nodes"
         )
     return fine
 
 
-def hardy_mean(product, p, r, nodes=None):
+def hardy_mean(product, p, r):
     """(1/2pi integral |B'(r e^{i theta})|^p dtheta)^(1/p), doubling-validated.
 
     p is a positive finite exponent or a sequence of them; a sequence gives
     the list of means. r = 0 collapses to |B'(0)|. The angular rule is the Poisson-mapped
     trapezoid rule of the module docstring; each doubling evaluates B' only
-    at the new nodes, once for every exponent. With nodes unset, the count
-    starts at max(64, 16 per degree) and doubles until the validation step
-    moves the mean by under 1e-6 relative (|B'|^p has cusps at critical
+    at the new nodes, once for every exponent. The node count is automatic:
+    it starts at max(64, 16 per degree) and doubles until the validation
+    step moves the mean by under 1e-6 relative (|B'|^p has cusps at critical
     points for p < 1, which slow the rule from spectral to algebraic) or the
     next pass would exceed the node cap; a start whose doubled pass would
     exceed the cap, or a circle within the float64 floor of a zero
     (1 - r|a| under eps/1e-6), is a resolution failure before any
-    evaluation. Explicit node counts are honored as given. The returned value
-    is the doubled-node one; disagreement above 1e-4 is a resolution failure
-    that names the radius and the node count. Each exponent runs its own
-    doubling over the shared passes, so its mean and its failure are those of
-    a call with that exponent alone, and a sequence raises the failure of the
-    first exponent that fails.
+    evaluation. The returned value is the doubled-node one; disagreement
+    above 1e-4 is a resolution failure that names the radius and the node
+    count. Each exponent runs its own doubling over the shared passes, so its
+    mean and its failure are those of a call with that exponent alone, and a
+    sequence raises the failure of the first exponent that fails.
     """
     product = _as_product(product)
     exponents = [float(q) for q in np.ravel(p)]
@@ -274,25 +272,19 @@ def hardy_mean(product, p, r, nodes=None):
     # a call per exponent checks its exponent before the circle and fails
     # after the exponents before it have run
     valid = next((i for i, q in enumerate(exponents) if not 0.0 < q < math.inf), len(exponents))
-    means = _circle_means(product, exponents[:valid], r, nodes) if valid else []
+    means = _circle_means(product, exponents[:valid], r) if valid else []
     if valid < len(exponents):
         raise DomainError("exponent p must be positive and finite")
     return means if np.ndim(p) else means[0]
 
 
-def _circle_means(product, ps, r, nodes):
+def _circle_means(product, ps, r):
     """hardy_mean for positive exponents ps, in order, from one set of passes."""
     if not 0.0 <= r < 1.0:
         raise DomainError("radius must lie in [0, 1)")
     if r == 0.0:
         return [float(abs(product.derivative(0.0)))] * len(ps)
-    floor = _start_nodes(product)
-    auto = nodes is None
-    nodes = floor if auto else int(nodes)
-    if nodes < floor:
-        raise DomainError(
-            f"nodes = {nodes} under-resolves degree {product.degree}; need at least {floor}"
-        )
+    nodes = _start_nodes(product)
     _require_evaluable(product, r, f" at r = {r}")
     radius = np.array([r])
     grid, passes = None, []  # passes[k]: the new nodes' sum for every exponent
@@ -319,7 +311,7 @@ def _circle_means(product, ps, r, nodes):
 
         return mean
 
-    return [_doubled(rule(i), lambda n: (n,), [nodes], auto, "mean",
+    return [_doubled(rule(i), lambda n: (n,), [nodes], "mean",
                      f" for degree {product.degree} at r = {r}") for i in range(len(ps))]
 
 
@@ -332,25 +324,24 @@ def _radial_panels(product):
     return np.asarray(ends + [0.0])
 
 
-def bergman_integral(product, p, radial_nodes=None, angular_nodes=None):
+def bergman_integral(product, p):
     """integral over the disk of |B'|^p dA (plain Lebesgue area), doubling-validated.
 
     Gauss-Legendre in radius against the weight r on the geometric panels of
     the module docstring, and the mapped trapezoid rule in angle on every
-    radius. `radial_nodes` is the total radial count: each panel gets
-    ceil(radial_nodes / panels) nodes, so a pass may hold a few more than
-    asked, and a failure names the counts actually used (radial x angular).
-    Defaults: max(64, 2 per degree) radial and max(64, 16 per degree)
-    angular; both double on every pass. A zero whose gap 1 - |a| is under
-    the float64 floor of `hardy_mean` is a resolution failure before any
-    evaluation. For a degree-1 product at p = 2 the value is the area of the
-    image disk, pi exactly.
+    radius. The node counts are automatic and double on every pass, as in
+    `hardy_mean`: the radial count starts at max(64, 2 per degree) in total,
+    and each panel gets ceil(count / panels) nodes, so a pass may hold a few
+    more; the angular count starts at max(64, 16 per degree). A failure
+    names the counts actually used (radial x angular). A zero whose gap
+    1 - |a| is under the float64 floor of `hardy_mean` is a resolution
+    failure before any evaluation. For a degree-1 product at p = 2 the value
+    is the area of the image disk, pi exactly.
     """
     product = _as_product(product)
     p = float(p)
     if not 0.0 < p < math.inf:
         raise DomainError("exponent p must be positive and finite")
-    auto = radial_nodes is None and angular_nodes is None
     _require_evaluable(product, 1.0, " as r -> 1")
     ends = _radial_panels(product)
     panels = ends.size - 1
@@ -368,14 +359,8 @@ def bergman_integral(product, p, radial_nodes=None, angular_nodes=None):
         sums = _weighted_powers(product, [p], grid.r, grid.theta, grid.dphi)[0]
         return float(np.sum((half * w).ravel() * r * sums) * _TWO_PI / na)
 
-    if radial_nodes is None:
-        radial_nodes = max(64, 2 * product.degree)
-    if angular_nodes is None:
-        angular_nodes = _start_nodes(product)
-    nr, na = int(radial_nodes), int(angular_nodes)
-    if min(nr, na) < 64:
-        raise DomainError("node counts must be at least 64")
-    return _doubled(tensor, size, [nr, na], auto, "integral", f" for degree {product.degree}")
+    starts = [max(64, 2 * product.degree), _start_nodes(product)]
+    return _doubled(tensor, size, starts, "integral", f" for degree {product.degree}")
 
 
 @dataclass(frozen=True)
@@ -404,7 +389,7 @@ class MeansTable:
         raise KeyError((n, p, r))
 
 
-def hp_trend(family, p, truncations, r_grid, nodes=None):
+def hp_trend(family, p, truncations, r_grid):
     """Hardy means of B' across truncations of a zero family.
 
     family maps a truncation N to its first N zeros and is sampled once per
@@ -433,13 +418,13 @@ def hp_trend(family, p, truncations, r_grid, nodes=None):
     means = []
     for i, (n, product, r) in enumerate(circles()):
         try:
-            means.append((n, r, hardy_mean(product, ps, r, nodes=nodes)))
+            means.append((n, r, hardy_mean(product, ps, r)))
         except BlabError:
             # some exponent fails here; one that comes before it may fail on a
             # later circle, so replay exponent by exponent to raise that first
             for q in ps:
                 for _, later, radius in itertools.islice(circles(), i, None):
-                    hardy_mean(later, q, radius, nodes=nodes)
+                    hardy_mean(later, q, radius)
             raise
     return MeansTable([(n, q, r, vals[j]) for j, q in enumerate(ps) for n, r, vals in means])
 

@@ -218,8 +218,8 @@ class BlaschkeProduct:
         Where B H is not finite (z on a zero of the product, or next to a
         zero of tiny modulus, where B underflows and H overflows), the
         leave-one-out sum over n of b_n'(z) prod_{m!=n} b_m(z) is used on
-        those points only: b_k'(a_k) prod_{j!=k} b_j(a_k) at a simple zero,
-        exactly 0 at a repeated one.
+        those points only: at a simple zero a_k it is
+        b_k'(a_k) prod_{j!=k} b_j(a_k), and at a repeated one exactly 0.
         """
         arr, scalar = _complexify(z)
         _require_closed_disk(arr)
@@ -235,17 +235,10 @@ class BlaschkeProduct:
             for k in np.flatnonzero(~np.isfinite(out)):
                 (_, d, r), = _factor_blocks(zeros, flat[k:k + 1])
                 fac, der = d * r * inv, coef * r * r * inv  # b_n, and b_n' = coef_n r_n^2 / |a_n|
-                hit = d == 0.0
-                if hit.sum() == 1:  # on a simple zero b_k gives way to b_k'
-                    fac[hit] = der[hit]
-                    out[k:k + 1] = np.prod(fac, axis=0)
-                elif hit.any():  # on a repeated zero
-                    out[k] = 0.0
-                else:  # next to a zero of tiny modulus B underflows and H overflows
-                    one = np.ones((1, 1), dtype=fac.dtype)
-                    before = np.cumprod(np.concatenate([one, fac[:-1]]), axis=0)
-                    after = np.cumprod(np.concatenate([one, fac[:0:-1]]), axis=0)[::-1]
-                    out[k] = np.sum(der * before * after)
+                one = np.ones((1, 1), dtype=fac.dtype)
+                before = np.cumprod(np.concatenate([one, fac[:-1]]), axis=0)
+                after = np.cumprod(np.concatenate([one, fac[:0:-1]]), axis=0)[::-1]
+                out[k] = np.sum(der * before * after)
         return _unscalar(out.reshape(arr.shape), scalar)
 
     def derivative_fd(self, z, h=1e-5):

@@ -325,8 +325,8 @@ class BoundarySet:
     def neighborhood_measure(self, x):
         """Normalized arclength of the open chordal x-neighborhood on the circle."""
         x = float(x)
-        if x <= 0.0:
-            raise DomainError("neighborhood radius must be positive")
+        if not 0.0 < x < math.inf:
+            raise DomainError("neighborhood radius must be positive and finite")
         if x >= 2.0:
             return 1.0
         delta = 2.0 * math.asin(x / 2.0)
@@ -355,7 +355,7 @@ def _type_beta(boundary_set, x_grid=None):
     grid = default_beta_grid() if x_grid is None else np.asarray(x_grid, dtype=np.float64)
     if grid.size < 4:
         raise DomainError("beta estimation needs at least 4 grid values")
-    if np.any(grid <= 0.0) or np.any(grid >= 1.0):
+    if not np.all((0.0 < grid) & (grid < 1.0)):
         raise DomainError("beta grid values must lie in (0, 1)")
     if np.any(np.diff(grid) >= 0.0):
         raise DomainError("beta grid must be strictly decreasing")
@@ -392,8 +392,8 @@ class StolzSpec:
         return cls(phi, BoundarySet.from_points([angle]), float(k_const))
 
 
-def in_stolz(lam, spec, tol=MEMBERSHIP_TOL):
-    """Membership test phi(d(lam, E)) <= K (1 - |lam|), with relative slack tol."""
+def in_stolz(lam, spec):
+    """Membership test phi(d(lam, E)) <= K (1 - |lam|), with relative slack MEMBERSHIP_TOL."""
     arr = np.asarray(lam, dtype=np.complex128)
     scalar = arr.ndim == 0
     r = np.abs(arr)
@@ -401,7 +401,7 @@ def in_stolz(lam, spec, tol=MEMBERSHIP_TOL):
         raise DomainError("membership is defined strictly inside the unit disk")
     lhs = spec.phi(spec.boundary.distance(arr))
     rhs = spec.k_const * (1.0 - r)
-    ok = lhs <= rhs + tol * np.maximum(lhs, rhs)
+    ok = lhs <= rhs + MEMBERSHIP_TOL * np.maximum(lhs, rhs)
     return bool(np.asarray(ok)[()]) if scalar else ok
 
 
@@ -597,9 +597,11 @@ def region_boundary(phi, k_const, vertex_angle, resolution):
     the outermost sign change located by bisection. Every returned point
     satisfies the defining equation to about 1e-9.
     """
-    resolution = int(resolution)
+    resolution, k_const = int(resolution), float(k_const)
     if resolution < 2:
         raise DomainError("resolution must be at least 2")
+    if not 0.0 < k_const < math.inf:
+        raise DomainError("aperture constant must be positive and finite")
     if region_is_empty(phi, k_const):
         raise EmptyRegionError(f"region is empty: slope-one gauge with K = {k_const} < 1")
     t = np.exp(1j * float(vertex_angle))

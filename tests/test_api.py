@@ -1,5 +1,6 @@
 """The public surface: the exported names, the README quick start, the imports."""
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -25,6 +26,67 @@ EXPORTS = [
     "write_report", "write_zeros",
 ]
 
+# the parameter names of every exported callable; an exception class that
+# keeps the built-in constructor has none to pin
+PARAMETERS = {
+    "BlaschkeProduct": "zeros",
+    "BoundReport": "samples, violations, worst_ratio, worst_witness, worst_k",
+    "BoundarySet": "arcs, points, cantor",
+    "CriticalSet": "points, residuals, degree",
+    "EnvelopeFit": "c1, c2, rho, grid_size",
+    "GeometricLaw": "ratio",
+    "MeansTable": "rows",
+    "ModelFunction": "kind, param",
+    "PowerLaw": "exponent, scale",
+    "RootFindingError": "message, partial",
+    "StolzSpec": "phi, boundary, k_const",
+    "SumSeries": "terms",
+    "ZeroSequence": "zeros",
+    "angular_halfwidth": "phi, k_const, u",
+    "argument_principle_count": "product, r, nodes",
+    "atomic_write_text": "path, text",
+    "bergman_integral": "product, p",
+    "blaschke_factor": "z, zero",
+    "blaschke_sum": "zeros",
+    "canonical_json": "payload",
+    "chord_check": "z, lam, t",
+    "complex_pair": "z",
+    "critical_points": "product",
+    "critical_sum": "cs, boundary_set, rho, beta, eps",
+    "envelope_fit": "product, boundary_set, rho, grid",
+    "envelope_grid": "boundary_set, depth, rays, ring",
+    "factor_derivative": "z, zero",
+    "format_zeros": "zeros, header",
+    "hardy_mean": "product, p, r",
+    "hp_trend": "family, p, truncations, r_grid",
+    "in_stolz": "lam, spec",
+    "lemma_bound": "phi, k_const",
+    "lemma_check": "spec, n_samples, seed",
+    "lemma_lhs": "z, t, lam, phi",
+    "log_weighted_sum": "cs, eps",
+    "means_csv": "table",
+    "parse_zero_line": "line",
+    "points_csv": "points",
+    "protas_sum": "zeros, r",
+    "radial_geometric_family": "ratio",
+    "read_boundary": "path",
+    "read_zeros": "path",
+    "region_boundary": "phi, k_const, vertex_angle, resolution",
+    "region_is_empty": "phi, k_const",
+    "sample_zeros": "spec, n, seed, law",
+    "schwarz_pick_bound": "product, z",
+    "schwarz_pick_check": "product, z",
+    "series_csv": "series",
+    "theorem_bound": "product, z, spec, check_zeros",
+    "theorem_check": "product, z, spec, check_zeros",
+    "three_point_check": "phi, x, y, u",
+    "truncation_tail": "tail, z",
+    "type_beta": "boundary_set, x_grid",
+    "write_boundary": "path, boundary_set",
+    "write_report": "path, payload",
+    "write_zeros": "path, zeros, header",
+}
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -32,6 +94,18 @@ def test_exported_names_are_pinned():
     assert sorted(blab.__all__) == EXPORTS
     for name in blab.__all__:
         getattr(blab, name)
+
+
+def test_exported_parameters_are_pinned():
+    got = {}
+    for name in blab.__all__:
+        obj = getattr(blab, name)
+        if not callable(obj) or (isinstance(obj, type) and issubclass(obj, BaseException)
+                                 and "__init__" not in vars(obj)):
+            continue
+        got[name] = ", ".join(str(p.replace(default=p.empty, annotation=p.empty))
+                              for p in inspect.signature(obj).parameters.values())
+    assert got == PARAMETERS
 
 
 def test_readme_quick_start_runs():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import blab.bounds
 from blab import (
     BlaschkeProduct,
     BoundReport,
@@ -161,8 +162,8 @@ class TestLemmaSampled:
 
     def test_witness_list_sorted_and_capped(self):
         spec = StolzSpec.at_vertex(ModelFunction.truncated_power(2.0), 0.0, 1.0)
-        rep = lemma_check(spec, 3000, seed=7, keep=6)
-        assert len(rep.worst_k) == 6
+        rep = lemma_check(spec, 3000, seed=7)
+        assert len(rep.worst_k) == 10
         ratios = [w["ratio"] for w in rep.worst_k]
         assert ratios == sorted(ratios, reverse=True)
         assert rep.worst_witness == rep.worst_k[0]
@@ -348,6 +349,14 @@ class TestEnvelope:
             envelope_fit(self.p, self.E, 1.0, np.array([1.0 + 0j, 0.1j]))
         with pytest.raises(DomainError, match="c1"):
             envelope_fit(self.p, self.E, 1.0, np.array([0.999 + 0j]))
+
+    @pytest.mark.parametrize("rho", [np.nan, np.inf])
+    def test_non_finite_rho_is_refused(self, rho):
+        # nan would fit c2 = nan; inf would warn on 0 * inf and do the same
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite"):
+                envelope_fit(self.p, self.E, rho, envelope_grid(self.E))
 
     def test_envelope_evaluation(self):
         fit = envelope_fit(self.p, self.E, 2.0, envelope_grid(self.E))
@@ -564,10 +573,11 @@ def full_check(product, z, spec, rtol=1e-9, check_zeros=True):
                        worst_ratio=float(ratio[worst]), worst_witness=witness)
 
 
-def same_check(product, z, spec, **kw):
-    """theorem_check's report is the full evaluation's; repr tells nan, -0.0 and every bit."""
+def same_check(product, z, spec, rtol=1e-9, **kw):
+    """theorem_check's report is the full evaluation's at tolerance rtol; repr tells
+    nan, -0.0 and every bit."""
     got = theorem_check(product, z, spec, **kw)
-    assert repr(got) == repr(full_check(product, z, spec, **kw))
+    assert repr(got) == repr(full_check(product, z, spec, rtol=rtol, **kw))
     return got
 
 
@@ -614,7 +624,8 @@ class TestTheoremPruning:
         assert rep.worst_ratio == 0.0 and rep.worst_witness["lhs"] > 0.0
 
     @pytest.mark.parametrize("rtol", [-0.5, -1.0, -3.0])
-    def test_negative_rtol_forces_violations(self, rtol):
+    def test_negative_rtol_forces_violations(self, rtol, monkeypatch):
+        monkeypatch.setattr(blab.bounds, "_THEOREM_RTOL", rtol)
         spec = StolzSpec(ModelFunction.truncated_power(2.0), ARC, 1.0)
         product, grid = next(theorem_products(spec, 2))
         rep = same_check(product, grid, spec, rtol=rtol, check_zeros=False)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import blab.critical
 from blab import (
     BlaschkeProduct,
     ContourError,
@@ -150,11 +151,12 @@ class TestCriticalPoints:
         assert "float64 floor spacing(|c|)*|B''(c)|" in msg
         assert "float64 limit" in msg
 
-    def test_sweep_cap_names_live_estimates(self):
+    def test_sweep_cap_names_live_estimates(self, monkeypatch):
+        monkeypatch.setattr(blab.critical, "_MAX_SWEEPS", 2)
         rng = np.random.default_rng(100)
         zs = (1.0 - rng.uniform(1e-3, 0.5, 100)) * np.exp(2j * np.pi * rng.uniform(0, 1, 100))
         with pytest.raises(RootFindingError, match=r"within 2 sweeps: \d+ of 99 estimates"):
-            critical_points(zs, max_iter=2)
+            critical_points(zs)
 
     def test_iter_and_count(self):
         cs = critical_points([0.5, -0.5])
@@ -308,6 +310,15 @@ class TestCriticalSum:
             critical_sum(np.asarray([0.1 + 0j]), E, rho=0.0, beta=1.0, eps=0.5)
         with pytest.raises(DomainError):
             critical_sum(np.asarray([0.1 + 0j]), E, rho=1.0, beta=1.0, eps=0.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["rho", "beta", "eps"])
+    def test_non_finite_parameters_are_refused(self, name, value):
+        # a nan rho or beta would make every term, and the total, nan
+        E = BoundarySet.from_points([0.0])
+        params = {"rho": 1.0, "beta": 1.0, "eps": 0.5, name: value}
+        with pytest.raises(DomainError, match="finite"):
+            critical_sum(np.asarray([0.1 + 0j]), E, **params)
 
 
 class TestLogWeightedSum:

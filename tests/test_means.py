@@ -109,21 +109,18 @@ class TestHardyMean:
             vals = [hardy_mean(p, expo, r) for r in (0.1, 0.4, 0.7, 0.9, 0.95)]
             assert np.all(np.diff(vals) >= -1e-12)
 
-    def test_node_floor_enforced(self):
-        p = BlaschkeProduct([0.1, 0.2, 0.3, 0.4, 0.5])
-        with pytest.raises(DomainError, match="under-resolves"):
-            hardy_mean(p, 1.0, 0.5, nodes=70)
-
-    def test_explicit_coarse_nodes_fail_loudly(self):
+    def test_explicit_coarse_nodes_fail_loudly(self, monkeypatch):
         angles = 2j * np.pi * np.random.default_rng(9).uniform(0, 1, 20)
-        # coarse for a uniform rule, resolved by the mapped one at its floor
         wide = BlaschkeProduct(0.99 * np.exp(angles))
-        assert hardy_mean(wide, 0.5, 0.999, nodes=320) == pytest.approx(
-            hardy_mean(wide, 0.5, 0.999), rel=1e-9)
-        # 8 mapped nodes per zero cannot resolve |B'|^(1/2) at the rim
+        uncapped = hardy_mean(wide, 0.5, 0.999)
+        # a cap of 640 nodes leaves one doubling of the start count, 16 per zero
+        monkeypatch.setattr(blab.means, "_NODE_CAP", 640)
+        # coarse for a uniform rule, resolved by the mapped one at its start
+        assert hardy_mean(wide, 0.5, 0.999) == pytest.approx(uncapped, rel=1e-9)
+        # 16 mapped nodes per zero cannot resolve |B'|^(1/2) at the rim
         with pytest.raises(ResolutionError,
-                           match=r"doubling .* at r = 0.999999 on a pass of 640 nodes"):
-            hardy_mean(BlaschkeProduct(RIM * np.exp(angles)), 0.5, RIM, nodes=320)
+                           match=r"doubling .* at r = 0.999999 on a pass of 640 nodes$"):
+            hardy_mean(BlaschkeProduct(RIM * np.exp(angles)), 0.5, RIM)
 
     def test_rim_degree_two_needs_no_rim_sized_grid(self, handed):
         # the uniform rule would start at 2e6 nodes here; the rim limit is the degree
@@ -178,11 +175,6 @@ class TestHardyMean:
         # passes of 80, 160 and 320 nodes; the next, 640, would exceed the cap
         assert handed == [80, 80, 160]
 
-    def test_explicit_nodes_over_the_cap_are_honored(self):
-        a, r = 0.5, 0.7
-        closed = (1 - a * a) * np.sqrt((1 + (a * r) ** 2) / (1 - (a * r) ** 2) ** 3)
-        assert hardy_mean([a], 2.0, r, nodes=1_100_000) == pytest.approx(closed, rel=1e-12)
-
     def test_parameter_domain(self):
         with pytest.raises(DomainError):
             hardy_mean([0.5], 0.0, 0.5)
@@ -216,15 +208,13 @@ class TestBergmanIntegral:
         vals = [(bergman_integral(p, q) / np.pi) ** (1.0 / q) for q in (0.5, 1.0, 2.0)]
         assert vals[0] <= vals[1] <= vals[2]
 
-    def test_node_floor(self):
-        with pytest.raises(DomainError):
-            bergman_integral([0.5], 2.0, radial_nodes=32, angular_nodes=64)
-
-    def test_explicit_coarse_nodes_fail_loudly(self):
+    def test_explicit_coarse_nodes_fail_loudly(self, monkeypatch):
         zs = (1.0 - 10.0 ** np.linspace(-6, -1, 40)).astype(complex)
-        # 21 panels down to 2^-20 < 1e-6: 64 radial nodes become 4 per panel, 128 become 7
-        with pytest.raises(ResolutionError, match=r"doubling .* on a pass of 147 x 1280 nodes"):
-            bergman_integral(BlaschkeProduct(zs), 2.0, radial_nodes=64, angular_nodes=640)
+        # 21 panels down to 2^-20 < 1e-6: the 80 radial start nodes become 4
+        # per panel, 160 become 8; the cap leaves that one doubling
+        monkeypatch.setattr(blab.means, "_NODE_CAP", 168 * 1280)
+        with pytest.raises(ResolutionError, match=r"doubling .* on a pass of 168 x 1280 nodes$"):
+            bergman_integral(BlaschkeProduct(zs), 2.0)
 
     def test_exponent_domain(self):
         with pytest.raises(DomainError):
@@ -367,27 +357,29 @@ class TestHpTrend:
         assert len(both) == len(seen)
         assert all(np.array_equal(a, b) for a, b in zip(both, seen))
 
-    def test_failures_follow_the_exponent_major_order(self):
-        # 0.5 fails first, at degree 4; 1.0 fails later, at degree 6, and
-        # comes first in the order exponent, truncation, radius
+    def test_failures_follow_the_exponent_major_order(self, monkeypatch):
+        # under a cap of 2048 nodes, 0.5 fails first, at degree 4; 1.2 fails
+        # later, at degree 10, and comes first in the order exponent,
+        # truncation, radius
+        monkeypatch.setattr(blab.means, "_NODE_CAP", 2048)
         zeros = RIM * np.exp(2j * np.pi * np.random.default_rng(9).uniform(0, 1, 20))
 
         def fam(n):
             return zeros[:n]
 
-        args = ([4, 6], [0.999])
+        args = ([4, 10], [RIM])
         with pytest.raises(ResolutionError) as single:
-            for q in (1.0, 0.5):
-                hp_trend(fam, q, *args, nodes=128)
+            for q in (1.2, 0.5):
+                hp_trend(fam, q, *args)
         with pytest.raises(ResolutionError) as both:
-            hp_trend(fam, [1.0, 0.5], *args, nodes=128)
-        assert "degree 6" in str(single.value)
+            hp_trend(fam, [1.2, 0.5], *args)
+        assert "degree 10" in str(single.value)
         assert str(both.value) == str(single.value)
         with pytest.raises(ResolutionError, match="degree 4"):
-            hp_trend(fam, 0.5, *args, nodes=128)
+            hp_trend(fam, 0.5, *args)
         # a bad exponent fails after the exponents before it have run
-        with pytest.raises(ResolutionError, match="degree 6"):
-            hp_trend(fam, [1.0, -1.0], *args, nodes=128)
+        with pytest.raises(ResolutionError, match="degree 10"):
+            hp_trend(fam, [1.2, -1.0], *args)
 
     @pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf])
     def test_non_finite_exponents_are_refused(self, q):

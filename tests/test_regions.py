@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -373,6 +374,12 @@ class TestNeighborhoodMeasure:
         with pytest.raises(DomainError):
             BoundarySet.from_points([0.0]).neighborhood_measure(0.0)
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf])
+    def test_non_finite_radius_is_refused(self, x):
+        # nan would pass `x <= 0` and come out as measure 1.0
+        with pytest.raises(DomainError, match="finite"):
+            BoundarySet.from_points([0.0]).neighborhood_measure(x)
+
     def test_monotone_in_radius(self):
         E = BoundarySet(arcs=[(0.0, 0.3)], points=[2.0, 4.0])
         xs = np.linspace(0.01, 1.9, 60)
@@ -404,6 +411,16 @@ class TestTypeBeta:
             type_beta(E, [0.5, 0.25])  # too few
         with pytest.raises(DomainError):
             type_beta(E, [0.25, 0.5, 0.125, 0.0625])  # not decreasing
+
+    @pytest.mark.parametrize("at", [0, 2, 3])
+    def test_nan_grid_value_is_refused(self, at, capfd):
+        # a nan would reach the least-squares fit, which fails in LAPACK
+        # with a message on stderr
+        grid = [0.5, 0.25, 0.125, 0.0625]
+        grid[at] = np.nan
+        with pytest.raises(DomainError, match=r"\(0, 1\)"):
+            type_beta(BoundarySet.from_points([0.0]), grid)
+        assert capfd.readouterr().err == ""
 
 
 class TestMembership:
@@ -789,3 +806,11 @@ class TestRegionBoundary:
     def test_resolution_validation(self):
         with pytest.raises(DomainError):
             region_boundary(ModelFunction.linear(), 1.0, 0.0, 1)
+
+    @pytest.mark.parametrize("K", [np.nan, np.inf])
+    def test_non_finite_aperture_is_refused(self, K):
+        # either would trace points on the unit circle, with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite"):
+                region_boundary(ModelFunction.exp_tangential(1.0), K, 0.0, 8)
