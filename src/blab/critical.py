@@ -371,8 +371,8 @@ def log_weighted_sum(cs, eps):
     """
     pts = _point_array(cs)
     eps = float(eps)
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
+    if not 0.0 < eps < np.inf:
+        raise DomainError("eps must be positive and finite")
     gaps = 1.0 - np.abs(pts)
     logs = np.maximum(np.log(1.0 / gaps), 1.0)
     return SumSeries(gaps / logs ** (1.0 + eps))

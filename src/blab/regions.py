@@ -384,8 +384,9 @@ class StolzSpec:
     k_const: float
 
     def __post_init__(self):
-        if not self.k_const > 0.0:
-            raise DomainError(f"aperture constant must be positive, got {self.k_const}")
+        # K = inf would admit every point of the disk
+        if not 0.0 < self.k_const < math.inf:
+            raise DomainError(f"aperture constant must be positive and finite, got {self.k_const}")
 
     @classmethod
     def at_vertex(cls, phi, angle, k_const):
@@ -467,24 +468,118 @@ class PowerLaw:
         return self.scale * float(n) ** (-self.exponent)
 
 
+# numpy's default_rng(seed) is Generator(PCG64(SeedSequence(seed))) (NEP 19;
+# PCG64 is O'Neill's 128-bit LCG with the XSL-RR output, 2014), mirrored here
+# in Python ints or uint64 arrays, which wrap silently.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645  # PCG64's multiplier
+
+
+def _hasher(const, mult):
+    """SeedSequence's hash: xor with the running constant, step it, multiply."""
+    def hash_(v):
+        nonlocal const
+        v, const = v ^ const, const * mult & _MASK32
+        v = v * const & _MASK32
+        return v ^ v >> 16
+    return hash_
+
+
+def _seed_words(base, idx):
+    """SeedSequence(base + [i]).generate_state(4, np.uint64) for every i in the
+    uint64 array idx (each below 2**32), as four uint64 arrays."""
+    # a component splits into little-endian words, 0 into one word
+    entropy = [s >> 32 * j & _MASK32 for s in base
+               for j in range(max(1, -(-s.bit_length() // 32)))] + [idx]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in (entropy + [0] * 4)[:4]]
+
+    def mix(dst, word):
+        v = (_MIX_L * pool[dst] - _MIX_R * hashmix(word)) & _MASK32
+        pool[dst] = v ^ v >> 16
+
+    for src in range(4):  # every pool word into every other
+        for dst in (d for d in range(4) if d != src):
+            mix(dst, pool[src])
+    for word in entropy[4:]:  # then each further entropy word into all four
+        for dst in range(4):
+            mix(dst, word)
+    words = list(map(_hasher(_INIT_B, _MULT_B), pool + pool))
+    return [words[2 * j] | words[2 * j + 1] << 32 for j in range(4)]
+
+
+class _Streams:
+    """numpy's default_rng(base + [i]) for every index i, one lane per stream: PCG64's
+    state, increment and buffered 32-bit half. A draw advances only its lanes."""
+
+    def __init__(self, base, idx):
+        s_hi, s_lo, i_hi, i_lo = _seed_words(base, np.asarray(idx, dtype=np.uint64))
+        inc_hi, inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
+        # pcg64_set_seed: from state 0, one step reaches inc; add the seed, step
+        lo = inc_lo + s_lo
+        self.lanes = np.stack([inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo, 0 * lo])
+        self.has = np.zeros(lo.size, dtype=bool)
+        self.next64()
+
+    def keep(self, mask):
+        self.lanes, self.has = self.lanes[:, mask], self.has[mask]
+
+    def next64(self, sel=slice(None)):
+        """PCG64.random_raw() on the selected lanes (all by default): the state
+        steps to state * multiplier + increment mod 2**128, products taken in
+        32-bit halves, and the XSL-RR output of the new state is returned."""
+        hi, lo, inc_hi, inc_lo = self.lanes[:4, sel]
+        a0, a1, m0, m1 = lo & _MASK32, lo >> 32, _PCG_LO & _MASK32, _PCG_LO >> 32
+        p01, p10 = a0 * m1, a1 * m0
+        mid = (a0 * m0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+        carry = a1 * m1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)  # lo * _PCG_LO >> 64
+        new = lo * _PCG_LO + inc_lo
+        hi = carry + hi * _PCG_LO + lo * _PCG_HI + inc_hi + (new < inc_lo)
+        self.lanes[0, sel], self.lanes[1, sel] = hi, new
+        x, rot = hi ^ new, hi >> 58
+        return x >> rot | x << (64 - rot & 63)
+
+    def random(self, sel=slice(None)):
+        """Generator.random() on the selected lanes."""
+        return (self.next64(sel) >> 11) * 2.0**-53
+
+    def integers(self, count):
+        """Generator.integers(count), 2 <= count < 2**32: Lemire's rejection on 32-bit
+        words, the buffered upper half of the last 64-bit word or a new one's lower."""
+        m = np.zeros(self.has.size, dtype=np.uint64)
+        redo = np.ones(self.has.size, dtype=bool)
+        while redo.any():
+            fresh = redo & ~self.has
+            word, low = self.next64(fresh), self.lanes[4].copy()
+            low[fresh], self.lanes[4, fresh] = word & _MASK32, word >> 32
+            self.has ^= redo
+            m[redo] = low[redo] * count
+            redo &= (m & _MASK32) < 2**32 % count
+        return (m >> 32).astype(np.intp)
+
+
 def _anchor_sampler(boundary_set):
-    """A function of a generator that draws a uniform anchor angle on E: by
-    arclength over arcs, else over the points. The arc weights are computed
-    once, here."""
+    """A function of the streams that draws one uniform anchor angle on E per
+    lane: by arclength over arcs, else over the points. The arc weights are
+    computed once, here."""
     arc, lo, hi = boundary_set._arc, boundary_set._lo, boundary_set._hi
     if arc.any():
         lo, hi = lo[arc], hi[arc]
-        # rng.choice(p.size, p=p) with p = (hi - lo) / (hi - lo).sum() draws
-        # exactly this, but checks p on every draw
+        # rng.choice(p.size, p=p) with p = (hi - lo) / (hi - lo).sum() searches
+        # this cdf, then rng.uniform(lo[k], hi[k]) is lo[k] + (hi[k] - lo[k]) * d
         cdf = ((hi - lo) / (hi - lo).sum()).cumsum()
         cdf /= cdf[-1]
 
         def draw(rng):
-            k = int(cdf.searchsorted(rng.random(), side="right"))
-            return float(rng.uniform(lo[k], hi[k]))
+            k = cdf.searchsorted(rng.random(), side="right")
+            return lo[k] + (hi[k] - lo[k]) * rng.random()
 
         return draw
-    return lambda rng: float(lo[int(rng.integers(lo.size))])
+    if lo.size == 1:  # rng.integers(1) is 0 and draws nothing
+        return lambda rng: np.full(rng.has.size, lo[0])
+    return lambda rng: lo[rng.integers(lo.size)]
 
 
 def _seed_int(s):
@@ -521,7 +616,6 @@ def _first_barred_gap(spec, u):
 
 
 _SAMPLE_DRAWS = 1000  # angle draws per zero before its placement fails
-_SAMPLE_BLOCK = 4096  # zeros, and so generators, in flight at once
 
 
 def sample_zeros(spec, n, seed, law=GeometricLaw(0.5)):
@@ -531,18 +625,21 @@ def sample_zeros(spec, n, seed, law=GeometricLaw(0.5)):
     the Blaschke sum is a property of the law alone. Angles are drawn near a
     uniformly chosen anchor of E, restricted to the admissible window at that
     radius, and re-checked by membership with up to 1000 draws per zero.
-    Each index has its own RNG stream, so prefixes agree across different n.
+    Zero #i draws from its own stream, numpy's default_rng(seed + [i]) bit for
+    bit, so prefixes agree across different n; every stream is a lane of one
+    set of arrays, seeded and advanced together, and no Generator is built.
 
     The draws go in rounds: in each, every zero not yet placed takes its next
     anchor and angle from its own stream, and one membership test covers the
     round's candidates. A zero therefore draws exactly what it would draw
-    alone. Zeros go through in blocks of 4096, which bounds the generators
-    alive at once. An error names the smallest index that fails, as if the
-    zeros were placed one after another.
+    alone. An error names the smallest index that fails, as if the zeros were
+    placed one after another.
     """
     n = int(n)
     if n < 0:
         raise DomainError("sample size must be nonnegative")
+    if n >= 2**32:
+        raise DomainError(f"sample size must be below 2**32 (one seed word per index), got {n}")
     if region_is_empty(spec.phi, spec.k_const):
         raise EmptyRegionError(
             f"region is empty: slope-one gauge with K = {spec.k_const} < 1"
@@ -550,36 +647,35 @@ def sample_zeros(spec, n, seed, law=GeometricLaw(0.5)):
     base = [_seed_int(s) for s in (seed if isinstance(seed, (tuple, list)) else [seed])]
     u = np.array([float(law.gap(i)) for i in range(1, n + 1)], dtype=np.float64)
     stop, barred = _first_barred_gap(spec, u)
-    half = angular_halfwidth(spec.phi, spec.k_const, u[:stop]).tolist()
+    half = angular_halfwidth(spec.phi, spec.k_const, u[:stop])
     draw = _anchor_sampler(spec.boundary)
     out = np.empty(n, dtype=np.complex128)
-    for start in range(0, stop, _SAMPLE_BLOCK):
-        left = np.arange(start, min(start + _SAMPLE_BLOCK, stop))
-        rngs = [np.random.default_rng(base + [i + 1]) for i in left.tolist()]
-        failed = {}
-        for _ in range(_SAMPLE_DRAWS):
-            if not left.size:
-                break
-            angle = np.empty(left.size)
-            for m, i in enumerate(left.tolist()):
-                rng, h = rngs[i - start], half[i]
-                anchor = draw(rng)
-                angle[m] = anchor + (float(rng.uniform(-h, h)) if h > 0.0 else 0.0)
-            cand = (1.0 - u[left]) * np.exp(1j * angle)
-            # near gap 2^-53, |cand| can round to 1, a point membership refuses
-            rim = np.abs(cand) >= 1.0
-            failed.update((i, SamplingError(
-                f"cannot place zero #{i + 1}: a candidate at gap {u[i]:g} rounds onto the "
-                "unit circle")) for i in left[rim].tolist())
-            ok = np.zeros(left.size, dtype=bool)
-            ok[~rim] = in_stolz(cand[~rim], spec)
-            out[left[ok]] = cand[ok]
-            left = left[~(ok | rim)]
+    left = np.arange(stop)
+    rng = _Streams(base, left + 1)
+    failed = {}
+    for _ in range(_SAMPLE_DRAWS):
+        if not left.size:
+            break
+        anchor = draw(rng)
+        wide = half[left] > 0.0  # rng.uniform(-h, h) where h > 0; h = 0 draws nothing
+        h, psi = half[left][wide], np.zeros(left.size)
+        psi[wide] = -h + (h + h) * rng.random(wide)
+        cand = (1.0 - u[left]) * np.exp(1j * (anchor + psi))
+        # near gap 2^-53, |cand| can round to 1, a point membership refuses
+        rim = np.abs(cand) >= 1.0
         failed.update((i, SamplingError(
-            f"region too thin to place zero #{i + 1} after {_SAMPLE_DRAWS} angle "
-            f"draws (gap {u[i]:g})")) for i in left.tolist())
-        if failed:
-            raise failed[min(failed)]
+            f"cannot place zero #{i + 1}: a candidate at gap {u[i]:g} rounds onto the "
+            "unit circle")) for i in left[rim].tolist())
+        ok = np.zeros(left.size, dtype=bool)
+        ok[~rim] = in_stolz(cand[~rim], spec)
+        out[left[ok]] = cand[ok]
+        left = left[~(ok | rim)]
+        rng.keep(~(ok | rim))
+    failed.update((i, SamplingError(
+        f"region too thin to place zero #{i + 1} after {_SAMPLE_DRAWS} angle "
+        f"draws (gap {u[i]:g})")) for i in left.tolist())
+    if failed:
+        raise failed[min(failed)]
     if barred is not None:
         raise barred
     return ZeroSequence(out)
@@ -597,14 +693,16 @@ def region_boundary(phi, k_const, vertex_angle, resolution):
     the outermost sign change located by bisection. Every returned point
     satisfies the defining equation to about 1e-9.
     """
-    resolution, k_const = int(resolution), float(k_const)
+    resolution, k_const, vertex_angle = int(resolution), float(k_const), float(vertex_angle)
     if resolution < 2:
         raise DomainError("resolution must be at least 2")
     if not 0.0 < k_const < math.inf:
         raise DomainError("aperture constant must be positive and finite")
+    if not math.isfinite(vertex_angle):
+        raise DomainError("vertex angle must be finite")
     if region_is_empty(phi, k_const):
         raise EmptyRegionError(f"region is empty: slope-one gauge with K = {k_const} < 1")
-    t = np.exp(1j * float(vertex_angle))
+    t = np.exp(1j * vertex_angle)
     betas = (np.arange(resolution) + 0.5) / resolution * math.pi - math.pi / 2.0
     # rays as rows, so that margin() takes a scan (rays x samples) or one point per ray
     dirs = (-t * np.exp(1j * betas))[:, None]

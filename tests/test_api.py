@@ -131,6 +131,19 @@ def test_numpy_is_the_only_runtime_dependency():
     assert set(out) - set(sys.stdlib_module_names) - {"numpy", "blab"} == set()
 
 
+def test_importing_blab_leaves_numpy_random_unloaded():
+    # the sampler computes numpy's streams itself; numpy.random's compiled
+    # modules load only when a caller asks for them
+    code = ("import sys, numpy; had = 'numpy.random' in sys.modules; import blab, blab.cli; "
+            "print(had, 'numpy.random' in sys.modules)")
+    src = str(Path(blab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    had, has = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True).stdout.split()
+    assert has == had
+
+
 def test_every_import_is_used():
     """Each name imported into a module of the package is used there."""
     unused = {}

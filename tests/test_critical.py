@@ -336,6 +336,12 @@ class TestLogWeightedSum:
         with pytest.raises(DomainError):
             log_weighted_sum(np.asarray([0.5 + 0j]), eps=0.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_is_refused(self, eps):
+        # a NaN eps gave a NaN total with no error
+        with pytest.raises(DomainError, match="positive and finite"):
+            log_weighted_sum(np.asarray([0.5, 0.9j]), eps)
+
 
 class TestProtasSum:
     def test_single_zero_hand(self):

@@ -460,6 +460,12 @@ class TestMembership:
         with pytest.raises(DomainError):
             StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 0.0)
 
+    @pytest.mark.parametrize("K", [np.inf, np.nan])
+    def test_non_finite_aperture_is_refused(self, K):
+        # K = inf would make every point of the disk a member, 0.99j included
+        with pytest.raises(DomainError, match="positive and finite"):
+            StolzSpec.at_vertex(ModelFunction.linear(), 0.0, K)
+
 
 class TestEmptyRegion:
     def test_slope_one_below_unit_aperture(self):
@@ -655,6 +661,9 @@ SAMPLING_SETS = {
     "arc": BoundarySet.from_arcs([(0.3, 1.7)]),
     "cantor-10": BoundarySet.cantor((0.0, TWO_PI), 1.0 / 3.0, 10),
     "arcs+points": BoundarySet(arcs=[(0.1, 0.5), (2.0, 2.2)], points=[4.0, 5.0]),
+    # no arc: the anchor is a bounded-integer draw, Lemire's rejection on
+    # PCG64's buffered 32-bit output
+    "points": BoundarySet.from_points([0.5, 2.5, 4.5]),
 }
 SAMPLING_LAWS = {"geometric": GeometricLaw(0.5), "power": PowerLaw(2.0, 0.5)}
 
@@ -677,39 +686,69 @@ class TestBatchedSampling:
         ("exp", "cantor-10", 2.0, 11),
         ("power", "arcs+points", 1.0, (11, 2)),
     ])
-    def test_crossing_a_block_boundary(self, gauge, boundary, k_const, seed):
+    def test_4097_zeros_match_reference(self, gauge, boundary, k_const, seed):
         spec = StolzSpec(SAMPLING_GAUGES[gauge], SAMPLING_SETS[boundary], k_const)
-        n = regions._SAMPLE_BLOCK + 1
+        n = 4097
         new = sample_zeros(spec, n, seed, PowerLaw(2.0, 0.5)).zeros
         ref = _reference_sample_zeros(spec, n, seed, PowerLaw(2.0, 0.5)).zeros
         assert new.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("vertex, n, seed", [(1.0, 54, 1), (0.0, 54, 1), (0.5, 45, (2, 5))])
-    def test_small_blocks_change_nothing(self, monkeypatch, vertex, n, seed):
+    def test_unit_linear_aperture_matches_reference(self, vertex, n, seed):
         # linear K = 1 at vertex 1 fails placement at #17; at vertex 0 it
         # stops at #54, whose 1 - gap rounds to 1
         spec = StolzSpec.at_vertex(ModelFunction.linear(), vertex, 1.0)
-        expect = _outcome(sample_zeros, spec, n, seed)
-        monkeypatch.setattr(regions, "_SAMPLE_BLOCK", 5)
-        assert _outcome(sample_zeros, spec, n, seed) == expect
         assert _outcome(sample_zeros, spec, n, seed) == _outcome(_reference_sample_zeros,
                                                                  spec, n, seed)
 
     @pytest.mark.parametrize("count", [1, 2, 3, 1024])
     def test_anchor_draws_match_rng_choice(self, count):
         # the sampler searches the arc-length cdf itself, as rng.choice does
-        # with p, but without checking p on every draw: same index, same stream
+        # with p, on every lane at once: same index, same stream
         rng = np.random.default_rng(count)
         width = 2.0 * np.pi / count
         starts = width * np.arange(count)
         E = BoundarySet(arcs=[(a, a + width * f) for a, f in zip(starts, rng.uniform(0.05, 0.9, count))],
                         points=[0.5 * width])
-        draw = regions._anchor_sampler(E)
+        lanes = regions._Streams([], np.arange(300))
+        angles = regions._anchor_sampler(E)(lanes)
+        after = lanes.random()
         for seed in range(300):
-            new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            angle = draw(new)
-            assert angle == _reference_draw_anchor(E, ref)
-            assert new.random() == ref.random()
+            ref = np.random.default_rng(seed)
+            assert angles[seed] == _reference_draw_anchor(E, ref)
+            assert after[seed] == ref.random()
+
+    @pytest.mark.parametrize("count", [2, 3, 7, 2**31 + 1])
+    def test_bounded_draws_match_integers(self, count):
+        # Lemire's rejection on the buffered 32-bit words: 2**31 + 1 rejects
+        # almost half of the words, so redraws and the buffer both show
+        lanes = regions._Streams([5], np.arange(1, 201))
+        draws = [lanes.integers(count), lanes.random(), lanes.integers(count),
+                 lanes.integers(count)]
+        for i in range(200):
+            ref = np.random.default_rng([5, i + 1])
+            expect = [ref.integers(count), ref.random(), ref.integers(count),
+                      ref.integers(count)]
+            assert [d[i] for d in draws] == expect
+
+    @pytest.mark.parametrize("base", [[0], [7], [2**40 + 3, 5], [2**63], [1, 2, 3, 4, 5]])
+    def test_seed_words_and_raw_outputs_match_numpy(self, base):
+        # the sampler mirrors SeedSequence and PCG64; a numpy that changed
+        # either algorithm fails here, not by moving every sampled set
+        idx = np.arange(1, 5001)
+        words = np.stack(regions._seed_words(base, idx.astype(np.uint64)))
+        lanes = regions._Streams(base, idx)
+        raw = np.stack([lanes.next64() for _ in range(3)])
+        for i in idx.tolist():
+            seq = np.random.SeedSequence(base + [i])
+            assert words[:, i - 1].tolist() == seq.generate_state(4, np.uint64).tolist()
+            assert raw[:, i - 1].tolist() == np.random.PCG64(seq).random_raw(3).tolist()
+
+    def test_sample_size_must_fit_one_seed_word(self):
+        # refused before any gap is computed: this law has none to give
+        spec = StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 1.0)
+        with pytest.raises(DomainError, match=r"sample size must be below 2\*\*32"):
+            sample_zeros(spec, 2**32, seed=1, law=_ListLaw([]))
 
     @settings(max_examples=40, deadline=None)
     @given(arcs=st.lists(st.tuples(st.floats(-7.0, 13.0), st.floats(1e-3, 3.0)),
@@ -814,3 +853,9 @@ class TestRegionBoundary:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="finite"):
                 region_boundary(ModelFunction.exp_tangential(1.0), K, 0.0, 8)
+
+    @pytest.mark.parametrize("angle", [np.nan, np.inf])
+    def test_non_finite_vertex_angle_is_refused(self, angle):
+        # a NaN angle traced a polyline of NaN points
+        with pytest.raises(DomainError, match="vertex angle must be finite"):
+            region_boundary(ModelFunction.linear(), 1.0, angle, 4)
