@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .bounds import _envelope_grid, _fit_envelope, lemma_bound, lemma_check, theorem_check
+from .bounds import envelope_fit, envelope_grid, lemma_bound, lemma_check, theorem_check
 from .critical import critical_points, critical_sum, log_weighted_sum, protas_sum
 from .errors import BlabError
 from .fileio import (_csv, _reject_constant, atomic_write_text, canonical_json, complex_pair,
@@ -499,8 +499,8 @@ def _run_envelope_fit(plan, out_dir):
         samp = plan["sampling"]
         zeros = sample_zeros(samp["region"], samp["count"], seed=plan["seed"],
                              law=samp["law"])
-    grid, d = _envelope_grid(plan["set"], **plan["grid"])
-    fit = _fit_envelope(BlaschkeProduct(zeros), plan["rho"], grid, d)
+    grid = envelope_grid(plan["set"], **plan["grid"])
+    fit = envelope_fit(BlaschkeProduct(zeros), plan["set"], plan["rho"], grid)
     return {"c1": fit.c1, "c2": fit.c2, "rho": fit.rho, "grid_size": fit.grid_size}, 0
 
 

@@ -22,6 +22,7 @@ evaluation noise floor.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,19 +43,11 @@ _POLISH_STEPS = 60  # Newton steps of the final polish
 
 
 def _group_exact(zs):
-    """Distinct zeros with multiplicities; repetition means identical values."""
-    seen = {}
-    order = []
-    for v in zs:
-        key = complex(v)
-        if key in seen:
-            seen[key] += 1
-        else:
-            seen[key] = 1
-            order.append(key)
-    unique = np.asarray(order, dtype=np.complex128)
-    mult = np.asarray([seen[k] for k in order], dtype=np.float64)
-    return unique, mult
+    """Distinct zeros, in order of first appearance, with multiplicities;
+    repetition means identical values."""
+    seen = Counter(complex(v) for v in zs)
+    return (np.asarray(list(seen), dtype=np.complex128),
+            np.asarray(list(seen.values()), dtype=np.float64))
 
 
 def _pole_sums(unique, mult, z):
@@ -218,46 +211,35 @@ def critical_points(product):
     against n-1, with a winding-number recount as fallback diagnostic, and
     every residual |B'| must stay below 1e-8 when re-evaluated through the
     factor expansion (independent of the root-finding representation).
+    Either failure raises one RootFindingError, with the sorted points found
+    as `partial`: its message names the count against n-1 (and the recount)
+    or else the worst residual against the float64 floor, then the estimates
+    still moving if the iteration stalled.
     """
     product = _as_product(product)
-    zs = product.zeros.zeros
     n = product.degree
-    unique, mult = _group_exact(zs)
-    fixed = np.repeat(unique, (mult - 1).astype(int))
-    stalled = ""
-    if len(unique) == 1:
-        free = np.asarray([], dtype=np.complex128)
-    else:
+    unique, mult = _group_exact(product.zeros.zeros)
+    free, live = np.asarray([], dtype=np.complex128), 0
+    if len(unique) > 1:
         raw, live = _aberth_free_points(unique, mult)
-        inside = raw[np.abs(raw) < 1.0 - _INTERIOR_EDGE]
-        free = _newton_on_h(unique, mult, inside)
+        free = _newton_on_h(unique, mult, raw[np.abs(raw) < 1.0 - _INTERIOR_EDGE])
         free = free[np.abs(free) < 1.0 - _INTERIOR_EDGE]
-        if live:
-            stalled = (f"simultaneous iteration did not converge within {_MAX_SWEEPS} sweeps: "
-                       f"{live} of {raw.size} estimates still moving")
-            if free.size != len(unique) - 1:
-                raise RootFindingError(
-                    stalled, partial=_sorted_critical(np.concatenate([fixed, free]))
-                )
-    points = _sorted_critical(np.concatenate([fixed, free]))
+    points = _sorted_critical(np.concatenate([np.repeat(unique, (mult - 1).astype(int)), free]))
     if points.size != n - 1:
         try:
-            recount = argument_principle_count(product, 1.0 - 1e-7)
+            recount = f"; winding recount gives {argument_principle_count(product, 1.0 - 1e-7)}"
         except ContourError:
-            recount = None
-        raise RootFindingError(
-            f"found {points.size} interior critical points, expected {n - 1}"
-            + (f"; winding recount gives {recount}" if recount is not None else ""),
-            partial=points,
-        )
-    residuals = np.abs(product.derivative(points)) if points.size else np.asarray([])
-    if points.size and np.max(residuals) >= _RESIDUAL_MAX:
-        raise RootFindingError(
-            _residual_failure(product, unique, mult, points, residuals)
-            + (f"; {stalled}" if stalled else ""),
-            partial=points,
-        )
-    return CriticalSet(points, residuals, n)
+            recount = ""
+        failure = f"found {points.size} interior critical points, expected {n - 1}{recount}"
+    else:
+        residuals = np.abs(product.derivative(points)) if points.size else np.asarray([])
+        if not (points.size and np.max(residuals) >= _RESIDUAL_MAX):
+            return CriticalSet(points, residuals, n)
+        failure = _residual_failure(product, unique, mult, points, residuals)
+    if live:
+        failure += (f"; simultaneous iteration did not converge within {_MAX_SWEEPS} sweeps: "
+                    f"{live} of {len(unique) - 1} estimates still moving")
+    raise RootFindingError(failure, partial=points)
 
 
 def _residual_failure(product, unique, mult, points, residuals):

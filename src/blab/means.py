@@ -210,39 +210,38 @@ def _weighted_powers(product, ps, r, theta, dphi):
     return [np.sum(size ** p / dphi, axis=1) for p in ps]
 
 
-def _doubled(rule, size, counts, what, where=""):
-    """rule(*counts) validated by doubling every node count, at the finest pass run.
+def _doubled(value, size, what, where=""):
+    """value(k) validated by doubling, at the finest pass run.
 
-    size(*counts) gives the node counts of a pass, one per dimension. A
-    start whose validating pass exceeds the node cap is a resolution failure
-    before any evaluation; otherwise the counts keep doubling until two
-    passes agree to 1e-6 relative or the next pass would exceed the cap. A
-    last disagreement above 1e-4 is a resolution failure, naming the `what`
-    that moved and the node counts of the last pass.
+    Pass k = 0, 1, ... doubles every node count of pass k - 1, and size(k)
+    gives its node counts, one per dimension. A start whose validating pass
+    exceeds the node cap is a resolution failure before any evaluation;
+    otherwise passes run until two agree to 1e-6 relative or the next would
+    exceed the cap. A last disagreement above 1e-4 is a resolution failure,
+    naming the `what` that moved and the node counts of the last pass.
     """
-    def nodes(c):
-        return " x ".join(str(k) for k in size(*c))
+    def nodes(k):
+        return " x ".join(str(c) for c in size(k))
 
-    def over(c):
-        return math.prod(size(*c)) > _NODE_CAP
+    def over(k):
+        return math.prod(size(k)) > _NODE_CAP
 
-    fine_counts = [2 * c for c in counts]
-    if over(fine_counts):
+    if over(1):
         raise ResolutionError(
-            f"node doubling of the {what}{where} would start at {nodes(counts)} nodes "
-            f"and validate at {nodes(fine_counts)}, beyond the node cap {_NODE_CAP}"
+            f"node doubling of the {what}{where} would start at {nodes(0)} nodes "
+            f"and validate at {nodes(1)}, beyond the node cap {_NODE_CAP}"
         )
-    coarse = rule(*counts)
+    coarse, k = value(0), 1
     while True:
-        fine = rule(*fine_counts)
+        fine = value(k)
         rel = abs(fine - coarse) / max(abs(fine), np.finfo(float).tiny)
-        if rel <= _DOUBLING_TARGET or over([2 * c for c in fine_counts]):
+        if rel <= _DOUBLING_TARGET or over(k + 1):
             break
-        coarse, fine_counts = fine, [2 * c for c in fine_counts]
+        coarse, k = fine, k + 1
     if rel > _DOUBLING_GATE:
         raise ResolutionError(
             f"node doubling moved the {what} by {rel:.3g} relative{where} on a pass of "
-            f"{nodes(fine_counts)} nodes"
+            f"{nodes(k)} nodes"
         )
     return fine
 
@@ -287,31 +286,23 @@ def _circle_means(product, ps, r):
     nodes = _start_nodes(product)
     _require_evaluable(product, r, f" at r = {r}")
     radius = np.array([r])
-    grid, passes = None, []  # passes[k]: the new nodes' sum for every exponent
+    grid, totals = None, []  # totals[k][i]: ps[i]'s sum over the nodes of passes 0..k
 
-    def pass_sums(k):
+    def mean(i, k):
         nonlocal grid
-        if k == len(passes):
+        if k == len(totals):  # pass k refines pass k - 1
             if grid is None:
                 grid = _AngularRule(_PoissonMap(product), radius, 1.0 - radius, nodes)
                 theta, dphi = grid.theta, grid.dphi
             else:
                 theta, dphi = grid.refine()
-            passes.append([float(s[0]) for s in _weighted_powers(product, ps, r, theta, dphi)])
-        return passes[k]
+            prev = totals[-1] if totals else [0.0] * len(ps)
+            # added left to right: Python 3.12's sum() is compensated and would move bits
+            totals.append([t + float(s[0]) for t, s in
+                           zip(prev, _weighted_powers(product, ps, r, theta, dphi))])
+        return (totals[k][i] / (nodes << k)) ** (1.0 / ps[i])
 
-    def rule(i):
-        total, k = 0.0, 0
-
-        def mean(n):  # _doubled asks for n, 2n, 4n, ...: pass k refines pass k - 1
-            nonlocal total, k
-            total += pass_sums(k)[i]
-            k += 1
-            return (total / n) ** (1.0 / ps[i])
-
-        return mean
-
-    return [_doubled(rule(i), lambda n: (n,), [nodes], "mean",
+    return [_doubled(lambda k: mean(i, k), lambda k: (nodes << k,), "mean",
                      f" for degree {product.degree} at r = {r}") for i in range(len(ps))]
 
 
@@ -347,11 +338,14 @@ def bergman_integral(product, p):
     panels = ends.size - 1
     pmap = _PoissonMap(product)
 
-    def size(nr, na):
-        return panels * -(-nr // panels), na
+    radial, angular = max(64, 2 * product.degree), _start_nodes(product)
 
-    def tensor(nr, na):
-        x, w = np.polynomial.legendre.leggauss(-(-nr // panels))
+    def size(k):
+        return panels * -(-(radial << k) // panels), angular << k
+
+    def tensor(k):
+        nr, na = size(k)
+        x, w = np.polynomial.legendre.leggauss(nr // panels)
         half = 0.5 * (ends[:-1] - ends[1:])[:, None]
         delta = (ends[1:, None] + half * (1.0 + x)).ravel()
         r = 1.0 - delta
@@ -359,8 +353,7 @@ def bergman_integral(product, p):
         sums = _weighted_powers(product, [p], grid.r, grid.theta, grid.dphi)[0]
         return float(np.sum((half * w).ravel() * r * sums) * _TWO_PI / na)
 
-    starts = [max(64, 2 * product.degree), _start_nodes(product)]
-    return _doubled(tensor, size, starts, "integral", f" for degree {product.degree}")
+    return _doubled(tensor, size, "integral", f" for degree {product.degree}")
 
 
 @dataclass(frozen=True)

@@ -34,13 +34,14 @@ def _unscalar(values, scalar):
     return complex(np.asarray(values)[()]) if scalar else values
 
 
+# the disk checks are written as negations, so that a nan point fails them too
 def _require_closed_disk(arr):
-    if np.any(np.abs(arr) > 1.0 + _EDGE_TOL):
+    if not np.all(np.abs(arr) <= 1.0 + _EDGE_TOL):
         raise DomainError("evaluation point lies outside the closed unit disk")
 
 
 def _require_open_disk(arr):
-    if np.any(np.abs(arr) >= 1.0):
+    if not np.all(np.abs(arr) < 1.0):
         raise DomainError("point must lie strictly inside the unit disk")
 
 

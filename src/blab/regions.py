@@ -48,11 +48,11 @@ class ModelFunction:
         if self.kind == "linear":
             pass
         elif self.kind == "power":
-            if not self.param >= 1.0:
-                raise DomainError(f"power variant needs gamma >= 1, got {self.param}")
+            if not 1.0 <= self.param < math.inf:
+                raise DomainError(f"power variant needs finite gamma >= 1, got {self.param}")
         elif self.kind == "exp":
-            if not self.param > 0.0:
-                raise DomainError(f"exp variant needs rho > 0, got {self.param}")
+            if not 0.0 < self.param < math.inf:
+                raise DomainError(f"exp variant needs finite rho > 0, got {self.param}")
         else:
             raise DomainError(f"unknown model function kind {self.kind!r}")
 
@@ -194,6 +194,8 @@ class BoundarySet:
         given = [a, b, pts]
         if cantor is not None:
             base, ratio, depth = cantor
+            if not float(depth).is_integer():
+                raise DomainError(f"cantor depth must be an integer, got {depth}")
             self._cantor = ((float(base[0]), float(base[1])), float(ratio), int(depth))
             given.append(self._cantor[0])
         if not np.isfinite(np.concatenate(given)).all():
@@ -398,7 +400,7 @@ def in_stolz(lam, spec):
     arr = np.asarray(lam, dtype=np.complex128)
     scalar = arr.ndim == 0
     r = np.abs(arr)
-    if np.any(r >= 1.0):
+    if not np.all(r < 1.0):
         raise DomainError("membership is defined strictly inside the unit disk")
     lhs = spec.phi(spec.boundary.distance(arr))
     rhs = spec.k_const * (1.0 - r)
@@ -459,8 +461,9 @@ class PowerLaw:
     scale: float = 0.5
 
     def __post_init__(self):
-        if not self.exponent > 1.0:
-            raise DomainError(f"power-law exponent must exceed 1, got {self.exponent}")
+        if not 1.0 < self.exponent < math.inf:
+            raise DomainError(
+                f"power-law exponent must be finite and exceed 1, got {self.exponent}")
         if not 0.0 < self.scale < 1.0:
             raise DomainError(f"power-law scale must lie in (0, 1), got {self.scale}")
 

@@ -15,10 +15,12 @@ from blab import (
     EmptyRegionError,
     ModelFunction,
     PowerLaw,
+    SamplingError,
     StolzSpec,
     chord_check,
     envelope_fit,
     envelope_grid,
+    in_stolz,
     lemma_bound,
     lemma_check,
     lemma_lhs,
@@ -28,6 +30,7 @@ from blab import (
     theorem_bound,
     theorem_check,
     three_point_check,
+    truncation_tail,
 )
 from blab import cli
 from blab.bounds import _LazyDerivative
@@ -216,6 +219,12 @@ class TestLemmaSampled:
         with pytest.raises(DomainError):
             lemma_check(spec, 0, seed=1)
 
+    def test_admissible_radii_too_rare(self):
+        # phi(u) = u^2 <= K u needs u <= 1e-12: no uniform draw gets there
+        spec = StolzSpec.at_vertex(ModelFunction.truncated_power(2.0), 0.0, 1e-12)
+        with pytest.raises(SamplingError, match=r"admissible radii too rare: 0 of \d+ draws"):
+            lemma_check(spec, 10, seed=1)
+
 
 class TestSchwarzPick:
     def test_hand_equality_single_zero_origin(self):
@@ -254,6 +263,39 @@ class TestSchwarzPick:
 
     def test_accepts_raw_zero_list(self):
         assert schwarz_pick_bound([0.5], 0.0) == pytest.approx(0.75)
+
+
+NAN = complex(np.nan, 0.0)
+NAN_SPEC = StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 1.0)
+NAN_PRODUCT = BlaschkeProduct([0.5, -0.3j])
+# each disk or circle check must refuse a nan point: nan fails every comparison
+NAN_CALLS = {
+    "evaluate": lambda: NAN_PRODUCT.evaluate(NAN),
+    "derivative": lambda: NAN_PRODUCT.derivative(NAN),
+    "truncation_tail": lambda: truncation_tail([0.5], NAN),
+    "theorem_check": lambda: theorem_check(NAN_PRODUCT, [0.1, NAN, 0.2j], NAN_SPEC,
+                                           check_zeros=False),
+    "theorem_bound": lambda: theorem_bound(NAN_PRODUCT, NAN, NAN_SPEC, check_zeros=False),
+    "schwarz_pick_bound": lambda: schwarz_pick_bound(NAN_PRODUCT, NAN),
+    "schwarz_pick_check": lambda: schwarz_pick_check(NAN_PRODUCT, NAN),
+    "chord_check/z": lambda: chord_check(NAN, 0.5, 1.0),
+    "chord_check/lam": lambda: chord_check(0.1, NAN, 1.0),
+    "chord_check/t": lambda: chord_check(0.1, 0.5, NAN),
+    "lemma_lhs/z": lambda: lemma_lhs(NAN, 1.0, 0.5, ModelFunction.linear()),
+    "lemma_lhs/t": lambda: lemma_lhs(0.1, NAN, 0.5, ModelFunction.linear()),
+    "lemma_lhs/lam": lambda: lemma_lhs(0.1, 1.0, NAN, ModelFunction.linear()),
+    "envelope_fit": lambda: envelope_fit(NAN_PRODUCT, NAN_SPEC.boundary, 1.0,
+                                         np.append(envelope_grid(NAN_SPEC.boundary), NAN)),
+    "in_stolz": lambda: in_stolz([0.5, NAN], NAN_SPEC),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NAN_CALLS))
+def test_nan_points_are_refused(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            NAN_CALLS[call]()
 
 
 class TestTheoremBound:
@@ -345,8 +387,10 @@ class TestEnvelope:
             envelope_fit(self.p, self.E, 1.0, np.array([], dtype=complex))
         with pytest.raises(DomainError):
             envelope_fit(self.p, self.E, 1.0, np.array([1.5 + 0j]))
-        with pytest.raises(DomainError, match="touches"):
-            envelope_fit(self.p, self.E, 1.0, np.array([1.0 + 0j, 0.1j]))
+        # a grid point on E is vacuous: it changes neither c1 nor c2
+        on_e = envelope_fit(self.p, self.E, 1.0, np.concatenate([[1.0 + 0j], grid]))
+        fit = envelope_fit(self.p, self.E, 1.0, grid)
+        assert (on_e.c1, on_e.c2, on_e.grid_size) == (fit.c1, fit.c2, grid.size + 1)
         with pytest.raises(DomainError, match="c1"):
             envelope_fit(self.p, self.E, 1.0, np.array([0.999 + 0j]))
 

@@ -56,7 +56,47 @@ NON_FINITE = {
 }
 
 
+REGION_BOUNDARY = {"model": {"kind": "linear"}, "K": 1.0, "resolution": 8}
+CRITICAL_SUM = {"zeros": "pair.txt", "set": {"points": [0.0]}, "rho": 1.0, "beta": 1.0,
+                "eps": 0.5}
+MEANS_TREND = {"family": {"kind": "radial_geometric"}, "p_list": [1.0], "truncations": [3]}
+# per case: the subcommand, its config, and the error it must print
+TYPE_ERRORS = {
+    "object": ("region-boundary", dict(REGION_BOUNDARY, model=5),
+               "config.model: expected an object"),
+    "number": ("region-boundary", dict(REGION_BOUNDARY, vertex_angle="0"),
+               "config.vertex_angle: expected a number"),
+    "positive": ("region-boundary", dict(REGION_BOUNDARY, K=-1.0),
+                 "config.K: must be positive"),
+    "integer": ("region-boundary", dict(REGION_BOUNDARY, resolution=8.5),
+                "config.resolution: expected an integer"),
+    "string": ("critical-points", {"zeros": 5}, "config.zeros: expected a non-empty string"),
+    "array": ("means-trend", dict(MEANS_TREND, p_list=1.0),
+              "config.p_list: expected a non-empty array of numbers"),
+    "constructor": ("region-boundary",
+                    dict(REGION_BOUNDARY, model={"kind": "power", "gamma": 0.5}),
+                    "config.model: power variant needs finite gamma >= 1, got 0.5"),
+    "boundary-file": ("critical-sum", dict(CRITICAL_SUM, set="missing.json"),
+                      "config.set: cannot read "),
+    "boundary-kind": ("critical-sum", dict(CRITICAL_SUM, set=5),
+                      "config.set: expected a file path or an inline boundary object"),
+    "radial-ratio": ("means-trend",
+                     dict(MEANS_TREND, family={"kind": "radial_geometric", "ratio": 1.5}),
+                     "config.family.ratio: must lie in (0, 1)"),
+}
+
+
 class TestConfigRejection:
+    @pytest.mark.parametrize("case", sorted(TYPE_ERRORS))
+    def test_type_errors_name_their_path(self, case, tmp_path, capsys):
+        command, payload, message = TYPE_ERRORS[case]
+        (tmp_path / "pair.txt").write_text(PAIR_ZEROS)
+        cfg = write_cfg(tmp_path, payload)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_top_level_field(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, lemma_cfg(bogus=1))
         assert cli.main(["verify-lemma", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -602,6 +642,7 @@ class TestBetaEstimate:
         {"arcs": 5},
         {"points": [None]},
         {"cantor": {"base": 1, "ratio": 0.3, "depth": 3}},
+        {"cantor": {"base": [0.0, 1.0], "ratio": 0.3, "depth": 2.5}},
     ])
     def test_malformed_set_is_config_error(self, boundary, tmp_path, capsys):
         with pytest.raises(blab.DomainError):

@@ -158,6 +158,41 @@ class TestCriticalPoints:
         with pytest.raises(RootFindingError, match=r"within 2 sweeps: \d+ of 99 estimates"):
             critical_points(zs)
 
+    @staticmethod
+    def _drop_one_estimate(monkeypatch, live=None):
+        """Make the solver lose its last estimate (and, given `live`, stall)."""
+        solve = blab.critical._aberth_free_points
+
+        def short(unique, mult):
+            w, moving = solve(unique, mult)
+            return w[:-1], moving if live is None else live
+
+        monkeypatch.setattr(blab.critical, "_aberth_free_points", short)
+
+    def test_short_count_names_count_and_recount(self, monkeypatch):
+        p = random_product(5, n_lo=10, n_hi=10)
+        full = critical_points(p).points
+        self._drop_one_estimate(monkeypatch)
+        with pytest.raises(RootFindingError) as info:
+            critical_points(p)
+        assert str(info.value) == (
+            "found 8 interior critical points, expected 9; winding recount gives 9")
+        partial = info.value.partial
+        assert partial.size == 8
+        assert np.array_equal(partial, partial[np.lexsort((np.angle(partial), -np.abs(partial)))])
+        assert np.min(np.abs(partial[:, None] - full[None, :]), axis=1).max() < 1e-12
+
+    def test_stalled_short_count_gains_the_count_clause(self, monkeypatch):
+        p = random_product(5, n_lo=10, n_hi=10)
+        self._drop_one_estimate(monkeypatch, live=3)
+        with pytest.raises(RootFindingError) as info:
+            critical_points(p)
+        assert str(info.value) == (
+            "found 8 interior critical points, expected 9; winding recount gives 9; "
+            "simultaneous iteration did not converge within 500 sweeps: "
+            "3 of 9 estimates still moving")
+        assert info.value.partial.size == 8
+
     def test_iter_and_count(self):
         cs = critical_points([0.5, -0.5])
         vals = list(cs)
@@ -221,6 +256,14 @@ class TestArgumentPrinciple:
         # double zero: B'(0.5) = 0 exactly, and theta = 0 sits on the grid
         with pytest.raises(ContourError, match="on the contour"):
             argument_principle_count([0.5, 0.5], 0.5)
+
+    def test_winding_that_does_not_round_cleanly(self, monkeypatch):
+        # the principal increments of a genuine B' telescope to whole turns, so
+        # only a stand-in whose phase turns half a loop reaches this branch
+        monkeypatch.setattr(BlaschkeProduct, "derivative",
+                            lambda self, z: np.exp(0.5j * np.unwrap(np.angle(z))))
+        with pytest.raises(ContourError, match=r"winding total 0\.500000 does not round cleanly"):
+            argument_principle_count([0.5, -0.5], 0.9)
 
     def test_radius_domain(self):
         for r in (0.0, 1.0, 1.5):

@@ -11,6 +11,7 @@ from blab import (
     SumSeries,
     MeansTable,
     ZeroSequence,
+    atomic_write_text,
     canonical_json,
     complex_pair,
     format_zeros,
@@ -120,6 +121,17 @@ class TestBoundaryFiles:
         write_boundary(path, E)
         text = path.read_text()
         assert text == canonical_json(json.loads(text))
+
+
+class TestAtomicWrite:
+    def test_failed_write_removes_its_temp_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("old\n")
+        # a lone surrogate cannot be encoded as UTF-8, so the write fails
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(path, "new \ud800\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+        assert path.read_text() == "old\n"
 
 
 class TestCanonicalJson:

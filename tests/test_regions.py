@@ -65,6 +65,12 @@ class TestModelFunction:
             ModelFunction.exp_tangential(0.0)
         with pytest.raises(DomainError):
             ModelFunction("cubic")
+        # gamma = inf would give C = inf, so every lemma check is vacuous;
+        # rho = inf makes phi a 0/1 step
+        with pytest.raises(DomainError, match="finite gamma"):
+            ModelFunction.truncated_power(math.inf)
+        with pytest.raises(DomainError, match="finite rho"):
+            ModelFunction.exp_tangential(math.inf)
 
     def test_rejects_negative_argument(self):
         with pytest.raises(DomainError):
@@ -250,6 +256,17 @@ def test_interval_arrays_match_list_merge_bitwise(case):
 
 
 class TestBoundarySet:
+    @pytest.mark.parametrize("depth", [3.7, 2.5, math.inf, math.nan])
+    def test_cantor_depth_must_be_an_integer(self, depth):
+        with pytest.raises(DomainError, match="cantor depth must be an integer"):
+            BoundarySet.cantor((0.0, 1.0), 0.3, depth)
+        with pytest.raises(DomainError, match="cantor depth must be an integer"):
+            BoundarySet.from_payload({"cantor": {"base": [0.0, 1.0], "ratio": 0.3,
+                                                 "depth": depth}})
+
+    def test_integral_float_cantor_depth_is_that_depth(self):
+        assert BoundarySet.cantor((0.0, 1.0), 0.3, 3.0).cantor_depth == 3
+
     def test_distance_hand_values(self):
         E = BoundarySet.from_points([0.0])
         assert E.distance(0.0) == pytest.approx(1.0)
@@ -574,6 +591,9 @@ class TestSampling:
             PowerLaw(0.9)
         with pytest.raises(DomainError):
             PowerLaw(2.0, scale=1.5)
+        # refused at construction, not at zero #2 of a sample
+        with pytest.raises(DomainError, match="finite"):
+            PowerLaw(math.inf)
 
 
 def _reference_draw_anchor(boundary_set, rng):
