@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, EmptyRegionError, SamplingError
-from .products import _BLOCK, _as_product, _factor_blocks
+from .products import _BLOCK, _as_product, _factor_blocks, _require, _result
 from .regions import MEMBERSHIP_TOL, _seed_int, angular_halfwidth, in_stolz, region_is_empty
 
 _DRAWS = 4096  # draws per RNG stream of the lemma sampler
@@ -38,15 +38,9 @@ def _as_complex(z):
 
 
 def _check_unit(t):
-    # this and the disk checks below are negations, so that nan fails them
     t = _as_complex(t)
-    if not np.all(np.abs(np.abs(t) - 1.0) <= _UNIT_TOL):
-        raise DomainError("t must lie on the unit circle")
+    _require(np.abs(np.abs(t) - 1.0) <= _UNIT_TOL, "t must lie on the unit circle")
     return t
-
-
-def _scalarize(vals, scalar):
-    return float(np.asarray(vals)[()]) if scalar else vals
 
 
 # ---------------------------------------------------------------------------
@@ -59,22 +53,18 @@ def three_point_check(phi, x, y, u):
     True for any nondecreasing phi: the average is at most max(x, y, u).
     """
     x, y, u = (np.asarray(v, dtype=np.float64) for v in (x, y, u))
-    scalar = x.ndim == 0 and y.ndim == 0 and u.ndim == 0
-    if np.any(x < 0.0) or np.any(y < 0.0) or np.any(u < 0.0):
-        raise DomainError("three_point_check needs nonnegative arguments")
-    ok = phi((x + y + u) / 3.0) <= phi(x) + phi(y) + phi(u) + _ABS_TOL
-    return bool(np.asarray(ok)[()]) if scalar else ok
+    _require((x >= 0.0) & (y >= 0.0) & (u >= 0.0),
+             "three_point_check needs nonnegative arguments")
+    return _result(phi((x + y + u) / 3.0) <= phi(x) + phi(y) + phi(u) + _ABS_TOL, x, y, u)
 
 
 def chord_check(z, lam, t):
     """|t - z| <= 2 |t - z |lam|| for |z| < 1, |lam| < 1, |t| = 1, up to absolute slack."""
     z, lam = _as_complex(z), _as_complex(lam)
     t = _check_unit(t)
-    scalar = z.ndim == 0 and lam.ndim == 0 and t.ndim == 0
-    if not (np.all(np.abs(z) < 1.0) and np.all(np.abs(lam) < 1.0)):
-        raise DomainError("z and lam must lie strictly inside the disk")
-    ok = np.abs(t - z) <= 2.0 * np.abs(t - z * np.abs(lam)) + _ABS_TOL
-    return bool(np.asarray(ok)[()]) if scalar else ok
+    _require((np.abs(z) < 1.0) & (np.abs(lam) < 1.0),
+             "z and lam must lie strictly inside the disk")
+    return _result(np.abs(t - z) <= 2.0 * np.abs(t - z * np.abs(lam)) + _ABS_TOL, z, lam, t)
 
 
 def lemma_lhs(z, t, lam, phi):
@@ -85,13 +75,10 @@ def lemma_lhs(z, t, lam, phi):
     """
     z, lam = _as_complex(z), _as_complex(lam)
     t = _check_unit(t)
-    scalar = z.ndim == 0 and t.ndim == 0 and lam.ndim == 0
-    if not np.all(np.abs(z) <= 1.0 + 1e-15):
-        raise DomainError("z must lie in the closed unit disk")
-    if not np.all(np.abs(lam) < 1.0):
-        raise DomainError("lam must lie strictly inside the disk")
+    _require(np.abs(z) <= 1.0 + 1e-15, "z must lie in the closed unit disk")
+    _require(np.abs(lam) < 1.0, "lam must lie strictly inside the disk")
     vals = phi(np.abs(t - z * np.abs(lam)) / 3.0) / np.abs(1.0 - np.conj(lam) * z)
-    return _scalarize(vals, scalar)
+    return _result(vals, z, t, lam)
 
 
 def lemma_bound(phi, k_const):
@@ -109,9 +96,7 @@ def schwarz_pick_bound(product, z):
     """
     product = _as_product(product)
     z = _as_complex(z)
-    scalar = z.ndim == 0
-    if not np.all(np.abs(z) < 1.0):
-        raise DomainError("the hyperbolic-derivative bound needs |z| < 1")
+    _require(np.abs(z) < 1.0, "the hyperbolic-derivative bound needs |z| < 1")
     flat = z.ravel()
     acc = np.empty(flat.shape, dtype=np.float64)
     sq = product.zeros.moduli[:, None] ** 2
@@ -121,19 +106,15 @@ def schwarz_pick_bound(product, z):
         # each term carries prod_{m<n} |b_m|^2 = prod_{m<n} |d_m|^2 inv_m
         terms[1:] *= np.cumprod(np.abs(d[:-1]) ** 2 * inv[:-1], axis=0)
         acc[sl] = terms.sum(axis=0)
-    vals = acc.reshape(z.shape)
-    return _scalarize(vals, scalar)
+    return _result(acc.reshape(z.shape), z)
 
 
 def schwarz_pick_check(product, z):
     """|B'(z)| <= (1 - |B(z)|^2)/(1 - |z|^2), with relative slack."""
     product = _as_product(product)
     z = _as_complex(z)
-    scalar = z.ndim == 0
     lhs = np.abs(product.derivative(z))
-    rhs = schwarz_pick_bound(product, z)
-    ok = lhs <= rhs * (1.0 + _CLOSED_RTOL)
-    return bool(np.asarray(ok)[()]) if scalar else ok
+    return _result(lhs <= schwarz_pick_bound(product, z) * (1.0 + _CLOSED_RTOL), z)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +345,7 @@ def _theorem_rhs(product, z, spec, check_zeros):
                 f"zero #{k} = {complex(product.zeros.zeros[k])} lies outside the region"
             )
     z = _as_complex(z)
-    if not np.all(np.abs(z) < 1.0):
-        raise DomainError("the derivative bound is checked strictly inside the disk")
+    _require(np.abs(z) < 1.0, "the derivative bound is checked strictly inside the disk")
     gauge = spec.phi(spec.boundary.distance(z) / 6.0)
     const = 2.0 * lemma_bound(spec.phi, spec.k_const) ** 2 * product.zeros.alpha
     with np.errstate(divide="ignore", over="ignore"):
@@ -384,7 +364,7 @@ def theorem_bound(product, z, spec, check_zeros=True):
     product = _as_product(product)
     z, rhs = _theorem_rhs(product, z, spec, check_zeros)
     lhs = np.abs(product.derivative(z))
-    return _scalarize(lhs, z.ndim == 0), _scalarize(rhs, z.ndim == 0)
+    return _result(lhs, z), _result(rhs, z)
 
 
 def _ratio(lhs, rhs):
@@ -443,13 +423,10 @@ class EnvelopeFit:
     def envelope(self, d):
         """Envelope value at boundary distance d > 0."""
         d = np.asarray(d, dtype=np.float64)
-        scalar = d.ndim == 0
-        if np.any(d <= 0.0):
-            raise DomainError("envelope needs positive boundary distance")
+        _require(d > 0.0, "envelope needs positive boundary distance")
         # +inf is the honest value hard against E (d**rho may underflow to 0)
         with np.errstate(over="ignore", divide="ignore"):
-            vals = self.c1 * np.exp(self.c2 / d ** self.rho)
-        return _scalarize(vals, scalar)
+            return _result(self.c1 * np.exp(self.c2 / d ** self.rho), d)
 
 
 def envelope_fit(product, boundary_set, rho, grid):
@@ -475,8 +452,7 @@ def envelope_fit(product, boundary_set, rho, grid):
     grid = _as_complex(grid).ravel()
     if grid.size == 0:
         raise DomainError("empty fitting grid")
-    if not np.all(np.abs(grid) <= 1.0 + 1e-15):
-        raise DomainError("grid must lie in the closed unit disk")
+    _require(np.abs(grid) <= 1.0 + 1e-15, "grid must lie in the closed unit disk")
     d = boundary_set.distance(grid)
     far = d >= 0.5
     if not far.any():

@@ -26,7 +26,7 @@ class ResolutionError(BlabError, RuntimeError):
 
 
 class ContourError(BlabError, RuntimeError):
-    """A winding-number integral did not round cleanly to an integer."""
+    """Critical point on the contour of a winding-number count."""
 
 
 class RootFindingError(BlabError, RuntimeError):

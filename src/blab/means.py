@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlabError, DomainError, ResolutionError
-from .products import _as_product
+from .products import _as_product, _require
 
 _DOUBLING_GATE = 1e-4
 _DOUBLING_TARGET = 1e-6
@@ -364,8 +364,7 @@ class MeansTable:
 
     def __post_init__(self):
         for n, p, r, v in self.rows:
-            if v < 0.0:
-                raise DomainError(f"negative mean in row (N={n}, p={p}, r={r})")
+            _require(v >= 0.0, f"negative mean in row (N={n}, p={p}, r={r})")
 
     def sup_over_r(self):
         """{(N, p): max value over the radius grid}."""

@@ -25,24 +25,22 @@ _EDGE_TOL = 1e-12
 _BLOCK = 1 << 15
 
 
-def _complexify(z):
-    arr = np.asarray(z, dtype=np.complex128)
-    return arr, arr.ndim == 0
+# The argument convention of every scalar-or-array function in the package:
+# a check states the condition that must hold (so that nan fails it), and a
+# result is a Python scalar when every argument is 0-d, else an array.
+def _require(ok, message):
+    if not np.all(ok):
+        raise DomainError(message)
 
 
-def _unscalar(values, scalar):
-    return complex(np.asarray(values)[()]) if scalar else values
+def _result(values, *args):
+    if all(np.ndim(a) == 0 for a in args):
+        return np.asarray(values)[()].item()
+    return values
 
 
-# the disk checks are written as negations, so that a nan point fails them too
 def _require_closed_disk(arr):
-    if not np.all(np.abs(arr) <= 1.0 + _EDGE_TOL):
-        raise DomainError("evaluation point lies outside the closed unit disk")
-
-
-def _require_open_disk(arr):
-    if not np.all(np.abs(arr) < 1.0):
-        raise DomainError("point must lie strictly inside the unit disk")
+    _require(np.abs(arr) <= 1.0 + _EDGE_TOL, "evaluation point lies outside the closed unit disk")
 
 
 def _factor_blocks(zeros, z):
@@ -85,10 +83,10 @@ def blaschke_factor(z, zero):
     ra = abs(a)
     if not 0.0 < ra < 1.0:
         raise InvalidZeroError(f"zero {a} violates 0 < |z| < 1 (|z| = {ra})")
-    arr, scalar = _complexify(z)
+    arr = np.asarray(z, dtype=np.complex128)
     _require_closed_disk(arr)
     vals = (a.conjugate() / ra) * (a - arr) / (1.0 - a.conjugate() * arr)
-    return _unscalar(vals, scalar)
+    return _result(vals, arr)
 
 
 def factor_derivative(z, zero):
@@ -97,10 +95,10 @@ def factor_derivative(z, zero):
     ra = abs(a)
     if not 0.0 < ra < 1.0:
         raise InvalidZeroError(f"zero {a} violates 0 < |z| < 1 (|z| = {ra})")
-    arr, scalar = _complexify(z)
+    arr = np.asarray(z, dtype=np.complex128)
     _require_closed_disk(arr)
     vals = (a.conjugate() / ra) * (ra * ra - 1.0) / (1.0 - a.conjugate() * arr) ** 2
-    return _unscalar(vals, scalar)
+    return _result(vals, arr)
 
 
 class ZeroSequence:
@@ -169,11 +167,9 @@ def truncation_tail(tail, z):
     circle itself is rejected.
     """
     seq = tail if isinstance(tail, ZeroSequence) else ZeroSequence(tail)
-    arr, scalar = _complexify(z)
-    _require_open_disk(arr)
-    vals = 2.0 * seq.alpha / (1.0 - np.abs(arr))
-    vals = np.asarray(vals)
-    return float(vals[()]) if scalar else vals
+    arr = np.asarray(z, dtype=np.complex128)
+    _require(np.abs(arr) < 1.0, "point must lie strictly inside the unit disk")
+    return _result(2.0 * seq.alpha / (1.0 - np.abs(arr)), arr)
 
 
 class BlaschkeProduct:
@@ -204,14 +200,14 @@ class BlaschkeProduct:
 
     def evaluate(self, z):
         """Value of the product at z (scalar or array), |z| <= 1."""
-        arr, scalar = _complexify(z)
+        arr = np.asarray(z, dtype=np.complex128)
         _require_closed_disk(arr)
         flat = arr.reshape(-1)
         out = np.empty_like(flat)
         inv = 1.0 / self._seq.moduli[:, None]
         for sl, d, r in _factor_blocks(self._seq.zeros, flat):
             out[sl] = np.prod(d * r * inv, axis=0)
-        return _unscalar(out.reshape(arr.shape), scalar)
+        return _result(out.reshape(arr.shape), arr)
 
     def derivative(self, z):
         """Analytic derivative B' = B H, with H = B'/B summed over the factors.
@@ -222,7 +218,7 @@ class BlaschkeProduct:
         those points only: at a simple zero a_k it is
         b_k'(a_k) prod_{j!=k} b_j(a_k), and at a repeated one exactly 0.
         """
-        arr, scalar = _complexify(z)
+        arr = np.asarray(z, dtype=np.complex128)
         _require_closed_disk(arr)
         flat = arr.reshape(-1)
         out = np.empty_like(flat)
@@ -240,7 +236,7 @@ class BlaschkeProduct:
                 before = np.cumprod(np.concatenate([one, fac[:-1]]), axis=0)
                 after = np.cumprod(np.concatenate([one, fac[:0:-1]]), axis=0)[::-1]
                 out[k] = np.sum(der * before * after)
-        return _unscalar(out.reshape(arr.shape), scalar)
+        return _result(out.reshape(arr.shape), arr)
 
     def derivative_fd(self, z, h=1e-5):
         """Centered finite-difference derivative over two orthogonal directions.
@@ -248,15 +244,13 @@ class BlaschkeProduct:
         Cross-check only; needs |z| + h < 1 so all four stencil points stay
         inside the closed disk.
         """
-        arr, scalar = _complexify(z)
+        arr = np.asarray(z, dtype=np.complex128)
         h = float(h)
-        if h <= 0.0:
-            raise DomainError("finite-difference step must be positive")
-        if np.any(np.abs(arr) + h >= 1.0):
-            raise DomainError("stencil reaches the unit circle; need |z| + h < 1")
+        _require(h > 0.0, "finite-difference step must be positive")
+        _require(np.abs(arr) + h < 1.0, "stencil reaches the unit circle; need |z| + h < 1")
         real = (self.evaluate(arr + h) - self.evaluate(arr - h)) / (2.0 * h)
         imag = (self.evaluate(arr + 1j * h) - self.evaluate(arr - 1j * h)) / (2j * h)
-        return _unscalar((real + imag) / 2.0, scalar)
+        return _result((real + imag) / 2.0, arr)
 
     def __repr__(self):
         return f"BlaschkeProduct(degree={self.degree}, alpha={self._seq.alpha:.6g})"

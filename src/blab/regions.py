@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyRegionError, SamplingError
-from .products import ZeroSequence
+from .products import ZeroSequence, _require, _result
 
 TWO_PI = 2.0 * math.pi
 
@@ -70,9 +70,7 @@ class ModelFunction:
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=np.float64)
-        scalar = arr.ndim == 0
-        if np.any(arr < 0.0):
-            raise DomainError("model functions are defined for x >= 0 only")
+        _require(arr >= 0.0, "model functions are defined for x >= 0 only")
         if self.kind == "linear":
             vals = arr.copy()
         elif self.kind == "power":
@@ -84,7 +82,7 @@ class ModelFunction:
             with np.errstate(divide="ignore", over="ignore"):
                 vals = np.exp(-np.power(arr, -self.param, where=arr > 0,
                                         out=np.full_like(arr, np.inf)))
-        return float(np.asarray(vals)[()]) if scalar else vals
+        return _result(vals, arr)
 
     @property
     def constant(self):
@@ -99,9 +97,7 @@ class ModelFunction:
     def inverse(self, y):
         """Inverse on the range of phi; +inf where exp variants saturate (y >= 1)."""
         arr = np.asarray(y, dtype=np.float64)
-        scalar = arr.ndim == 0
-        if np.any(arr < 0.0):
-            raise DomainError("inverse needs y >= 0")
+        _require(arr >= 0.0, "inverse needs y >= 0")
         if self.kind == "linear":
             vals = arr.copy()
         elif self.kind == "power":
@@ -115,7 +111,7 @@ class ModelFunction:
                             np.power(logs, -1.0 / rho, where=logs > 0,
                                      out=np.zeros_like(arr)))
             vals = np.where(arr == 0.0, 0.0, vals)
-        return float(np.asarray(vals)[()]) if scalar else vals
+        return _result(vals, arr)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +309,8 @@ class BoundarySet:
         flat = arr.reshape(-1)
         _, inside, (before, after) = self._nearest_ends(flat)
         out = np.minimum(np.abs(flat - before), np.abs(flat - after))
-        out = np.where(inside, np.abs(np.abs(flat) - 1.0), out).reshape(arr.shape)
-        return float(out[()]) if arr.ndim == 0 else out
+        out = np.where(inside, np.abs(np.abs(flat) - 1.0), out)
+        return _result(out.reshape(arr.shape), arr)
 
     def nearest_point(self, z):
         """A circle point of the set realizing the chordal distance to z."""
@@ -357,10 +353,8 @@ def _type_beta(boundary_set, x_grid=None):
     grid = default_beta_grid() if x_grid is None else np.asarray(x_grid, dtype=np.float64)
     if grid.size < 4:
         raise DomainError("beta estimation needs at least 4 grid values")
-    if not np.all((0.0 < grid) & (grid < 1.0)):
-        raise DomainError("beta grid values must lie in (0, 1)")
-    if np.any(np.diff(grid) >= 0.0):
-        raise DomainError("beta grid must be strictly decreasing")
+    _require((0.0 < grid) & (grid < 1.0), "beta grid values must lie in (0, 1)")
+    _require(np.diff(grid) < 0.0, "beta grid must be strictly decreasing")
     depth = boundary_set.cantor_depth
     if depth is not None:
         needed = int(math.ceil(-math.log2(float(grid.min()))))
@@ -398,14 +392,11 @@ class StolzSpec:
 def in_stolz(lam, spec):
     """Membership test phi(d(lam, E)) <= K (1 - |lam|), with relative slack MEMBERSHIP_TOL."""
     arr = np.asarray(lam, dtype=np.complex128)
-    scalar = arr.ndim == 0
     r = np.abs(arr)
-    if not np.all(r < 1.0):
-        raise DomainError("membership is defined strictly inside the unit disk")
+    _require(r < 1.0, "membership is defined strictly inside the unit disk")
     lhs = spec.phi(spec.boundary.distance(arr))
     rhs = spec.k_const * (1.0 - r)
-    ok = lhs <= rhs + MEMBERSHIP_TOL * np.maximum(lhs, rhs)
-    return bool(np.asarray(ok)[()]) if scalar else ok
+    return _result(lhs <= rhs + MEMBERSHIP_TOL * np.maximum(lhs, rhs), arr)
 
 
 def region_is_empty(phi, k_const):
@@ -426,13 +417,10 @@ def angular_halfwidth(phi, k_const, u):
     radius is admissible at all (phi(u) <= K u). Scalar or array u.
     """
     arr = np.asarray(u, dtype=np.float64)
-    scalar = arr.ndim == 0
-    if np.any((arr <= 0.0) | (arr >= 1.0)):
-        raise DomainError("radial gap must lie in (0, 1)")
+    _require((0.0 < arr) & (arr < 1.0), "radial gap must lie in (0, 1)")
     x_max = np.minimum(phi.inverse(k_const * arr), 2.0)
     c = (1.0 + (1.0 - arr) ** 2 - x_max * x_max) / (2.0 * (1.0 - arr))
-    vals = np.arccos(np.clip(c, -1.0, 1.0))
-    return float(np.asarray(vals)[()]) if scalar else vals
+    return _result(np.arccos(np.clip(c, -1.0, 1.0)), arr)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The public surface: the exported names, the README quick start, the imports."""
+"""The public surface: the exported names, the README quick start, the imports,
+and the argument convention of the scalar-or-array functions."""
 import ast
 import inspect
 import os
@@ -6,6 +7,9 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import blab
 
@@ -161,3 +165,117 @@ def test_every_import_is_used():
         if imported - used:
             unused[path.name] = sorted(imported - used)
     assert unused == {}
+
+
+def _raises_domain_error_under_any(path):
+    """Line numbers of `raise DomainError` under an `if` whose test holds an
+    any() call outside a `not`: such a test lets a nan argument through."""
+
+    def holds_any(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            return False
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "any"):
+            return True
+        return any(holds_any(child) for child in ast.iter_child_nodes(node))
+
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.If) and holds_any(node.test):
+            found.extend(sub.lineno for stmt in node.body for sub in ast.walk(stmt)
+                         if isinstance(sub, ast.Raise) and sub.exc is not None
+                         and "DomainError" in ast.unparse(sub.exc))
+    return found
+
+
+def test_no_domain_error_is_guarded_by_any():
+    """Argument checks state the condition that must hold, so nan fails them."""
+    guarded = {}
+    for path in sorted(Path(blab.__file__).parent.glob("*.py")):
+        lines = _raises_domain_error_under_any(path)
+        if lines:
+            guarded[path.name] = lines
+    assert guarded == {}
+
+
+def test_the_any_guard_detector_sees_one(tmp_path):
+    src = tmp_path / "guarded.py"
+    src.write_text("import numpy as np\n"
+                   "def f(x):\n"
+                   "    if np.any(x < 0.0) or x.any():\n"
+                   "        raise DomainError('negative')\n"
+                   "    if not np.any(x):\n"
+                   "        raise DomainError('no nonzero entry')\n")
+    assert _raises_domain_error_under_any(src) == [4]
+
+
+def _envelope():
+    return blab.EnvelopeFit(c1=1.0, c2=0.5, rho=1.0, grid_size=1)
+
+
+NAN = float("nan")
+LINEAR = blab.ModelFunction.linear()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: blab.three_point_check(LINEAR, NAN, 1.0, 1.0), "nonnegative"),
+    (lambda: _envelope().envelope(NAN), "positive boundary distance"),
+    (lambda: LINEAR(NAN), "x >= 0"),
+    (lambda: LINEAR.inverse(NAN), "y >= 0"),
+    (lambda: blab.angular_halfwidth(LINEAR, 1.0, NAN), r"in \(0, 1\)"),
+    (lambda: blab.BlaschkeProduct([0.5]).derivative_fd(0.1, h=NAN), "step must be positive"),
+    (lambda: blab.MeansTable([(1, 1.0, 0.5, NAN)]), "negative mean"),
+], ids=["three_point_check", "envelope", "model_function", "inverse", "angular_halfwidth",
+        "derivative_fd_step", "means_table_row"])
+def test_nan_argument_is_a_domain_error(call, message):
+    with pytest.raises(blab.DomainError, match=message):
+        call()
+
+
+_PRODUCT = blab.BlaschkeProduct([0.5, -0.3j, 0.2 + 0.6j])
+_SPEC = blab.StolzSpec(blab.ModelFunction.truncated_power(2.0),
+                       blab.BoundarySet.from_points([0.0]), 2.0)
+_EXP = blab.ModelFunction.exp_tangential(1.0)
+_T = complex(np.exp(0.3j))
+
+# each entry point as a function of one argument value (every argument of
+# the entry point gets that shape), the value, and the type of a 0-d result
+ENTRY_POINTS = {
+    "blaschke_factor": (lambda z: blab.blaschke_factor(z, 0.5), 0.1 + 0.2j, complex),
+    "factor_derivative": (lambda z: blab.factor_derivative(z, 0.5), 0.1 + 0.2j, complex),
+    "truncation_tail": (lambda z: blab.truncation_tail([0.9, 0.95], z), 0.1 + 0.2j, float),
+    "evaluate": (_PRODUCT.evaluate, 0.1 + 0.2j, complex),
+    "derivative": (_PRODUCT.derivative, 0.1 + 0.2j, complex),
+    "derivative_fd": (_PRODUCT.derivative_fd, 0.1 + 0.2j, complex),
+    "three_point_check": (lambda x: blab.three_point_check(_EXP, x, x + 0.1, x + 0.2), 0.3,
+                          bool),
+    "chord_check": (lambda z: blab.chord_check(z, 0.5 * z, _T * z / abs(z)), 0.1 + 0.2j,
+                    bool),
+    "lemma_lhs": (lambda z: blab.lemma_lhs(z, _T * z / abs(z), 0.5 * z, _EXP), 0.1 + 0.2j,
+                  float),
+    "schwarz_pick_bound": (lambda z: blab.schwarz_pick_bound(_PRODUCT, z), 0.1 + 0.2j, float),
+    "schwarz_pick_check": (lambda z: blab.schwarz_pick_check(_PRODUCT, z), 0.1 + 0.2j, bool),
+    "theorem_bound": (lambda z: blab.theorem_bound([0.5], z, _SPEC), 0.1 + 0.2j, float),
+    "envelope": (lambda d: _envelope().envelope(d), 0.25, float),
+    "model_function": (_EXP, 0.25, float),
+    "inverse": (_EXP.inverse, 0.25, float),
+    "distance": (_SPEC.boundary.distance, 0.1 + 0.2j, float),
+    "in_stolz": (lambda z: blab.in_stolz(z, _SPEC), 0.9 + 0.01j, bool),
+    "angular_halfwidth": (lambda u: blab.angular_halfwidth(_EXP, 2.0, u), 0.25, float),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_scalar_or_array_result_types(name):
+    """A 0-d argument gives a Python scalar, a shape-(1,) one an array of the same value."""
+    call, value, kind = ENTRY_POINTS[name]
+    scalar, array = call(np.asarray(value)), call(np.asarray([value]))
+    if name == "theorem_bound":  # the pair (|B'|, bound)
+        assert all(type(s) is kind and isinstance(a, np.ndarray) and a[0] == s
+                   for s, a in zip(scalar, array))
+        return
+    assert type(scalar) is kind
+    assert isinstance(array, np.ndarray) and array.shape == (1,)
+    # to the last bit but for derivative_fd, whose 0-d differences are
+    # divided in Python's complex arithmetic rather than numpy's
+    assert array[0] == pytest.approx(scalar, rel=1e-15)
