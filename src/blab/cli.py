@@ -16,6 +16,7 @@ trivially.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -534,6 +535,7 @@ _RUNNERS = {
 }
 
 
+@functools.cache  # built once per process, for every main call in it
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="blab",

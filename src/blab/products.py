@@ -244,13 +244,13 @@ class BlaschkeProduct:
         Cross-check only; needs |z| + h < 1 so all four stencil points stay
         inside the closed disk.
         """
-        arr = np.asarray(z, dtype=np.complex128)
+        arr = np.atleast_1d(np.asarray(z, dtype=np.complex128))  # 0-d z: numpy's division too
         h = float(h)
         _require(h > 0.0, "finite-difference step must be positive")
         _require(np.abs(arr) + h < 1.0, "stencil reaches the unit circle; need |z| + h < 1")
         real = (self.evaluate(arr + h) - self.evaluate(arr - h)) / (2.0 * h)
         imag = (self.evaluate(arr + 1j * h) - self.evaluate(arr - 1j * h)) / (2j * h)
-        return _result((real + imag) / 2.0, arr)
+        return _result((real + imag) / 2.0, z)
 
     def __repr__(self):
         return f"BlaschkeProduct(degree={self.degree}, alpha={self._seq.alpha:.6g})"

@@ -276,6 +276,4 @@ def test_scalar_or_array_result_types(name):
         return
     assert type(scalar) is kind
     assert isinstance(array, np.ndarray) and array.shape == (1,)
-    # to the last bit but for derivative_fd, whose 0-d differences are
-    # divided in Python's complex arithmetic rather than numpy's
-    assert array[0] == pytest.approx(scalar, rel=1e-15)
+    assert array[0] == scalar

@@ -805,6 +805,15 @@ class TestEntryPoints:
             cli.entry()
         assert info.value.code == 0
 
+    def test_one_parser_serves_every_call(self, capsys):
+        # built once per process; each call still gets argparse's usage error
+        assert cli.build_parser() is cli.build_parser()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                cli.main(["critical-points"])
+            assert info.value.code == 2
+            assert "the following arguments are required: --config" in capsys.readouterr().err
+
     def test_console_script(self, tmp_path):
         # Checks the `blab` entry of [project.scripts] from the source tree: a
         # launcher of the form installers generate is written for the declared

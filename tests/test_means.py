@@ -210,10 +210,14 @@ class TestBergmanIntegral:
 
     def test_explicit_coarse_nodes_fail_loudly(self, monkeypatch):
         zs = (1.0 - 10.0 ** np.linspace(-6, -1, 40)).astype(complex)
-        # 21 panels down to 2^-20 < 1e-6: the 80 radial start nodes become 4
-        # per panel, 160 become 8; the cap leaves that one doubling
-        monkeypatch.setattr(blab.means, "_NODE_CAP", 168 * 1280)
-        with pytest.raises(ResolutionError, match=r"doubling .* on a pass of 168 x 1280 nodes$"):
+        # 21 panels down to 2^-20 < 1e-6: the rule starts at 4 radial nodes a
+        # panel, 84 x 80 nodes, and doubles its radii to 168 x 80 and its angle
+        # to 168 x 160; the cap leaves no further doubling, and the radial
+        # check is still off
+        monkeypatch.setattr(blab.means, "_NODE_CAP", 168 * 160)
+        with pytest.raises(ResolutionError, match=r"doubling moved the integral by .* relative "
+                                                  r"in radius for degree 40 on a pass of "
+                                                  r"168 x 160 nodes$"):
             bergman_integral(BlaschkeProduct(zs), 2.0)
 
     def test_exponent_domain(self):
@@ -247,8 +251,14 @@ class TestBergmanIntegral:
     def test_node_cap_bounds_every_pass(self, handed, monkeypatch):
         monkeypatch.setattr(blab.means, "_NODE_CAP", 1 << 16)
         bergman_integral([0.9, 0.9j, -0.9], 0.5)
-        # 65 x 64 and 130 x 128 nodes; the next pass, 260 x 256, would exceed the cap
-        assert handed == [4160, 16640]
+        # radial x angular rules, each built at half its angular count and
+        # refined once: 70 x 18 and its half-radial check 35 x 18. Both
+        # dimensions double: a new 140 x 18 rule refined to 140 x 36, with the
+        # old one refined to 70 x 36 as its check; and again, to 280 x 72
+        # (140 x 72). Both checks are still off, and doubling both dimensions
+        # of 280 x 72 would exceed the cap.
+        assert handed == [630, 630, 315, 315, 1260, 1260, 2520, 1260,
+                          5040, 5040, 10080, 5040]
 
     def test_float64_floor_fails_before_evaluating(self, handed):
         # 1 - 2^-40: the p = 2 mass of that zero lies within about 1e-12 of the circle
@@ -257,12 +267,39 @@ class TestBergmanIntegral:
         assert handed == []
 
     def test_default_start_over_the_cap_fails_before_evaluating(self, handed, monkeypatch):
-        monkeypatch.setattr(blab.means, "_NODE_CAP", 1 << 13)
+        monkeypatch.setattr(blab.means, "_NODE_CAP", 1 << 10)
         with pytest.raises(ResolutionError,
-                           match=r"doubling .* degree 3 would start at 65 x 64 nodes "
-                                 r"and validate at 130 x 128, beyond the node cap 8192"):
+                           match=r"doubling .* degree 3 would start at 70 x 18 nodes, "
+                                 r"beyond the node cap 1024"):
             bergman_integral([0.9, 0.9j, -0.9], 0.5)
         assert handed == []
+
+    def test_p2_is_n_pi_at_degree_128(self):
+        # the tensor rule that doubled both dimensions on every pass failed
+        # here before evaluating: its validating pass was over the node cap
+        rng = np.random.default_rng([11, 1, 128])
+        gaps = rng.uniform(0.05, 0.5, 128)
+        zeros = (1.0 - gaps) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 128))
+        assert bergman_integral(zeros, 2.0) == pytest.approx(128 * np.pi, rel=1e-9)
+
+    @pytest.mark.parametrize("zeros, p", [([0.9, 0.9j, -0.9], 0.5), (sampled_exp_zeros(10), 1.0)])
+    def test_value_agrees_with_its_angular_and_radial_checks(self, zeros, p, monkeypatch):
+        rules = []
+        init = blab.means._TensorRule.__init__
+
+        def recording(self, *args):
+            init(self, *args)
+            rules.append((self, args))
+
+        monkeypatch.setattr(blab.means._TensorRule, "__init__", recording)
+        value = bergman_integral(zeros, p)
+        (fine, args), = [(r, a) for r, a in rules if r.value == value]
+        half, = [r for r, _ in rules if (r.radial, r.count) == (fine.radial // 2, fine.count)]
+        for check in (fine.coarse, half.value):
+            assert abs(check - value) <= 1e-6 * value
+        # the even-node sub-rule is the rule at half the angular count
+        coarse = blab.means._TensorRule(*args[:-1], fine.count // 2)
+        assert coarse.value == pytest.approx(fine.coarse, rel=1e-13)
 
 
 class TestAngularRule:
