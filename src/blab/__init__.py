@@ -23,7 +23,6 @@ from .bounds import (
 from .critical import (
     CriticalSet,
     SumSeries,
-    argument_principle_count,
     critical_points,
     critical_sum,
     log_weighted_sum,
@@ -31,7 +30,6 @@ from .critical import (
 )
 from .errors import (
     BlabError,
-    ContourError,
     DomainError,
     EmptyRegionError,
     InvalidZeroError,

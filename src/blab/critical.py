@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContourError, DomainError, RootFindingError
+from .errors import DomainError, RootFindingError
 from .products import _BLOCK, ZeroSequence, _as_product, _factor_blocks
 
 _INTERIOR_EDGE = 1e-12  # |root| < 1 - this counts as interior
@@ -258,30 +258,6 @@ def _residual_failure(product, unique, mult, points, residuals):
     if residuals[k] <= _FLOOR_FACTOR * floor:
         msg += f" (residual within {_FLOOR_FACTOR:g}x of it: a float64 limit)"
     return msg
-
-
-def argument_principle_count(product, r, nodes=None):
-    """Zeros of B' strictly inside |z| = r, by winding of B' around the circle.
-
-    Trapezoidal phase accumulation: principal-value increments of arg B'
-    summed over the closed loop, which telescope to whole turns. Too few
-    nodes give a wrong whole count without any error: [0.5, -0.5, 0.9j] at
-    r = 0.9 gives 0 with 4 nodes and 2 with 16. The default is
-    max(2048, 64 n) nodes. A critical point on a node raises ContourError.
-    """
-    product = _as_product(product)
-    r = float(r)
-    if not 0.0 < r < 1.0:
-        raise DomainError("contour radius must lie in (0, 1)")
-    if nodes is None:
-        nodes = max(2048, 64 * product.degree)
-    nodes = int(nodes)
-    theta = np.linspace(0.0, 2.0 * np.pi, nodes + 1)
-    vals = product.derivative(r * np.exp(1j * theta))
-    if np.any(vals == 0.0):
-        raise ContourError("critical point on the contour")
-    steps = np.angle(vals[1:] / vals[:-1])
-    return round(float(steps.sum() / (2.0 * np.pi)))
 
 
 # ---------------------------------------------------------------------------

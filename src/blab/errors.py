@@ -25,10 +25,6 @@ class ResolutionError(BlabError, RuntimeError):
     """Node-doubling validation disagreed beyond the allowed tolerance."""
 
 
-class ContourError(BlabError, RuntimeError):
-    """Critical point on the contour of a winding-number count."""
-
-
 class RootFindingError(BlabError, RuntimeError):
     """The critical-point solver could not certify its result.
 

@@ -410,12 +410,6 @@ class MeansTable:
             out[key] = max(out.get(key, 0.0), v)
         return out
 
-    def value(self, n, p, r):
-        for rn, rp, rr, v in self.rows:
-            if rn == n and rp == p and rr == r:
-                return v
-        raise KeyError((n, p, r))
-
 
 def hp_trend(family, p, truncations, r_grid):
     """Hardy means of B' across truncations of a zero family.

@@ -143,13 +143,6 @@ class ZeroSequence:
             return complex(picked)
         return ZeroSequence(picked)
 
-    def split(self, n):
-        """Head/tail split after the first n zeros."""
-        n = int(n)
-        if not 0 <= n <= len(self):
-            raise DomainError(f"split index {n} out of range for length {len(self)}")
-        return ZeroSequence(self._zeros[:n]), ZeroSequence(self._zeros[n:])
-
     def __repr__(self):
         return f"ZeroSequence(n={len(self)}, alpha={self._alpha:.6g})"
 

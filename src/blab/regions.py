@@ -224,10 +224,6 @@ class BoundarySet:
     def cantor(cls, base, ratio, depth):
         return cls(cantor=(tuple(base), ratio, depth))
 
-    @classmethod
-    def full_circle(cls):
-        return cls(arcs=[(0.0, TWO_PI)])
-
     # -- payload ------------------------------------------------------------
 
     def to_payload(self):
@@ -286,39 +282,27 @@ class BoundarySet:
         """Normalized arclength of the set itself."""
         return _total_length(self._lo, self._hi) / TWO_PI
 
-    def _nearest_ends(self, flat):
-        """Sorted-interval lookup for the points flat.
+    def distance(self, z):
+        """Chordal distance from z (scalar or array) to the set.
 
-        Returns their angles in [0, 2pi], whether an arc contains each
-        angle, and the two interval endpoints nearest in angle, as unit
-        points: the end of the last interval starting at or before the
-        angle and the start of the next one, wrapping at 0/2pi. Outside the
-        arcs the nearest circle point of the set is one of the two, since
-        chordal distance grows with angular distance.
+        A sorted-interval lookup finds, for each angle in [0, 2pi], whether
+        an arc contains it, and the two interval endpoints nearest to it: the
+        end of the last interval starting at or before the angle and the
+        start of the next one, wrapping at 0/2pi. Inside an arc the distance
+        is radial; outside, the nearest circle point of the set is one of the
+        two ends, since chordal distance grows with angular distance.
         """
+        arr = np.asarray(z, dtype=np.complex128)
+        flat = arr.reshape(-1)
         ang = np.mod(np.angle(flat), TWO_PI)
         k = np.searchsorted(self._lo, ang, side="right") - 1
         inside = (k >= 0) & (ang <= self._hi[k]) & self._arc[k]
         if self._wraps:
             inside |= ang == 0.0
-        return ang, inside, (self._unit_hi[k], self._unit_lo[(k + 1) % self._lo.size])
-
-    def distance(self, z):
-        """Chordal distance from z (scalar or array) to the set."""
-        arr = np.asarray(z, dtype=np.complex128)
-        flat = arr.reshape(-1)
-        _, inside, (before, after) = self._nearest_ends(flat)
+        before, after = self._unit_hi[k], self._unit_lo[(k + 1) % self._lo.size]
         out = np.minimum(np.abs(flat - before), np.abs(flat - after))
         out = np.where(inside, np.abs(np.abs(flat) - 1.0), out)
         return _result(out.reshape(arr.shape), arr)
-
-    def nearest_point(self, z):
-        """A circle point of the set realizing the chordal distance to z."""
-        zc = complex(z)
-        ang, inside, ends = self._nearest_ends(np.asarray([zc]))
-        if inside[0]:
-            return complex(np.exp(1j * ang[0]))
-        return min((complex(e[0]) for e in ends), key=lambda p: abs(zc - p))
 
     def neighborhood_measure(self, x):
         """Normalized arclength of the open chordal x-neighborhood on the circle."""
@@ -332,8 +316,8 @@ class BoundarySet:
         return min(1.0, _total_length(lo, hi) / TWO_PI)
 
 
-def default_beta_grid():
-    return np.ldexp(1.0, -np.arange(4, 15))
+# type_beta's default grid: the dyadic scales x = 2^-4, ..., 2^-14
+_BETA_GRID = np.ldexp(1.0, -np.arange(4, 15))
 
 
 def type_beta(boundary_set, x_grid=None):
@@ -350,7 +334,7 @@ def type_beta(boundary_set, x_grid=None):
 
 def _type_beta(boundary_set, x_grid=None):
     """type_beta's slope and the neighborhood measures it is fitted to."""
-    grid = default_beta_grid() if x_grid is None else np.asarray(x_grid, dtype=np.float64)
+    grid = _BETA_GRID if x_grid is None else np.asarray(x_grid, dtype=np.float64)
     if grid.size < 4:
         raise DomainError("beta estimation needs at least 4 grid values")
     _require((0.0 < grid) & (grid < 1.0), "beta grid values must lie in (0, 1)")

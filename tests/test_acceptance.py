@@ -21,7 +21,6 @@ from blab import (
     ModelFunction,
     PowerLaw,
     StolzSpec,
-    argument_principle_count,
     cli,
     critical_points,
     critical_sum,
@@ -37,6 +36,7 @@ from blab import (
     theorem_check,
     type_beta,
 )
+from winding import argument_principle_count
 
 R_GRID = [0.9, 0.99, 0.999]
 

@@ -14,20 +14,20 @@ import pytest
 import blab
 
 EXPORTS = [
-    "BlabError", "BlaschkeProduct", "BoundReport", "BoundarySet", "ContourError",
-    "CriticalSet", "DomainError", "EmptyRegionError", "EnvelopeFit", "GeometricLaw",
+    "BlabError", "BlaschkeProduct", "BoundReport", "BoundarySet", "CriticalSet",
+    "DomainError", "EmptyRegionError", "EnvelopeFit", "GeometricLaw",
     "InvalidZeroError", "MeansTable", "ModelFunction", "PowerLaw", "ResolutionError",
     "RootFindingError", "SamplingError", "StolzSpec", "SumSeries", "ZeroSequence",
-    "__version__", "angular_halfwidth", "argument_principle_count", "atomic_write_text",
-    "bergman_integral", "blaschke_factor", "blaschke_sum", "canonical_json", "chord_check",
-    "complex_pair", "critical_points", "critical_sum",
-    "envelope_fit", "envelope_grid", "factor_derivative", "format_zeros", "hardy_mean",
-    "hp_trend", "in_stolz", "lemma_bound", "lemma_check", "lemma_lhs", "log_weighted_sum",
-    "means_csv", "parse_zero_line", "points_csv", "protas_sum", "radial_geometric_family",
+    "__version__", "angular_halfwidth", "atomic_write_text", "bergman_integral",
+    "blaschke_factor", "blaschke_sum", "canonical_json", "chord_check", "complex_pair",
+    "critical_points", "critical_sum", "envelope_fit", "envelope_grid",
+    "factor_derivative", "format_zeros", "hardy_mean", "hp_trend", "in_stolz",
+    "lemma_bound", "lemma_check", "lemma_lhs", "log_weighted_sum", "means_csv",
+    "parse_zero_line", "points_csv", "protas_sum", "radial_geometric_family",
     "read_boundary", "read_zeros", "region_boundary", "region_is_empty", "sample_zeros",
     "schwarz_pick_bound", "schwarz_pick_check", "series_csv", "theorem_bound",
-    "theorem_check", "three_point_check", "truncation_tail", "type_beta", "write_boundary",
-    "write_report", "write_zeros",
+    "theorem_check", "three_point_check", "truncation_tail", "type_beta",
+    "write_boundary", "write_report", "write_zeros",
 ]
 
 # the parameter names of every exported callable; an exception class that
@@ -47,7 +47,6 @@ PARAMETERS = {
     "SumSeries": "terms",
     "ZeroSequence": "zeros",
     "angular_halfwidth": "phi, k_const, u",
-    "argument_principle_count": "product, r, nodes",
     "atomic_write_text": "path, text",
     "bergman_integral": "product, p",
     "blaschke_factor": "z, zero",
@@ -91,13 +90,67 @@ PARAMETERS = {
     "write_zeros": "path, zeros, header",
 }
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+
+# exported names that nothing in the package or the benchmark calls, each
+# kept because it states an object of the paper
+UNCALLED = {
+    "blaschke_factor": "the Blaschke factor b_a, the product's building block",
+    "factor_derivative": "b_a', the factor whose sum over the zeros is B'/B",
+    "blaschke_sum": "sum (1 - |z_n|), the Blaschke condition the zeros must meet",
+    "truncation_tail": "the certified error of cutting a product to finitely many zeros",
+    "three_point_check": "the three-point inequality for the gauge phi, used in the lemma",
+    "chord_check": "the chord inequality |t - z| <= 2 |t - z |lam||, used in the lemma",
+    "schwarz_pick_check": "the Schwarz-Pick bound on |B'| at one point",
+    "theorem_bound": "Theorem 1's two sides at one point",
+    "type_beta": "the type beta of the boundary set, Theorem 1's exponent",
+    "write_boundary": "the file-format pair of read_boundary, which the CLI reads",
+}
 
 
 def test_exported_names_are_pinned():
     assert sorted(blab.__all__) == EXPORTS
     for name in blab.__all__:
         getattr(blab, name)
+
+
+def _references(tree):
+    """Identifiers that a syntax tree reads as a Name or an Attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def exports_without_a_caller(exports, kept):
+    """The names of `exports` that no code in the repository calls, less `kept`.
+
+    A call is a Name or Attribute reference in `src/blab/` outside
+    `__init__.py` or in `bench/*.py`; a string naming the function is not.
+    A definition does not call itself, and the definition of a name without
+    a caller calls nothing, so an error that only such a function raises
+    has no caller either. The definitions of the `kept` names do call.
+    """
+    bench = set().union(*(_references(ast.parse(path.read_text(encoding="utf-8")))
+                          for path in sorted((ROOT / "bench").glob("*.py"))))
+    # (defined name or None, the names it reads) per top-level statement
+    statements = [(getattr(stmt, "name", None), _references(stmt))
+                  for path in sorted((ROOT / "src" / "blab").glob("*.py"))
+                  if path.name != "__init__.py"
+                  for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    missing = set()
+    while True:
+        called = bench.union(*(refs - {name} for name, refs in statements
+                               if name not in missing))
+        if exports - kept - called == missing:
+            return missing
+        missing = exports - kept - called
+
+
+def test_every_export_has_a_caller_or_a_paper_reason():
+    exports = set(blab.__all__)
+    assert exports_without_a_caller(exports, set(UNCALLED)) == set()
+    # and every name kept for its paper reason still has no caller
+    assert set(UNCALLED) <= exports_without_a_caller(exports, set())
 
 
 def test_exported_parameters_are_pinned():

@@ -6,13 +6,11 @@ import pytest
 import blab.critical
 from blab import (
     BlaschkeProduct,
-    ContourError,
     CriticalSet,
     DomainError,
     RootFindingError,
     SumSeries,
     ZeroSequence,
-    argument_principle_count,
     blaschke_sum,
     critical_points,
     critical_sum,
@@ -24,6 +22,7 @@ from blab import (
     StolzSpec,
     sample_zeros,
 )
+from winding import ContourError, argument_principle_count
 
 
 pv = np.polynomial.polynomial

@@ -348,11 +348,9 @@ class TestMeansTable:
         t = MeansTable([(50, 0.4, 0.9, 1.0), (50, 0.4, 0.99, 2.0), (100, 0.4, 0.9, 1.5)])
         assert t.sup_over_r() == {(50, 0.4): 2.0, (100, 0.4): 1.5}
 
-    def test_value_lookup(self):
-        t = MeansTable([(50, 0.4, 0.9, 1.25)])
-        assert t.value(50, 0.4, 0.9) == 1.25
-        with pytest.raises(KeyError):
-            t.value(50, 0.4, 0.99)
+    def test_rows_keep_their_values(self):
+        rows = [(50, 0.4, 0.9, 1.25), (50, 0.4, 0.99, 2.0)]
+        assert MeansTable(rows).rows == rows
 
     def test_negative_mean_rejected(self):
         with pytest.raises(DomainError):
@@ -367,7 +365,8 @@ class TestHpTrend:
         assert set(t.sup_over_r()) == {(3, 1.0), (5, 1.0)}
         # r = 0 row equals the center derivative
         prod = BlaschkeProduct(fam(3))
-        assert t.value(3, 1.0, 0.0) == pytest.approx(abs(prod.derivative(0.0)))
+        assert t.rows[0][:3] == (3, 1.0, 0.0)
+        assert t.rows[0][3] == pytest.approx(abs(prod.derivative(0.0)))
 
     def test_exponent_sequence_rows_are_the_single_runs(self):
         def fam(n):

@@ -90,15 +90,15 @@ class TestZeroSequence:
             with pytest.raises(InvalidZeroError, match="zero #1"):
                 ZeroSequence([0.5, bad, 0.3])
 
-    def test_split_and_indexing(self):
+    def test_slicing_and_indexing(self):
         zs = ZeroSequence([0.5, -0.5, 0.5j])
-        head, tail = zs.split(2)
-        assert len(head) == 2 and len(tail) == 1
+        head, tail = zs[:2], zs[2:]
+        assert list(head) == [0.5, -0.5] and list(tail) == [0.5j]
+        assert head.alpha == 1.0 and tail.alpha == 0.5
+        assert head.alpha + tail.alpha == zs.alpha
+        assert len(zs[7:]) == 0 and zs[7:].alpha == 0.0
         assert zs[0] == 0.5 and zs[2] == 0.5j
-        assert isinstance(zs[1:], ZeroSequence)
         assert list(zs) == [0.5, -0.5, 0.5j]
-        with pytest.raises(DomainError):
-            zs.split(7)
 
     def test_backing_array_is_frozen(self):
         zs = ZeroSequence([0.5])

@@ -286,16 +286,36 @@ class TestBoundarySet:
             brute = np.min(np.abs(pts[:, None] - circle[None, :]), axis=1)
             assert np.allclose(E.distance(pts), brute, atol=1e-4)
 
-    def test_nearest_point_realizes_distance(self):
+    @pytest.mark.parametrize("arcs, points", [
+        ([(0.3, 0.9), (2.0, 2.2)], [4.0, 5.5]),  # arcs and isolated points
+        ([], [0.0, 1.0, 2.5]),  # isolated points only
+        ([(-0.5, 0.5)], [3.0]),  # an arc across angle 0, given from below
+        ([(6.0, 6.8), (1.0, 1.5)], []),  # an arc across angle 0, given past 2 pi
+    ], ids=["arcs-and-points", "points", "wrap-below", "wrap-past"])
+    def test_distance_matches_arc_end_brute_force(self, arcs, points):
+        # each arc expanded here into pieces of [0, 2 pi], each point kept as
+        # an end: inside a piece the distance is radial, elsewhere it is the
+        # chord to the nearest end of any piece or point
+        lo, hi = [], []
+        for a, b in arcs:
+            start = a % TWO_PI
+            end = start + (b - a)
+            lo.append(start)
+            hi.append(min(end, TWO_PI))
+            if end > TWO_PI:
+                lo.append(0.0)
+                hi.append(end - TWO_PI)
+        lo, hi, pts = np.asarray(lo), np.asarray(hi), np.asarray(points, dtype=float)
+        ends = np.exp(1j * np.concatenate([lo, hi, pts]))
         rng = np.random.default_rng(23)
-        zs = np.sqrt(rng.uniform(0, 1, 50)) * np.exp(2j * np.pi * rng.uniform(0, 1, 50))
-        for E in [BoundarySet(arcs=[(1.0, 2.0)], points=[5.0])] + [
-                E for E, _ in _brute_force_sets()]:
-            for z in np.concatenate([zs, EDGE_ANGLE_POINTS]):
-                p = E.nearest_point(z)
-                assert abs(abs(p) - 1.0) < 1e-12
-                assert abs(z - p) == pytest.approx(E.distance(z), rel=1e-12)
-                assert E.distance(p) < 1e-12
+        z = np.sqrt(rng.uniform(0, 1, 500)) * np.exp(2j * np.pi * rng.uniform(0, 1, 500))
+        z = np.concatenate([z, EDGE_ANGLE_POINTS, 0.9 * ends, ends])
+        ang = np.mod(np.angle(z), TWO_PI)[:, None]
+        inside = ((ang >= lo) & (ang <= hi)).any(axis=1)
+        chord = np.abs(z[:, None] - ends).min(axis=1)
+        want = np.where(inside, np.abs(np.abs(z) - 1.0), chord)
+        E = BoundarySet(arcs=arcs, points=points)
+        assert np.max(np.abs(E.distance(z) - want)) <= 1e-12
 
     def test_point_on_set_has_zero_distance(self):
         E = BoundarySet.from_points([0.7])
@@ -309,7 +329,7 @@ class TestBoundarySet:
     def test_measure(self):
         assert BoundarySet.from_arcs([(0.0, np.pi)]).measure() == pytest.approx(0.5)
         assert BoundarySet.from_points([0.0, 1.0]).measure() == 0.0
-        assert BoundarySet.full_circle().measure() == pytest.approx(1.0)
+        assert BoundarySet.from_arcs([(0.0, TWO_PI)]).measure() == pytest.approx(1.0)
 
     def test_overlapping_arcs_merge(self):
         E = BoundarySet.from_arcs([(0.0, 1.0), (0.5, 2.0)])
@@ -370,7 +390,7 @@ class TestBoundarySet:
 
 class TestNeighborhoodMeasure:
     def test_full_circle(self):
-        assert BoundarySet.full_circle().neighborhood_measure(0.01) == 1.0
+        assert BoundarySet.from_arcs([(0.0, TWO_PI)]).neighborhood_measure(0.01) == 1.0
 
     def test_single_point_sqrt2(self):
         E = BoundarySet.from_points([0.0])
