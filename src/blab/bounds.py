@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, EmptyRegionError, SamplingError
-from .products import _BLOCK, _as_product, _factor_blocks, _require, _result
+from .products import _BLOCK, _as_product, _factor_blocks, _require, _result, _whole
 from .regions import MEMBERSHIP_TOL, _seed_int, angular_halfwidth, in_stolz, region_is_empty
 
 _DRAWS = 4096  # draws per RNG stream of the lemma sampler
@@ -171,7 +171,7 @@ def lemma_check(spec, n_samples, seed):
     lemma_lhs <= (2C+K)(1 + _CLOSED_RTOL) and keeps the _WITNESSES = 10 worst
     witnesses.
     """
-    n_samples = int(n_samples)
+    n_samples = _whole(n_samples, "n_samples")
     if n_samples < 1:
         raise DomainError("n_samples must be at least 1")
     phi, k = spec.phi, spec.k_const
@@ -384,6 +384,7 @@ def theorem_check(product, z, spec, check_zeros=True):
     points the former lets through. A point where rhs is infinite has ratio 0
     and is never needed.
     """
+    _require(np.size(z) > 0, "empty point array")
     product = _as_product(product)
     z, rhs = _theorem_rhs(product, z, spec, check_zeros)
     z, rhs = np.ravel(z), np.ravel(rhs)
@@ -492,16 +493,17 @@ def envelope_grid(boundary_set, depth=14, rays=12, ring=64):
     points over E may come out at distance 0: envelope_fit, which computes
     the distances, treats those as vacuous.
     """
+    depth, rays, ring = _whole(depth, "depth"), _whole(rays, "rays"), _whole(ring, "ring")
     anchors = list(np.atleast_1d(boundary_set.point_angles))
     for a, b in boundary_set.segments:
         anchors.extend((a, b, (a + b) / 2.0))
     if not anchors:
         raise DomainError("boundary set has no anchors")
     offs = [0.0]
-    for m in range(int(rays)):
+    for m in range(rays):
         offs.extend((2.0 ** -m, -(2.0 ** -m)))
     angles = (np.asarray(anchors)[:, None] + np.asarray(offs)).ravel()
-    radii = 1.0 - 0.5 ** np.arange(1, int(depth) + 1)
+    radii = 1.0 - 0.5 ** np.arange(1, depth + 1)
     pts = (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
-    ring_pts = 0.25 * np.exp(2j * np.pi * np.arange(int(ring)) / int(ring))
+    ring_pts = 0.25 * np.exp(2j * np.pi * np.arange(ring) / ring)
     return np.concatenate([pts, ring_pts])

@@ -26,9 +26,11 @@ Gauss-Legendre on the geometric radial panels [1 - 2^-j, 1 - 2^-(j+1)], down
 past the smallest gap 1 - |a|, with the mapped angular rule on every radius.
 
 Quadrature is validated by node doubling on every call, from fixed start
-counts under a node cap: no function takes a node count. The s-grid at 2N
-holds the one at N, so an angular doubling evaluates B' only at its new
-nodes; a Bergman radial doubling has new radii throughout. A doubling
+counts under a node cap: no function takes a node count. One rule object
+serves Hardy circles and Bergman radii: a circle is the rule on one radius
+of weight 1. The s-grid at 2N holds the one at N, so an angular doubling
+evaluates B' only at its new nodes; a Bergman radial doubling has new radii
+throughout. A doubling
 disagreement above 1e-4 relative signals an under-resolved rule, not a
 subtle accuracy loss, and is a resolution failure; the quality target is
 1e-6. Doubling cannot see rounding in B' itself, which grows like
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlabError, DomainError, ResolutionError
-from .products import _as_product, _require
+from .products import _as_product, _require, _whole
 
 _DOUBLING_GATE = 1e-4
 _DOUBLING_TARGET = 1e-6
@@ -207,43 +209,39 @@ def _require_evaluable(product, r, where):
         )
 
 
-def _weighted_powers(product, ps, r, theta, dphi):
-    """Row sums of |B'(r e^{i theta})|^p / Phi'(theta) over nodes theta at radii r, one per p."""
-    size = np.abs(product.derivative(r * np.exp(1j * theta)))
-    return [np.sum(size ** p / dphi, axis=1) for p in ps]
-
-
 def _moved(coarse, fine):
     return abs(fine - coarse) / max(abs(fine), np.finfo(float).tiny)
 
 
-def _doubled(value, start, where):
-    """value(k) validated by doubling, at the finest pass run.
+class _Rule:
+    """The mapped angular rule on radii r = 1 - delta, summed against radial weights.
 
-    Pass k = 0, 1, ... has start << k nodes. A start whose validating pass
-    exceeds the node cap is a resolution failure before any evaluation;
-    otherwise passes run until two agree to 1e-6 relative or the next would
-    exceed the cap. A last disagreement above 1e-4 is a resolution failure,
-    naming the node count of the last pass.
+    Per exponent p, `value` is factor sum_i w_i (1/N) sum_j |B'(r_i e^{i theta_j})|^p
+    / Phi'(theta_j) at N = `count` angular nodes, and `coarse` the same at its
+    even-node sub-rule; a doubling evaluates B' at the new nodes only. A Hardy
+    circle is one radius of weight 1 and factor 1, a Bergman rule the
+    Gauss-Legendre radii of its panels with factor 2 pi.
     """
-    if start << 1 > _NODE_CAP:
-        raise ResolutionError(
-            f"node doubling of the mean{where} would start at {start} nodes "
-            f"and validate at {start << 1}, beyond the node cap {_NODE_CAP}"
-        )
-    coarse, k = value(0), 1
-    while True:
-        fine = value(k)
-        rel = _moved(coarse, fine)
-        if rel <= _DOUBLING_TARGET or start << (k + 1) > _NODE_CAP:
-            break
-        coarse, k = fine, k + 1
-    if rel > _DOUBLING_GATE:
-        raise ResolutionError(
-            f"node doubling moved the mean by {rel:.3g} relative{where} on a pass of "
-            f"{start << k} nodes"
-        )
-    return fine
+
+    def __init__(self, product, ps, r, delta, weights, factor, count):
+        self._product, self._ps, self._weights, self._factor = product, ps, weights, factor
+        self._grid = _AngularRule(_PoissonMap(product), r, delta, count // 2)
+        self.radial, self.count = r.size, count // 2
+        self._total = self._sum(self._grid.theta, self._grid.dphi)
+        self.refine()
+
+    def _sum(self, theta, dphi):
+        size = np.abs(self._product.derivative(self._grid.r * np.exp(1j * theta)))
+        return [float(np.sum(self._weights * np.sum(size ** p / dphi, axis=1))) * self._factor
+                for p in self._ps]
+
+    def refine(self):
+        """Double the angular count."""
+        self.coarse = [t / self.count for t in self._total]
+        # added left to right: Python 3.12's sum() is compensated and would move bits
+        self._total = [t + s for t, s in zip(self._total, self._sum(*self._grid.refine()))]
+        self.count *= 2
+        self.value = [t / self.count for t in self._total]
 
 
 def hardy_mean(product, p, r):
@@ -283,56 +281,32 @@ def _circle_means(product, ps, r):
         raise DomainError("radius must lie in [0, 1)")
     if r == 0.0:
         return [float(abs(product.derivative(0.0)))] * len(ps)
-    nodes = _start_nodes(product)
+    nodes, where = _start_nodes(product), f" for degree {product.degree} at r = {r}"
     _require_evaluable(product, r, f" at r = {r}")
+    if nodes << 1 > _NODE_CAP:
+        raise ResolutionError(
+            f"node doubling of the mean{where} would start at {nodes} nodes "
+            f"and validate at {nodes << 1}, beyond the node cap {_NODE_CAP}"
+        )
     radius = np.array([r])
-    grid, totals = None, []  # totals[k][i]: ps[i]'s sum over the nodes of passes 0..k
-
-    def mean(i, k):
-        nonlocal grid
-        if k == len(totals):  # pass k refines pass k - 1
-            if grid is None:
-                grid = _AngularRule(_PoissonMap(product), radius, 1.0 - radius, nodes)
-                theta, dphi = grid.theta, grid.dphi
-            else:
-                theta, dphi = grid.refine()
-            prev = totals[-1] if totals else [0.0] * len(ps)
-            # added left to right: Python 3.12's sum() is compensated and would move bits
-            totals.append([t + float(s[0]) for t, s in
-                           zip(prev, _weighted_powers(product, ps, r, theta, dphi))])
-        return (totals[k][i] / (nodes << k)) ** (1.0 / ps[i])
-
-    return [_doubled(lambda k: mean(i, k), nodes, f" for degree {product.degree} at r = {r}")
-            for i in range(len(ps))]
-
-
-class _TensorRule:
-    """Gauss-Legendre radii, per_panel to a panel, each with the mapped angular rule.
-
-    `value` is the integral at `count` angular nodes and `coarse` the one at
-    its even-node sub-rule; a doubling evaluates B' at the new nodes only.
-    """
-
-    def __init__(self, product, p, ends, per_panel, count):
-        x, w = np.polynomial.legendre.leggauss(per_panel)
-        half = 0.5 * (ends[:-1] - ends[1:])[:, None]
-        delta = (ends[1:, None] + half * (1.0 + x)).ravel()
-        self._product, self._p, self._weights = product, p, (half * w).ravel() * (1.0 - delta)
-        self._grid = _AngularRule(_PoissonMap(product), 1.0 - delta, delta, count // 2)
-        self.radial, self.count = delta.size, count // 2
-        self._total = self._sum(self._grid.theta, self._grid.dphi)
-        self.refine()
-
-    def _sum(self, theta, dphi):
-        sums = _weighted_powers(self._product, [self._p], self._grid.r, theta, dphi)[0]
-        return float(np.sum(self._weights * sums)) * _TWO_PI
-
-    def refine(self):
-        """Double the angular count."""
-        self.coarse = self._total / self.count
-        self._total += self._sum(*self._grid.refine())
-        self.count *= 2
-        self.value = self._total / self.count
+    rule = _Rule(product, ps, radius, 1.0 - radius, np.ones(1), 1.0, nodes << 1)
+    means = [None] * len(ps)
+    while True:
+        last = rule.count << 1 > _NODE_CAP  # the next pass would exceed the cap
+        for i, q in enumerate(ps):
+            if means[i] is None:
+                fine = rule.value[i] ** (1.0 / q)
+                rel = _moved(rule.coarse[i] ** (1.0 / q), fine)
+                if last and rel > _DOUBLING_GATE:
+                    raise ResolutionError(
+                        f"node doubling moved the mean by {rel:.3g} relative{where} on a pass "
+                        f"of {rule.count} nodes"
+                    )
+                if last or rel <= _DOUBLING_TARGET:
+                    means[i] = fine
+        if None not in means:
+            return means
+        rule.refine()
 
 
 def bergman_integral(product, p):
@@ -371,15 +345,23 @@ def bergman_integral(product, p):
             f"node doubling of the integral for degree {n} would start at "
             f"{panels * per_panel} x {count} nodes, beyond the node cap {_NODE_CAP}"
         )
-    fine, half = (_TensorRule(product, p, ends, m, count) for m in (per_panel, per_panel // 2))
+
+    def rule(per_panel, count):  # Gauss-Legendre radii, per_panel to a panel
+        x, w = np.polynomial.legendre.leggauss(per_panel)
+        width = 0.5 * (ends[:-1] - ends[1:])[:, None]
+        delta = (ends[1:, None] + width * (1.0 + x)).ravel()
+        weights = (width * w).ravel() * (1.0 - delta)
+        return _Rule(product, [p], 1.0 - delta, delta, weights, _TWO_PI, count)
+
+    fine, half = (rule(m, count) for m in (per_panel, per_panel // 2))
     while True:
-        moved = {"angle": _moved(fine.coarse, fine.value),
-                 "radius": _moved(half.value, fine.value)}
+        moved = {"angle": _moved(fine.coarse[0], fine.value[0]),
+                 "radius": _moved(half.value[0], fine.value[0])}
         radial, angular = (moved[dim] > _DOUBLING_TARGET for dim in ("radius", "angle"))
         if not (radial or angular) or fine.radial * fine.count << (radial + angular) > _NODE_CAP:
             break
         if radial:
-            half, fine = fine, _TensorRule(product, p, ends, 2 * fine.radial // panels, fine.count)
+            half, fine = fine, rule(2 * fine.radial // panels, fine.count)
         if angular:
             fine.refine()
             half.refine()
@@ -389,7 +371,7 @@ def bergman_integral(product, p):
             f"node doubling moved the integral by {moved[dim]:.3g} relative in {dim} for degree "
             f"{n} on a pass of {fine.radial} x {fine.count} nodes"
         )
-    return fine.value
+    return fine.value[0]
 
 
 @dataclass(frozen=True)
@@ -423,12 +405,12 @@ def hp_trend(family, p, truncations, r_grid):
     after exponent, would raise first.
     """
     ps = [float(q) for q in np.ravel(p)]
+    truncations = [_whole(n, "truncation N") for n in truncations]
     radii = [float(r) for r in r_grid]
     products = {}
 
     def circles():
         for n in truncations:
-            n = int(n)
             if n not in products:
                 product = _as_product(family(n))
                 if product.degree != n:
@@ -458,6 +440,7 @@ def radial_geometric_family(ratio=0.5):
         raise DomainError("ratio must lie in (0, 1)")
 
     def family(n):
-        return 1.0 - ratio ** np.arange(1, int(n) + 1, dtype=np.float64) + 0.0j
+        n = _whole(n, "truncation N")
+        return 1.0 - ratio ** np.arange(1, n + 1, dtype=np.float64) + 0.0j
 
     return family

@@ -33,6 +33,12 @@ def _require(ok, message):
         raise DomainError(message)
 
 
+def _whole(count, name):
+    """count as an int; a fraction is refused, not dropped."""
+    _require(float(count).is_integer(), f"{name} must be an integer, got {count}")
+    return int(count)
+
+
 def _result(values, *args):
     if all(np.ndim(a) == 0 for a in args):
         return np.asarray(values)[()].item()

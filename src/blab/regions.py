@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyRegionError, SamplingError
-from .products import ZeroSequence, _require, _result
+from .products import ZeroSequence, _require, _result, _whole
 
 TWO_PI = 2.0 * math.pi
 
@@ -190,9 +190,8 @@ class BoundarySet:
         given = [a, b, pts]
         if cantor is not None:
             base, ratio, depth = cantor
-            if not float(depth).is_integer():
-                raise DomainError(f"cantor depth must be an integer, got {depth}")
-            self._cantor = ((float(base[0]), float(base[1])), float(ratio), int(depth))
+            depth = _whole(depth, "cantor depth")
+            self._cantor = ((float(base[0]), float(base[1])), float(ratio), depth)
             given.append(self._cantor[0])
         if not np.isfinite(np.concatenate(given)).all():
             raise DomainError("boundary-set angles must be finite")
@@ -610,7 +609,7 @@ def sample_zeros(spec, n, seed, law=GeometricLaw(0.5)):
     alone. An error names the smallest index that fails, as if the zeros were
     placed one after another.
     """
-    n = int(n)
+    n = _whole(n, "sample size n")
     if n < 0:
         raise DomainError("sample size must be nonnegative")
     if n >= 2**32:
@@ -668,7 +667,8 @@ def region_boundary(phi, k_const, vertex_angle, resolution):
     the outermost sign change located by bisection. Every returned point
     satisfies the defining equation to about 1e-9.
     """
-    resolution, k_const, vertex_angle = int(resolution), float(k_const), float(vertex_angle)
+    resolution = _whole(resolution, "resolution")
+    k_const, vertex_angle = float(k_const), float(vertex_angle)
     if resolution < 2:
         raise DomainError("resolution must be at least 2")
     if not 0.0 < k_const < math.inf:

@@ -3,6 +3,7 @@ and the argument convention of the scalar-or-array functions."""
 import ast
 import inspect
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -330,3 +331,29 @@ def test_scalar_or_array_result_types(name):
     assert type(scalar) is kind
     assert isinstance(array, np.ndarray) and array.shape == (1,)
     assert array[0] == scalar
+
+
+# each entry point that takes a count, as a function of that count, and the
+# name its refusal of a fraction must give
+COUNTS = {
+    "sample_zeros": (lambda n: blab.sample_zeros(_SPEC, n, seed=0), "sample size n"),
+    "lemma_check": (lambda n: blab.lemma_check(_SPEC, n, 0), "n_samples"),
+    "region_boundary": (lambda n: blab.region_boundary(blab.ModelFunction.linear(), 2.0, 0.0, n),
+                        "resolution"),
+    "radial_geometric_family": (lambda n: blab.radial_geometric_family()(n), "truncation N"),
+    "hp_trend": (lambda n: blab.hp_trend(blab.radial_geometric_family(), 1.0, [n], [0.5]),
+                 "truncation N"),
+    "envelope_grid/depth": (lambda n: blab.envelope_grid(_SPEC.boundary, depth=n), "depth"),
+    "envelope_grid/rays": (lambda n: blab.envelope_grid(_SPEC.boundary, rays=n), "rays"),
+    "envelope_grid/ring": (lambda n: blab.envelope_grid(_SPEC.boundary, ring=n), "ring"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_counts_must_be_whole_numbers(name):
+    """A fractional count is refused by name; an integral float or numpy integer is that count."""
+    call, arg = COUNTS[name]
+    with pytest.raises(blab.DomainError, match=f"^{arg} must be an integer, got 2.5$"):
+        call(2.5)
+    want = pickle.dumps(call(2))
+    assert pickle.dumps(call(2.0)) == want and pickle.dumps(call(np.int64(2))) == want

@@ -350,6 +350,14 @@ class TestTheoremBound:
         assert 0.0 < rep.worst_ratio < 1.0
         assert rep.worst_witness["lhs"] <= rep.worst_witness["rhs"]
 
+    def test_check_refuses_an_empty_point_array(self):
+        # as envelope_fit refuses an empty grid, and before any work: even
+        # before the zeros are read
+        spec = StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 1.0)
+        for zeros in ([0.5], [2.0]):
+            with pytest.raises(DomainError, match="^empty point array$"):
+                theorem_check(zeros, np.array([]), spec)
+
     def test_check_near_rim_and_near_vertex(self):
         spec = StolzSpec.at_vertex(ModelFunction.truncated_power(2.0), 0.0, 1.0)
         radii = 1.0 - 10.0 ** np.linspace(-12, -0.5, 200)

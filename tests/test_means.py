@@ -175,6 +175,19 @@ class TestHardyMean:
         # passes of 80, 160 and 320 nodes; the next, 640, would exceed the cap
         assert handed == [80, 80, 160]
 
+    def test_exponents_failing_together_raise_as_the_first_alone(self, handed, monkeypatch):
+        # under a cap of 512 nodes both exponents are still off on the pass of 320
+        monkeypatch.setattr(blab.means, "_NODE_CAP", 512)
+        zeros = [0.9, -0.5j, 0.99j, 0.3 + 0.6j, -0.999]
+        with pytest.raises(ResolutionError) as alone:
+            hardy_mean(zeros, 0.3, 0.9999)
+        with pytest.raises(ResolutionError) as both:
+            hardy_mean(zeros, [0.3, 0.25], 0.9999)
+        with pytest.raises(ResolutionError) as second:
+            hardy_mean(zeros, 0.25, 0.9999)
+        assert str(both.value) == str(alone.value) != str(second.value)
+        assert handed == [80, 80, 160] * 3
+
     def test_parameter_domain(self):
         with pytest.raises(DomainError):
             hardy_mean([0.5], 0.0, 0.5)
@@ -285,21 +298,21 @@ class TestBergmanIntegral:
     @pytest.mark.parametrize("zeros, p", [([0.9, 0.9j, -0.9], 0.5), (sampled_exp_zeros(10), 1.0)])
     def test_value_agrees_with_its_angular_and_radial_checks(self, zeros, p, monkeypatch):
         rules = []
-        init = blab.means._TensorRule.__init__
+        init = blab.means._Rule.__init__
 
         def recording(self, *args):
             init(self, *args)
             rules.append((self, args))
 
-        monkeypatch.setattr(blab.means._TensorRule, "__init__", recording)
+        monkeypatch.setattr(blab.means._Rule, "__init__", recording)
         value = bergman_integral(zeros, p)
-        (fine, args), = [(r, a) for r, a in rules if r.value == value]
+        (fine, args), = [(r, a) for r, a in rules if r.value == [value]]
         half, = [r for r, _ in rules if (r.radial, r.count) == (fine.radial // 2, fine.count)]
-        for check in (fine.coarse, half.value):
+        for check in (fine.coarse[0], half.value[0]):
             assert abs(check - value) <= 1e-6 * value
         # the even-node sub-rule is the rule at half the angular count
-        coarse = blab.means._TensorRule(*args[:-1], fine.count // 2)
-        assert coarse.value == pytest.approx(fine.coarse, rel=1e-13)
+        coarse = blab.means._Rule(*args[:-1], fine.count // 2)
+        assert coarse.value[0] == pytest.approx(fine.coarse[0], rel=1e-13)
 
 
 class TestAngularRule:
