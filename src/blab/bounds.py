@@ -497,8 +497,6 @@ def envelope_grid(boundary_set, depth=14, rays=12, ring=64):
     anchors = list(np.atleast_1d(boundary_set.point_angles))
     for a, b in boundary_set.segments:
         anchors.extend((a, b, (a + b) / 2.0))
-    if not anchors:
-        raise DomainError("boundary set has no anchors")
     offs = [0.0]
     for m in range(rays):
         offs.extend((2.0 ** -m, -(2.0 ** -m)))

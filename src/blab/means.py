@@ -429,6 +429,8 @@ def hp_trend(family, p, truncations, r_grid):
             for q in ps:
                 for _, later, radius in itertools.islice(circles(), i, None):
                     hardy_mean(later, q, radius)
+            # the replay raises first while each exponent's run is bitwise the
+            # joint one; this raise is the only guard of that rule
             raise
     return MeansTable([(n, q, r, vals[j]) for j, q in enumerate(ps) for n, r, vals in means])
 

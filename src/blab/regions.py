@@ -166,12 +166,6 @@ def _union(lo, hi):
     return lo[first], reach[np.roll(first, -1)]
 
 
-def _total_length(lo, hi):
-    # summed left to right: np.sum rounds pairwise and Python 3.12's sum() is
-    # compensated, and either would move the last bit of a reported measure
-    return float(np.cumsum(hi - lo)[-1])
-
-
 class BoundarySet:
     """Closed nonempty subset of the unit circle.
 
@@ -277,10 +271,6 @@ class BoundarySet:
     def cantor_depth(self):
         return None if self._cantor is None else self._cantor[2]
 
-    def measure(self):
-        """Normalized arclength of the set itself."""
-        return _total_length(self._lo, self._hi) / TWO_PI
-
     def distance(self, z):
         """Chordal distance from z (scalar or array) to the set.
 
@@ -312,7 +302,9 @@ class BoundarySet:
             return 1.0
         delta = 2.0 * math.asin(x / 2.0)
         lo, hi = _union(*_pieces(self._lo - delta, self._hi + delta))
-        return min(1.0, _total_length(lo, hi) / TWO_PI)
+        # summed left to right: np.sum rounds pairwise and Python 3.12's sum() is
+        # compensated, and either would move the last bit of a reported measure
+        return min(1.0, float(np.cumsum(hi - lo)[-1]) / TWO_PI)
 
 
 # type_beta's default grid: the dyadic scales x = 2^-4, ..., 2^-14
@@ -366,10 +358,6 @@ class StolzSpec:
         # K = inf would admit every point of the disk
         if not 0.0 < self.k_const < math.inf:
             raise DomainError(f"aperture constant must be positive and finite, got {self.k_const}")
-
-    @classmethod
-    def at_vertex(cls, phi, angle, k_const):
-        return cls(phi, BoundarySet.from_points([angle]), float(k_const))
 
 
 def in_stolz(lam, spec):

@@ -36,6 +36,7 @@ from blab import (
     theorem_check,
     type_beta,
 )
+from test_regions import vertex_spec
 from winding import argument_principle_count
 
 R_GRID = [0.9, 0.99, 0.999]
@@ -67,7 +68,7 @@ def test_criterion_1_lemma_suite():
     empty = 0
     for gi, phi in enumerate(gauges):
         for K in (0.5, 1.0, 2.0):
-            spec = StolzSpec.at_vertex(phi, 0.0, K)
+            spec = vertex_spec(phi, 0.0, K)
             if region_is_empty(phi, K):
                 with pytest.raises(EmptyRegionError):
                     lemma_check(spec, 10, seed=0)
@@ -287,7 +288,7 @@ def test_criterion_9_companion_trend_at_representable_depth():
 
 
 def test_criterion_9c_tangential_family_bounded_trend():
-    spec = StolzSpec.at_vertex(ModelFunction.truncated_power(2.0), 0.0, 1.0)
+    spec = vertex_spec(ModelFunction.truncated_power(2.0), 0.0, 1.0)
     law = PowerLaw(2.0, 0.5)
 
     def fam(n):

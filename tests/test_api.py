@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import FunctionType
 
 import numpy as np
 import pytest
@@ -109,6 +110,12 @@ UNCALLED = {
     "write_boundary": "the file-format pair of read_boundary, which the CLI reads",
 }
 
+# the same for the public methods and properties of exported classes
+UNCALLED_MEMBERS = {
+    "EnvelopeFit.envelope": "the growth bound c1 exp(c2 / d(z,E)^rho) of the [FG] space "
+                            "the abstract names",
+}
+
 
 def test_exported_names_are_pinned():
     assert sorted(blab.__all__) == EXPORTS
@@ -116,42 +123,83 @@ def test_exported_names_are_pinned():
         getattr(blab, name)
 
 
+def public_members():
+    """`Class.name` for each public method and property that an exported class defines."""
+    return {f"{export}.{name}" for export in blab.__all__
+            if isinstance(getattr(blab, export), type)
+            for name, value in vars(getattr(blab, export)).items()
+            if not name.startswith("_")
+            and isinstance(value, (FunctionType, classmethod, staticmethod, property))}
+
+
 def _references(tree):
-    """Identifiers that a syntax tree reads as a Name or an Attribute."""
-    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))}
+    """What a syntax tree reads: the identifier of each Name, and that of each
+    Attribute both bare and as `.attr`, the form that calls a method."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.update((node.attr, "." + node.attr))
+    return refs
+
+
+def _definitions(path):
+    """(the names it defines, the references it makes) per top-level statement
+    of the module at path, less its references to itself; a class gives one
+    entry for each method, `Class.method`, and one for the rest of its body."""
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        name = getattr(stmt, "name", None)
+        methods = ([node for node in stmt.body if isinstance(node, ast.FunctionDef)]
+                   if isinstance(stmt, ast.ClassDef) else [])
+        rest = [node for node in ast.iter_child_nodes(stmt) if node not in methods]
+        yield {name}, set().union(*map(_references, rest)) - {name}
+        for method in methods:
+            yield {name, f"{name}.{method.name}"}, _references(method) - {"." + method.name}
 
 
 def exports_without_a_caller(exports, kept):
     """The names of `exports` that no code in the repository calls, less `kept`.
 
-    A call is a Name or Attribute reference in `src/blab/` outside
-    `__init__.py` or in `bench/*.py`; a string naming the function is not.
-    A definition does not call itself, and the definition of a name without
-    a caller calls nothing, so an error that only such a function raises
-    has no caller either. The definitions of the `kept` names do call.
+    An export is a module-level name, or a public method or property of an
+    exported class written `Class.name`. A call is a reference in
+    `src/blab/` outside `__init__.py` or in `bench/*.py`: a Name or an
+    Attribute for a module-level name, an Attribute `x.name` for a method or
+    property, whatever the class of x. A string naming it is not. A
+    definition does not call itself, and the definition of a name without a
+    caller calls nothing (a class's methods are part of its definition), so
+    an error that only such a function raises has no caller either. The
+    definitions of the `kept` names do call.
     """
     bench = set().union(*(_references(ast.parse(path.read_text(encoding="utf-8")))
                           for path in sorted((ROOT / "bench").glob("*.py"))))
-    # (defined name or None, the names it reads) per top-level statement
-    statements = [(getattr(stmt, "name", None), _references(stmt))
-                  for path in sorted((ROOT / "src" / "blab").glob("*.py"))
-                  if path.name != "__init__.py"
-                  for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    statements = [entry for path in sorted((ROOT / "src" / "blab").glob("*.py"))
+                  if path.name != "__init__.py" for entry in _definitions(path)]
     missing = set()
     while True:
-        called = bench.union(*(refs - {name} for name, refs in statements
-                               if name not in missing))
-        if exports - kept - called == missing:
+        called = bench.union(*(refs for names, refs in statements if missing.isdisjoint(names)))
+        uncalled = {name for name in exports - kept
+                    if ("." + name.partition(".")[2] if "." in name else name) not in called}
+        if uncalled == missing:
             return missing
-        missing = exports - kept - called
+        missing = uncalled
+
+
+def _without_a_caller(kept):
+    return exports_without_a_caller(set(blab.__all__) | public_members(), kept)
 
 
 def test_every_export_has_a_caller_or_a_paper_reason():
-    exports = set(blab.__all__)
-    assert exports_without_a_caller(exports, set(UNCALLED)) == set()
+    kept = set(UNCALLED) | set(UNCALLED_MEMBERS)
+    assert {name for name in _without_a_caller(kept) if "." not in name} == set()
     # and every name kept for its paper reason still has no caller
-    assert set(UNCALLED) <= exports_without_a_caller(exports, set())
+    assert set(UNCALLED) <= _without_a_caller(set())
+
+
+def test_every_public_method_has_a_caller_or_a_paper_reason():
+    kept = set(UNCALLED) | set(UNCALLED_MEMBERS)
+    assert {name for name in _without_a_caller(kept) if "." in name} == set()
+    assert set(UNCALLED_MEMBERS) <= _without_a_caller(set())
 
 
 def test_exported_parameters_are_pinned():

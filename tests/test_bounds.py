@@ -35,6 +35,7 @@ from blab import (
 from blab import cli
 from blab.bounds import _LazyDerivative
 from blab.products import _BLOCK
+from test_regions import vertex_spec
 
 GAUGES = [
     ModelFunction.linear(),
@@ -157,14 +158,14 @@ class TestLemmaSampled:
                 (ModelFunction.exp_tangential(1.0), 1.0),
             ]
         ):
-            spec = StolzSpec.at_vertex(phi, 0.3, k)
+            spec = vertex_spec(phi, 0.3, k)
             rep = lemma_check(spec, 5000, seed=40 + i)
             assert rep.samples == 5000
             assert rep.violations == 0
             assert 0.0 < rep.worst_ratio <= 1.0 + 1e-12
 
     def test_witness_list_sorted_and_capped(self):
-        spec = StolzSpec.at_vertex(ModelFunction.truncated_power(2.0), 0.0, 1.0)
+        spec = vertex_spec(ModelFunction.truncated_power(2.0), 0.0, 1.0)
         rep = lemma_check(spec, 3000, seed=7)
         assert len(rep.worst_k) == 10
         ratios = [w["ratio"] for w in rep.worst_k]
@@ -173,14 +174,14 @@ class TestLemmaSampled:
         assert set(rep.worst_k[0]) == {"ratio", "z", "t", "lambda"}
 
     def test_deterministic(self):
-        spec = StolzSpec.at_vertex(ModelFunction.exp_tangential(0.5), 1.0, 2.0)
+        spec = vertex_spec(ModelFunction.exp_tangential(0.5), 1.0, 2.0)
         a = lemma_check(spec, 2000, seed=13)
         b = lemma_check(spec, 2000, seed=13)
         assert a.to_payload() == b.to_payload()
         assert a.worst_k == b.worst_k
 
     def test_empty_region(self):
-        spec = StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 0.5)
+        spec = vertex_spec(ModelFunction.linear(), 0.0, 0.5)
         with pytest.raises(EmptyRegionError):
             lemma_check(spec, 100, seed=0)
 
@@ -195,7 +196,7 @@ class TestLemmaSampled:
 
     def test_degenerate_window_pins_lambda_to_radius(self):
         # linear gauge at K = 1 admits only the radius itself
-        spec = StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 1.0)
+        spec = vertex_spec(ModelFunction.linear(), 0.0, 1.0)
         rep = lemma_check(spec, 1000, seed=3)
         assert rep.violations == 0
         for w in rep.worst_k:
@@ -205,23 +206,23 @@ class TestLemmaSampled:
 
     @pytest.mark.parametrize("seed", [-1, None, 1.5, True, (13, -2)])
     def test_seed_components_must_be_nonnegative_integers(self, seed):
-        spec = StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 1.0)
+        spec = vertex_spec(ModelFunction.linear(), 0.0, 1.0)
         with pytest.raises(DomainError, match="seed component must be a nonnegative integer"):
             lemma_check(spec, 100, seed=seed)
 
     def test_numpy_integer_seed_is_the_integer(self):
-        spec = StolzSpec.at_vertex(ModelFunction.exp_tangential(0.5), 1.0, 2.0)
+        spec = vertex_spec(ModelFunction.exp_tangential(0.5), 1.0, 2.0)
         a = lemma_check(spec, 500, seed=np.int64(13))
         assert a.to_payload() == lemma_check(spec, 500, seed=13).to_payload()
 
     def test_sample_count_validation(self):
-        spec = StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 1.0)
+        spec = vertex_spec(ModelFunction.linear(), 0.0, 1.0)
         with pytest.raises(DomainError):
             lemma_check(spec, 0, seed=1)
 
     def test_admissible_radii_too_rare(self):
         # phi(u) = u^2 <= K u needs u <= 1e-12: no uniform draw gets there
-        spec = StolzSpec.at_vertex(ModelFunction.truncated_power(2.0), 0.0, 1e-12)
+        spec = vertex_spec(ModelFunction.truncated_power(2.0), 0.0, 1e-12)
         with pytest.raises(SamplingError, match=r"admissible radii too rare: 0 of \d+ draws"):
             lemma_check(spec, 10, seed=1)
 
@@ -266,7 +267,7 @@ class TestSchwarzPick:
 
 
 NAN = complex(np.nan, 0.0)
-NAN_SPEC = StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 1.0)
+NAN_SPEC = vertex_spec(ModelFunction.linear(), 0.0, 1.0)
 NAN_PRODUCT = BlaschkeProduct([0.5, -0.3j])
 # each disk or circle check must refuse a nan point: nan fails every comparison
 NAN_CALLS = {
@@ -300,27 +301,27 @@ def test_nan_points_are_refused(call):
 
 class TestTheoremBound:
     def test_hand_value_center(self):
-        spec = StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 1.0)
+        spec = vertex_spec(ModelFunction.linear(), 0.0, 1.0)
         lhs, rhs = theorem_bound([0.5], 0.0, spec)
         assert lhs == pytest.approx(0.75)
         # 2 * (2*1 + 1)^2 * 0.5 / (1/6)^2 = 9 * 36 = 324
         assert rhs == pytest.approx(324.0)
 
     def test_membership_enforced_and_waivable(self):
-        spec = StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 1.0)
+        spec = vertex_spec(ModelFunction.linear(), 0.0, 1.0)
         with pytest.raises(DomainError, match="zero #0"):
             theorem_bound([0.9j], 0.0, spec)
         lhs, rhs = theorem_bound([0.9j], 0.0, spec, check_zeros=False)
         assert np.isfinite(rhs)
 
     def test_exterior_z_rejected(self):
-        spec = StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 1.0)
+        spec = vertex_spec(ModelFunction.linear(), 0.0, 1.0)
         with pytest.raises(DomainError):
             theorem_bound([0.5], 1.0 + 0j, spec)
 
     def test_vacuous_infinity_under_exp_gauge(self):
         # exp gauge underflows next to the vertex: bound +inf, vacuously true
-        spec = StolzSpec.at_vertex(ModelFunction.exp_tangential(1.0), 0.0, 1.0)
+        spec = vertex_spec(ModelFunction.exp_tangential(1.0), 0.0, 1.0)
         lhs, rhs = theorem_bound([0.5], 1.0 - 1e-9, spec)
         assert np.isfinite(lhs) and np.isinf(rhs)
 
@@ -328,7 +329,7 @@ class TestTheoremBound:
         # below the knee: rhs * (d/6)^(2 gamma) == 2 (2C + K)^2 alpha
         gamma, K = 2.0, 1.0
         phi = ModelFunction.truncated_power(gamma)
-        spec = StolzSpec.at_vertex(phi, 0.0, K)
+        spec = vertex_spec(phi, 0.0, K)
         zeros = [0.5, 0.25]
         alpha = 0.5 + 0.75
         E = spec.boundary
@@ -340,7 +341,7 @@ class TestTheoremBound:
         assert np.allclose(rhs * (d / 6.0) ** (2 * gamma), const, rtol=1e-12)
 
     def test_check_report_shape(self):
-        spec = StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 1.0)
+        spec = vertex_spec(ModelFunction.linear(), 0.0, 1.0)
         rng = np.random.default_rng(23)
         z = 0.8 * np.sqrt(rng.uniform(0, 1, 500)) * np.exp(2j * np.pi * rng.uniform(0, 1, 500))
         rep = theorem_check([0.5, 0.25], z, spec)
@@ -353,13 +354,13 @@ class TestTheoremBound:
     def test_check_refuses_an_empty_point_array(self):
         # as envelope_fit refuses an empty grid, and before any work: even
         # before the zeros are read
-        spec = StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 1.0)
+        spec = vertex_spec(ModelFunction.linear(), 0.0, 1.0)
         for zeros in ([0.5], [2.0]):
             with pytest.raises(DomainError, match="^empty point array$"):
                 theorem_check(zeros, np.array([]), spec)
 
     def test_check_near_rim_and_near_vertex(self):
-        spec = StolzSpec.at_vertex(ModelFunction.truncated_power(2.0), 0.0, 1.0)
+        spec = vertex_spec(ModelFunction.truncated_power(2.0), 0.0, 1.0)
         radii = 1.0 - 10.0 ** np.linspace(-12, -0.5, 200)
         z = radii * np.exp(1j * np.linspace(0.0, 2 * np.pi, 200))
         rep = theorem_check([0.5, 0.75, 0.875], z, spec)
@@ -669,7 +670,7 @@ class TestTheoremPruning:
     def test_every_rhs_infinite(self, evaluated):
         # the exp gauge vanishes next to the vertex: every ratio is 0 and only
         # the witness, the first point, is evaluated (next to a copy of itself)
-        spec = StolzSpec.at_vertex(ModelFunction.exp_tangential(1.0), 0.0, 1.0)
+        spec = vertex_spec(ModelFunction.exp_tangential(1.0), 0.0, 1.0)
         z = (1.0 - np.linspace(1e-9, 5e-9, 50)) * np.exp(1j * np.linspace(-1e-10, 1e-10, 50))
         rep = same_check([0.5, 0.9j], z, spec, check_zeros=False)
         assert evaluated[:-1] == [2]  # the last call is the reference's
@@ -682,7 +683,7 @@ class TestTheoremPruning:
         product, grid = next(theorem_products(spec, 2))
         rep = same_check(product, grid, spec, rtol=rtol, check_zeros=False)
         assert rep.violations > 0 if rtol <= -1.0 else rep.violations == 0
-        vertex = StolzSpec.at_vertex(ModelFunction.exp_tangential(1.0), 0.0, 1.0)
+        vertex = vertex_spec(ModelFunction.exp_tangential(1.0), 0.0, 1.0)
         z = np.concatenate([grid[:50], 1.0 - np.linspace(1e-9, 5e-9, 10)])
         if rtol < -1.0:  # an infinite rhs times 1 + rtol < 0 is -inf: violated too
             assert same_check(product, z, vertex, rtol=rtol, check_zeros=False).violations == 60
@@ -736,7 +737,7 @@ class TestTheoremPruning:
         assert sum(evaluated[:-1]) >= z.size  # the last call is the reference's
 
     def test_scalar_and_two_dimensional_points_and_error_order(self):
-        spec = StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 1.0)
+        spec = vertex_spec(ModelFunction.linear(), 0.0, 1.0)
         same_check([0.5, 0.25], 0.3 + 0.1j, spec)
         z = 0.5 * np.exp(1j * np.arange(6.0))
         assert theorem_check([0.5, 0.25], z.reshape(2, 3), spec) == same_check([0.5, 0.25], z, spec)

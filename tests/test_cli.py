@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -804,6 +805,22 @@ class TestEntryPoints:
         with pytest.raises(SystemExit) as info:
             cli.entry()
         assert info.value.code == 0
+
+    def test_module_runs_as_main(self, tmp_path, monkeypatch):
+        # `python -m blab.cli`, run in this process so that a line tracer sees
+        # the __main__ guard; it writes what cli.main writes
+        cfg = write_cfg(tmp_path, {"model": {"kind": "linear"}, "K": 1.0,
+                                   "resolution": 4})
+        assert cli.main(["region-boundary", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        monkeypatch.setattr(sys, "argv", ["blab", "region-boundary", "--config", cfg,
+                                          "--out", str(tmp_path / "b")])
+        # runpy warns when the module it is to run was imported already
+        monkeypatch.delitem(sys.modules, "blab.cli")
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("blab.cli", run_name="__main__")
+        assert info.value.code == 0
+        name = "region-boundary.json"
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
     def test_one_parser_serves_every_call(self, capsys):
         # built once per process; each call still gets argparse's usage error

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -122,6 +123,12 @@ class TestBoundaryFiles:
         text = path.read_text()
         assert text == canonical_json(json.loads(text))
 
+    def test_file_must_hold_an_object(self, tmp_path):
+        path = tmp_path / "set.json"
+        path.write_text("[[0.1, 0.4]]\n")
+        with pytest.raises(DomainError, match="boundary-set payload must be an object"):
+            read_boundary(path)
+
 
 class TestAtomicWrite:
     def test_failed_write_removes_its_temp_file(self, tmp_path):
@@ -132,6 +139,22 @@ class TestAtomicWrite:
             atomic_write_text(path, "new \ud800\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
         assert path.read_text() == "old\n"
+
+    def test_failed_rename_surfaces_when_its_clean_up_fails_too(self, tmp_path, monkeypatch):
+        def failing(message):
+            def call(*args, **kwargs):
+                raise OSError(message)
+            return call
+
+        path = tmp_path / "report.json"
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", failing("rename failed"))
+            patch.setattr(os, "unlink", failing("unlink failed"))
+            with pytest.raises(OSError, match="^rename failed$"):
+                atomic_write_text(path, "new\n")
+        # the temp file the clean-up could not remove is all there is
+        left = [p.name for p in tmp_path.iterdir()]
+        assert len(left) == 1 and left[0].startswith(".tmp-") and left[0].endswith("~")
 
 
 class TestCanonicalJson:

@@ -435,6 +435,23 @@ class TestHpTrend:
         with pytest.raises(DomainError, match="positive and finite"):
             hp_trend(radial_geometric_family(), [1.0, q], [2, 4], [0.5])
 
+    def test_a_joint_failure_that_no_replay_repeats_propagates(self, monkeypatch):
+        # each exponent's run is bitwise the joint one, so the replay raises
+        # first; were it not, the joint call's own error still propagates
+        real, calls = blab.means.hardy_mean, []
+
+        def joint_fails(product, p, r):
+            calls.append(p)
+            if np.ndim(p):
+                raise ResolutionError("the joint call failed")
+            return real(product, p, r)
+
+        monkeypatch.setattr(blab.means, "hardy_mean", joint_fails)
+        with pytest.raises(ResolutionError, match="^the joint call failed$"):
+            hp_trend(radial_geometric_family(), [1.0, 2.0], [2, 3], [0.5])
+        # the replay ran each exponent on the failing circle and the later one
+        assert calls == [[1.0, 2.0], 1.0, 1.0, 2.0, 2.0]
+
     def test_family_degree_mismatch(self):
         with pytest.raises(DomainError, match="family returned"):
             hp_trend(lambda n: [0.5], 1.0, [2], [0.5])

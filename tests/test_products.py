@@ -105,6 +105,11 @@ class TestZeroSequence:
         with pytest.raises(ValueError):
             zs.zeros[0] = 0.1
 
+    def test_repr_names_size_and_alpha(self):
+        zs = ZeroSequence([0.5, -0.75])
+        assert repr(zs) == "ZeroSequence(n=2, alpha=0.75)"
+        assert repr(BlaschkeProduct(zs)) == "BlaschkeProduct(degree=2, alpha=0.75)"
+
     def test_empty_sequence_allowed_but_not_a_product(self):
         zs = ZeroSequence([])
         assert len(zs) == 0 and zs.alpha == 0.0

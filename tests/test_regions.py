@@ -37,6 +37,11 @@ ALL_GAUGES = [
 ]
 
 
+def vertex_spec(phi, angle, k_const):
+    """The region of gauge phi and aperture K whose boundary set is one vertex angle."""
+    return StolzSpec(phi, BoundarySet.from_points([angle]), float(k_const))
+
+
 class TestModelFunction:
     def test_linear_values(self):
         phi = ModelFunction.linear()
@@ -185,6 +190,11 @@ def _left_sum(values):
     return total
 
 
+def arclength(E):
+    """Normalized arclength of a boundary set, summed over its segments."""
+    return _left_sum(b - a for a, b in E.segments) / TWO_PI
+
+
 class _ReferenceSet:
     """The list-merge construction of a boundary set, kept as an oracle for BoundarySet."""
 
@@ -198,9 +208,6 @@ class _ReferenceSet:
         pts = {float(p) % TWO_PI for p in points}
         pts = {p for p in pts if not any(a <= p <= b for a, b in merged)}
         self.point_angles = np.asarray(sorted(pts | {a for a, b in merged if a == b}))
-
-    def measure(self):
-        return _left_sum(b - a for a, b in self.segments) / TWO_PI
 
     def neighborhood_measure(self, x):
         if x >= 2.0:
@@ -250,7 +257,6 @@ def test_interval_arrays_match_list_merge_bitwise(case):
     E, ref = BoundarySet(**case), _ReferenceSet(**case)
     assert E.segments == ref.segments
     assert E.point_angles.tobytes() == ref.point_angles.tobytes()
-    assert E.measure() == ref.measure()
     for x in REFERENCE_RADII:
         assert E.neighborhood_measure(x) == ref.neighborhood_measure(x), x
 
@@ -327,14 +333,14 @@ class TestBoundarySet:
         assert len(E.segments) == 2  # split at angle 0, same set
 
     def test_measure(self):
-        assert BoundarySet.from_arcs([(0.0, np.pi)]).measure() == pytest.approx(0.5)
-        assert BoundarySet.from_points([0.0, 1.0]).measure() == 0.0
-        assert BoundarySet.from_arcs([(0.0, TWO_PI)]).measure() == pytest.approx(1.0)
+        assert arclength(BoundarySet.from_arcs([(0.0, np.pi)])) == pytest.approx(0.5)
+        assert arclength(BoundarySet.from_points([0.0, 1.0])) == 0.0
+        assert arclength(BoundarySet.from_arcs([(0.0, TWO_PI)])) == pytest.approx(1.0)
 
     def test_overlapping_arcs_merge(self):
         E = BoundarySet.from_arcs([(0.0, 1.0), (0.5, 2.0)])
         assert len(E.segments) == 1
-        assert E.measure() == pytest.approx(2.0 / (2.0 * np.pi))
+        assert arclength(E) == pytest.approx(2.0 / (2.0 * np.pi))
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
@@ -379,13 +385,19 @@ class TestBoundarySet:
         E = BoundarySet.cantor((0.0, 1.0), 1.0 / 3.0, 4)
         assert len(E.segments) == 16
         assert E.cantor_depth == 4
-        assert E.measure() == pytest.approx((2.0 / 3.0) ** 4 / (2.0 * np.pi), rel=1e-12)
+        assert arclength(E) == pytest.approx((2.0 / 3.0) ** 4 / (2.0 * np.pi), rel=1e-12)
 
     def test_cantor_validation(self):
         with pytest.raises(DomainError):
             BoundarySet.cantor((0.0, 1.0), 0.6, 3)
         with pytest.raises(DomainError):
             BoundarySet.cantor((0.0, 1.0), 0.3, 25)
+
+    @pytest.mark.parametrize("base", [(1.0, 1.0), (1.0, 1.0 - TWO_PI)])
+    def test_degenerate_cantor_base_rejected(self, base):
+        # a base of no length modulo 2 pi: (b - a) mod 2 pi is 0
+        with pytest.raises(DomainError, match="cantor base arc is degenerate"):
+            BoundarySet.cantor(base, 1.0 / 3.0, 2)
 
 
 class TestNeighborhoodMeasure:
@@ -462,18 +474,18 @@ class TestTypeBeta:
 
 class TestMembership:
     def test_center_with_unit_aperture(self):
-        spec = StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 1.0)
+        spec = vertex_spec(ModelFunction.linear(), 0.0, 1.0)
         assert in_stolz(0.0, spec) is True
 
     def test_sideways_point_excluded(self):
-        spec = StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 1.0)
+        spec = vertex_spec(ModelFunction.linear(), 0.0, 1.0)
         assert in_stolz(0.9j, spec) is False
 
     def test_power_membership_matches_inequality(self):
         # below the knee the gauge is x^gamma, so membership is |t-lam|^g <= K(1-|lam|)
         rng = np.random.default_rng(41)
         for gamma, K in ((1.0, 2.0), (2.0, 1.0), (3.0, 0.7)):
-            spec = StolzSpec.at_vertex(ModelFunction.truncated_power(gamma), 0.0, K)
+            spec = vertex_spec(ModelFunction.truncated_power(gamma), 0.0, K)
             lam = np.sqrt(rng.uniform(0, 1, 1000)) * np.exp(2j * np.pi * rng.uniform(0, 1, 1000))
             lam = lam[np.abs(lam - 1.0) <= 2.0]
             got = in_stolz(lam, spec)
@@ -485,23 +497,23 @@ class TestMembership:
             assert np.all(np.abs(lhs - rhs) <= 1e-9 * np.maximum(lhs, rhs))
 
     def test_rejects_circle_points(self):
-        spec = StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 1.0)
+        spec = vertex_spec(ModelFunction.linear(), 0.0, 1.0)
         with pytest.raises(DomainError):
             in_stolz(1.0 + 0j, spec)
 
     def test_spec_contains_wrapper(self):
-        spec = StolzSpec.at_vertex(ModelFunction.exp_tangential(1.0), 0.0, 1.0)
+        spec = vertex_spec(ModelFunction.exp_tangential(1.0), 0.0, 1.0)
         assert in_stolz(0.5, spec) is True
 
     def test_aperture_validation(self):
         with pytest.raises(DomainError):
-            StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 0.0)
+            vertex_spec(ModelFunction.linear(), 0.0, 0.0)
 
     @pytest.mark.parametrize("K", [np.inf, np.nan])
     def test_non_finite_aperture_is_refused(self, K):
         # K = inf would make every point of the disk a member, 0.99j included
         with pytest.raises(DomainError, match="positive and finite"):
-            StolzSpec.at_vertex(ModelFunction.linear(), 0.0, K)
+            vertex_spec(ModelFunction.linear(), 0.0, K)
 
 
 class TestEmptyRegion:
@@ -526,7 +538,7 @@ class TestAngularHalfwidth:
     def test_window_edge_is_sharp(self):
         # points just inside the reported window are members, just outside are not
         phi = ModelFunction.truncated_power(2.0)
-        spec = StolzSpec.at_vertex(phi, 0.0, 1.0)
+        spec = vertex_spec(phi, 0.0, 1.0)
         for u in (0.05, 0.2, 0.5):
             half = angular_halfwidth(phi, 1.0, u)
             assert half > 0.0
@@ -546,7 +558,7 @@ class TestAngularHalfwidth:
 
 class TestSampling:
     def test_deterministic_and_member(self):
-        spec = StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 1.0)
+        spec = vertex_spec(ModelFunction.linear(), 0.0, 1.0)
         a = sample_zeros(spec, 20, seed=5)
         b = sample_zeros(spec, 20, seed=5)
         assert np.array_equal(a.zeros, b.zeros)
@@ -554,24 +566,24 @@ class TestSampling:
         assert a.alpha == pytest.approx(1.0 - 2.0**-20, rel=1e-9)
 
     def test_singleton(self):
-        spec = StolzSpec.at_vertex(ModelFunction.exp_tangential(1.0), 1.0, 1.0)
+        spec = vertex_spec(ModelFunction.exp_tangential(1.0), 1.0, 1.0)
         zs = sample_zeros(spec, 1, seed=0)
         assert len(zs) == 1 and in_stolz(zs[0], spec)
 
     def test_prefix_stability_across_lengths(self):
-        spec = StolzSpec.at_vertex(ModelFunction.truncated_power(2.0), 0.0, 1.0)
+        spec = vertex_spec(ModelFunction.truncated_power(2.0), 0.0, 1.0)
         short = sample_zeros(spec, 6, seed=99)
         long = sample_zeros(spec, 12, seed=99)
         assert np.array_equal(short.zeros, long.zeros[:6])
 
     def test_composite_seeds_give_distinct_streams(self):
-        spec = StolzSpec.at_vertex(ModelFunction.truncated_power(2.0), 0.0, 1.0)
+        spec = vertex_spec(ModelFunction.truncated_power(2.0), 0.0, 1.0)
         a = sample_zeros(spec, 8, seed=(3, 0))
         b = sample_zeros(spec, 8, seed=(3, 1))
         assert not np.array_equal(a.zeros, b.zeros)
 
     def test_radii_follow_law(self):
-        spec = StolzSpec.at_vertex(ModelFunction.exp_tangential(1.0), 0.0, 1.0)
+        spec = vertex_spec(ModelFunction.exp_tangential(1.0), 0.0, 1.0)
         law = PowerLaw(2.0, 0.5)
         zs = sample_zeros(spec, 15, seed=8, law=law)
         gaps = 1.0 - np.abs(zs.zeros)
@@ -587,19 +599,19 @@ class TestSampling:
         assert angles.max() - angles.min() > 0.5  # spread over the arc, not pinned
 
     def test_empty_region_raises(self):
-        spec = StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 0.5)
+        spec = vertex_spec(ModelFunction.linear(), 0.0, 0.5)
         with pytest.raises(EmptyRegionError):
             sample_zeros(spec, 3, seed=1)
 
     def test_too_thin_region_raises(self):
         # exp gauge with tiny aperture rejects the first geometric radius
-        spec = StolzSpec.at_vertex(ModelFunction.exp_tangential(1.0), 0.0, 0.1)
+        spec = vertex_spec(ModelFunction.exp_tangential(1.0), 0.0, 0.1)
         with pytest.raises(SamplingError, match="zero #1"):
             sample_zeros(spec, 3, seed=1, law=GeometricLaw(0.5))
 
     def test_gap_below_float64_resolution_names_the_index(self):
         # GeometricLaw(0.5) gives gap 2^-54 at index 54, where 1 - gap rounds to 1
-        spec = StolzSpec.at_vertex(ModelFunction.exp_tangential(1.0), 0.0, 1.0)
+        spec = vertex_spec(ModelFunction.exp_tangential(1.0), 0.0, 1.0)
         assert len(sample_zeros(spec, 53, seed=1)) == 53
         with pytest.raises(SamplingError, match="zero #54"):
             sample_zeros(spec, 54, seed=1)
@@ -737,7 +749,7 @@ class TestBatchedSampling:
     def test_unit_linear_aperture_matches_reference(self, vertex, n, seed):
         # linear K = 1 at vertex 1 fails placement at #17; at vertex 0 it
         # stops at #54, whose 1 - gap rounds to 1
-        spec = StolzSpec.at_vertex(ModelFunction.linear(), vertex, 1.0)
+        spec = vertex_spec(ModelFunction.linear(), vertex, 1.0)
         assert _outcome(sample_zeros, spec, n, seed) == _outcome(_reference_sample_zeros,
                                                                  spec, n, seed)
 
@@ -784,9 +796,14 @@ class TestBatchedSampling:
             assert words[:, i - 1].tolist() == seq.generate_state(4, np.uint64).tolist()
             assert raw[:, i - 1].tolist() == np.random.PCG64(seq).random_raw(3).tolist()
 
+    def test_sample_size_must_be_nonnegative(self):
+        spec = vertex_spec(ModelFunction.linear(), 0.0, 1.0)
+        with pytest.raises(DomainError, match="sample size must be nonnegative"):
+            sample_zeros(spec, -1, seed=1)
+
     def test_sample_size_must_fit_one_seed_word(self):
         # refused before any gap is computed: this law has none to give
-        spec = StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 1.0)
+        spec = vertex_spec(ModelFunction.linear(), 0.0, 1.0)
         with pytest.raises(DomainError, match=r"sample size must be below 2\*\*32"):
             sample_zeros(spec, 2**32, seed=1, law=_ListLaw([]))
 
@@ -808,20 +825,20 @@ class TestBatchedSampling:
 
     @pytest.mark.parametrize("spec, n, seed, law, error, message", [
         # 1 - gap rounds to 1 at #54
-        (StolzSpec.at_vertex(ModelFunction.exp_tangential(1.0), 0.0, 1.0), 54, 1,
+        (vertex_spec(ModelFunction.exp_tangential(1.0), 0.0, 1.0), 54, 1,
          GeometricLaw(0.5), SamplingError, "cannot place zero #54"),
         # the first gap is inadmissible: phi(1/2) > K/2
-        (StolzSpec.at_vertex(ModelFunction.exp_tangential(1.0), 0.0, 0.1), 3, 1,
+        (vertex_spec(ModelFunction.exp_tangential(1.0), 0.0, 0.1), 3, 1,
          GeometricLaw(0.5), SamplingError, "too thin to place zero #1:"),
         # every draw of #17 misses by rounding, below #54's barred gap
-        (StolzSpec.at_vertex(ModelFunction.linear(), 1.0, 1.0), 54, 1,
+        (vertex_spec(ModelFunction.linear(), 1.0, 1.0), 54, 1,
          GeometricLaw(0.5), SamplingError, "zero #17 after 1000 angle draws"),
         # the same placement failure, before a gap outside (0, 1) at #18
-        (StolzSpec.at_vertex(ModelFunction.linear(), 1.0, 1.0), 20, 1,
+        (vertex_spec(ModelFunction.linear(), 1.0, 1.0), 20, 1,
          _ListLaw([2.0**-i for i in range(1, 18)] + [1.5, 0.1, 0.1]), SamplingError,
          "zero #17 after 1000 angle draws"),
         # a barred gap at #5 comes before the placement failure at #17
-        (StolzSpec.at_vertex(ModelFunction.linear(), 1.0, 1.0), 20, 1,
+        (vertex_spec(ModelFunction.linear(), 1.0, 1.0), 20, 1,
          _ListLaw([2.0**-i for i in range(1, 5)] + [0.0] + [2.0**-i for i in range(6, 21)]),
          SamplingError, "gap 0.0 at index 5"),
     ])
@@ -844,12 +861,12 @@ class TestBatchedSampling:
 
     @pytest.mark.parametrize("seed", [-1, None, 1.5, True, "4", (3, -1), (3, 2.0), [None]])
     def test_seed_components_must_be_nonnegative_integers(self, seed):
-        spec = StolzSpec.at_vertex(ModelFunction.linear(), 0.0, 1.0)
+        spec = vertex_spec(ModelFunction.linear(), 0.0, 1.0)
         with pytest.raises(DomainError, match="seed component must be a nonnegative integer"):
             sample_zeros(spec, 3, seed=seed)
 
     def test_numpy_integer_seeds_are_integers(self):
-        spec = StolzSpec.at_vertex(ModelFunction.exp_tangential(1.0), 0.0, 1.0)
+        spec = vertex_spec(ModelFunction.exp_tangential(1.0), 0.0, 1.0)
         a = sample_zeros(spec, 10, seed=(np.int64(4), np.uint8(2))).zeros
         assert a.tobytes() == sample_zeros(spec, 10, seed=(4, 2)).zeros.tobytes()
 
