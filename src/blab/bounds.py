@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, EmptyRegionError, SamplingError
-from .products import _BLOCK, _as_product, _factor_blocks, _require, _result, _whole
+from .products import _as_product, _block_width, _factor_blocks, _require, _result, _whole
 from .regions import MEMBERSHIP_TOL, _seed_int, angular_halfwidth, in_stolz, region_is_empty
 
 _DRAWS = 4096  # draws per RNG stream of the lemma sampler
@@ -245,7 +245,7 @@ class _LazyDerivative:
 
     def __init__(self, product, z):
         self._product, self._z = product, z
-        self._cols = max(1, _BLOCK // product.degree)
+        self._cols = _block_width(product.degree)
         self.vals = np.zeros(z.size)
         self.done = np.zeros(z.size, dtype=bool)
         if z.size % self._cols == 1:
@@ -263,7 +263,7 @@ class _LazyDerivative:
         # this holds: no point is skipped then.
         eps = np.finfo(float).eps
         moduli = product.zeros.moduli
-        slack = 2.0 ** -20 + 8.0 * eps * (moduli.size ** 2 + np.sum(1.0 / (1.0 - moduli)))
+        slack = 2.0 ** -20 + 8.0 * eps * (moduli.size ** 2 + np.sum(1.0 / product.zeros.gaps))
         room = 1.0 - (z.real ** 2 + z.imag ** 2) - 4.0 * eps
         with np.errstate(divide="ignore"):
             self.ceiling = np.where((room > 0.0) & (moduli.min() >= 2.0 ** -256),

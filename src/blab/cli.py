@@ -186,7 +186,7 @@ _parse_law = _kind_parser({
 
 def _parse_boundary(value, path, base_dir):
     if isinstance(value, str):
-        full = value if os.path.isabs(value) else os.path.join(base_dir, value)
+        full = os.path.join(base_dir, value)
         try:
             return read_boundary(full)
         except OSError as exc:
@@ -341,7 +341,7 @@ def _run_verify_theorem1(plan, out_dir):
 
 def _read_zeros_file(name, base_dir):
     """The zeros file named by config.zeros, relative to the config's directory."""
-    full = name if os.path.isabs(name) else os.path.join(base_dir, name)
+    full = os.path.join(base_dir, name)
     try:
         return read_zeros(full)
     except (OSError, UnicodeDecodeError) as exc:

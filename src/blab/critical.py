@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, RootFindingError
-from .products import _BLOCK, ZeroSequence, _as_product, _factor_blocks
+from .products import ZeroSequence, _as_product, _block_width, _factor_blocks, _require
 
 _INTERIOR_EDGE = 1e-12  # |root| < 1 - this counts as interior
 _RESIDUAL_MAX = 1e-8
@@ -83,7 +83,7 @@ def _cauchy_sum(z, nodes):
     sum) and a node at infinity.
     """
     out = np.empty_like(z)
-    rows = max(1, _BLOCK // nodes.size)
+    rows = _block_width(nodes.size)
     with np.errstate(all="ignore"):
         for lo in range(0, z.size, rows):
             inv = 1.0 / (z[lo : lo + rows, None] - nodes)
@@ -288,22 +288,26 @@ class SumSeries:
         ]
 
 
-def _point_array(points):
-    if isinstance(points, CriticalSet):
-        return points.points
+def _points_and_gaps(points):
+    """The points of a CriticalSet, a ZeroSequence or an array, and their gaps 1 - |z|."""
     if isinstance(points, ZeroSequence):
-        return points.zeros
-    return np.asarray(points, dtype=np.complex128)
+        return points.zeros, points.gaps
+    if isinstance(points, CriticalSet):
+        pts = points.points
+    else:
+        pts = np.asarray(points, dtype=np.complex128)
+        # 0 stays allowed: a critical point may lie there
+        _require(np.abs(pts) < 1.0, "point must lie strictly inside the unit disk")
+    return pts, 1.0 - np.abs(pts)
 
 
 def critical_sum(cs, boundary_set, rho, beta, eps):
     """Series sum (1 - |z'|) d(z', E)^max(rho - beta + eps, 0) over critical points."""
-    pts = _point_array(cs)
+    pts, gaps = _points_and_gaps(cs)
     rho, beta, eps = float(rho), float(beta), float(eps)
     if not (0.0 < rho < np.inf and 0.0 < eps < np.inf and np.isfinite(beta)):
         raise DomainError("rho and eps must be positive and finite, and beta finite")
     expo = max(rho - beta + eps, 0.0)
-    gaps = 1.0 - np.abs(pts)
     d = boundary_set.distance(pts) if pts.size else np.asarray([])
     terms = gaps * np.power(d, expo) if pts.size else np.asarray([])
     return SumSeries(terms)
@@ -316,19 +320,18 @@ def log_weighted_sum(cs, eps):
     would dip below 1; only the boundary-clustered tail carries asymptotic
     meaning, so the convention is harmless and keeps every term positive.
     """
-    pts = _point_array(cs)
+    _, gaps = _points_and_gaps(cs)
     eps = float(eps)
     if not 0.0 < eps < np.inf:
         raise DomainError("eps must be positive and finite")
-    gaps = 1.0 - np.abs(pts)
     logs = np.maximum(np.log(1.0 / gaps), 1.0)
     return SumSeries(gaps / logs ** (1.0 + eps))
 
 
 def protas_sum(zeros, r):
     """Sum (1 - |z_n|)^r over a zero sequence, 0 < r <= 1 (r = 1: plain gap sum)."""
-    pts = _point_array(zeros)
+    _, gaps = _points_and_gaps(zeros)
     r = float(r)
     if not 0.0 < r <= 1.0:
         raise DomainError("power must lie in (0, 1]")
-    return float(np.sum((1.0 - np.abs(pts)) ** r))
+    return float(np.sum(gaps ** r))

@@ -26,16 +26,17 @@ Gauss-Legendre on the geometric radial panels [1 - 2^-j, 1 - 2^-(j+1)], down
 past the smallest gap 1 - |a|, with the mapped angular rule on every radius.
 
 Quadrature is validated by node doubling on every call, from fixed start
-counts under a node cap: no function takes a node count. One rule object
-serves Hardy circles and Bergman radii: a circle is the rule on one radius
-of weight 1. The s-grid at 2N holds the one at N, so an angular doubling
-evaluates B' only at its new nodes; a Bergman radial doubling has new radii
-throughout. A doubling
-disagreement above 1e-4 relative signals an under-resolved rule, not a
-subtle accuracy loss, and is a resolution failure; the quality target is
-1e-6. Doubling cannot see rounding in B' itself, which grows like
-eps/(1 - r|a|) next to a zero, so circles that near a zero are refused
-before any evaluation.
+counts under a node cap: no function takes a node count. `_PoissonMap`
+computes Phi and Phi' and hides the map's formula; `_Rule` places the nodes
+by safeguarded Newton inversion of Phi, doubles them, and sums |B'|^p / Phi'
+per exponent. One rule serves Hardy circles and Bergman radii: a circle is
+the rule on one radius of weight 1. The s-grid at 2N holds the one at N, so
+an angular doubling evaluates B' only at its new nodes; a Bergman radial
+doubling has new radii throughout. A doubling disagreement above 1e-4
+relative signals an under-resolved rule, not a subtle accuracy loss, and is a
+resolution failure; the quality target is 1e-6. Doubling cannot see rounding
+in B' itself, which grows like eps/(1 - r|a|) next to a zero, so circles that
+near a zero are refused before any evaluation.
 """
 from __future__ import annotations
 
@@ -91,8 +92,7 @@ class _PoissonMap:
     """
 
     def __init__(self, product):
-        moduli = product.zeros.moduli[:, None]
-        self._rho, self._gap = moduli, 1.0 - moduli
+        self._rho, self._gap = product.zeros.moduli[:, None], product.zeros.gaps[:, None]
         self._turn = np.exp(-0.5j * np.angle(product.zeros.zeros))[:, None]
         self._nearest = float(self._gap.min())
         self._start = _start_nodes(product)
@@ -118,89 +118,9 @@ class _PoissonMap:
         return phi, dphi
 
 
-def _invert(pmap, target, lo, hi, guess, r, delta):
-    """theta in (lo, hi) with Phi(theta) = target, and Phi' there: safeguarded Newton.
-
-    The bracket shrinks on the sign of the residual. A Newton step that does
-    not land strictly inside it, or that follows a step which failed to
-    halve the residual, is replaced by the bracket's midpoint. Where lam = 0
-    the guesses of _AngularRule are the targets to rounding, so those nodes
-    stop at the first evaluation. All arrays are flat; lo and hi are not
-    modified.
-    """
-    lo, hi = lo.copy(), hi.copy()
-    theta = np.where((guess > lo) & (guess < hi), guess, 0.5 * (lo + hi))
-    dphi = np.empty_like(theta)
-    last = np.full(theta.size, np.inf)
-    todo = np.arange(theta.size)
-    for _ in range(_MAP_STEPS):
-        th = theta[todo]
-        phi, d = pmap(th, r[todo], delta[todo])
-        dphi[todo] = d
-        res = phi - target[todo]
-        keep = np.abs(res) > np.maximum(_MAP_TOL, 4.0 * _EPS * th * d)
-        todo, th, res, d = todo[keep], th[keep], res[keep], d[keep]
-        if not todo.size:
-            break
-        below = res < 0.0
-        lo[todo] = np.where(below, th, lo[todo])
-        hi[todo] = np.where(below, hi[todo], th)
-        step = th - res / d
-        a, b = lo[todo], hi[todo]
-        newton = (step > a) & (step < b) & (np.abs(res) <= 0.5 * last[todo])
-        theta[todo] = np.where(newton, step, 0.5 * (a + b))
-        last[todo] = np.abs(res)
-    return theta, dphi
-
-
-class _AngularRule:
-    """Mapped trapezoid nodes on circles of radii r, refined by doubling.
-
-    Row i holds theta_j = Phi^-1(Phi(0) + 2 pi j/N) in [0, 2 pi) at radius
-    r_i, and Phi' there. The nodes for N are built from those for the odd
-    part of N (bracketed by [0, 2 pi]) by doubling; each doubling places one
-    node between every neighbour pair, bracketed by the pair and started from
-    the cubic Hermite interpolant of Phi^-1.
-    """
-
-    def __init__(self, pmap, r, delta, count):
-        self._map = pmap
-        self.r, self.delta = r[:, None], delta[:, None]
-        phi0, dphi0 = pmap(np.zeros_like(r), r, delta)
-        self._start = phi0[:, None]
-        odd = count // (count & -count)
-        frac = _TWO_PI * np.arange(1, odd) / odd
-        shape = (r.size, odd - 1)
-        theta, dphi = self._solve(self._start + frac, np.zeros(shape),
-                                  np.full(shape, _TWO_PI), np.broadcast_to(frac, shape))
-        self.theta = np.concatenate([np.zeros((r.size, 1)), theta], axis=1)
-        self.dphi = np.concatenate([dphi0[:, None], dphi], axis=1)
-        while self.theta.shape[1] < count:
-            self.refine()
-
-    def _solve(self, target, lo, hi, guess):
-        shape = target.shape
-        theta, dphi = _invert(self._map, target.ravel(), lo.ravel(), hi.ravel(),
-                              guess.ravel(), np.broadcast_to(self.r, shape).ravel(),
-                              np.broadcast_to(self.delta, shape).ravel())
-        return theta.reshape(shape), dphi.reshape(shape)
-
-    def refine(self):
-        """Double the node count; return the new nodes and Phi' there."""
-        rows, n = self.theta.shape
-        up = np.concatenate([self.theta[:, 1:], np.full((rows, 1), _TWO_PI)], axis=1)
-        dup = np.concatenate([self.dphi[:, 1:], self.dphi[:, :1]], axis=1)
-        h = _TWO_PI / n
-        guess = 0.5 * (self.theta + up) + 0.125 * h * (1.0 / self.dphi - 1.0 / dup)
-        theta, dphi = self._solve(self._start + h * (np.arange(n) + 0.5), self.theta, up, guess)
-        self.theta = np.stack([self.theta, theta], axis=2).reshape(rows, 2 * n)
-        self.dphi = np.stack([self.dphi, dphi], axis=2).reshape(rows, 2 * n)
-        return theta, dphi
-
-
 def _require_evaluable(product, r, where):
     """ResolutionError unless 1 - r|a| stays above the float64 floor for every zero."""
-    near = (1.0 - r) + r * (1.0 - product.zeros.moduli)
+    near = (1.0 - r) + r * product.zeros.gaps
     k = int(np.argmin(near))
     if near[k] < _FLOAT_FLOOR:
         raise ResolutionError(
@@ -216,22 +136,86 @@ def _moved(coarse, fine):
 class _Rule:
     """The mapped angular rule on radii r = 1 - delta, summed against radial weights.
 
-    Per exponent p, `value` is factor sum_i w_i (1/N) sum_j |B'(r_i e^{i theta_j})|^p
-    / Phi'(theta_j) at N = `count` angular nodes, and `coarse` the same at its
-    even-node sub-rule; a doubling evaluates B' at the new nodes only. A Hardy
-    circle is one radius of weight 1 and factor 1, a Bergman rule the
-    Gauss-Legendre radii of its panels with factor 2 pi.
+    Row i of `theta` holds theta_j = Phi^-1(Phi(0) + 2 pi j/N) in [0, 2 pi) at
+    radius r_i, and `dphi` Phi' there. The nodes for the odd part of N are
+    bracketed by [0, 2 pi]; each doubling places one node between every
+    neighbour pair, bracketed by the pair and started from the cubic Hermite
+    interpolant of Phi^-1. Per exponent p, `value` is
+    factor sum_i w_i (1/N) sum_j |B'(r_i e^{i theta_j})|^p / Phi'(theta_j) at
+    N = `count` nodes, and `coarse` the same at its even-node sub-rule; a
+    doubling evaluates B' at the new nodes only. A Hardy circle is one radius
+    of weight 1 and factor 1, a Bergman rule the Gauss-Legendre radii of its
+    panels with factor 2 pi.
     """
 
     def __init__(self, product, ps, r, delta, weights, factor, count):
         self._product, self._ps, self._weights, self._factor = product, ps, weights, factor
-        self._grid = _AngularRule(_PoissonMap(product), r, delta, count // 2)
+        self._map = _PoissonMap(product)
+        self._r, self._delta = r[:, None], delta[:, None]
+        phi0, dphi0 = self._map(np.zeros_like(r), r, delta)
+        self._phi0 = phi0[:, None]
         self.radial, self.count = r.size, count // 2
-        self._total = self._sum(self._grid.theta, self._grid.dphi)
+        odd = self.count // (self.count & -self.count)
+        frac = _TWO_PI * np.arange(1, odd) / odd
+        shape = (r.size, odd - 1)
+        theta, dphi = self._place(self._phi0 + frac, np.zeros(shape), np.full(shape, _TWO_PI),
+                                  np.broadcast_to(frac, shape))
+        self.theta = np.concatenate([np.zeros((r.size, 1)), theta], axis=1)
+        self.dphi = np.concatenate([dphi0[:, None], dphi], axis=1)
+        while self.theta.shape[1] < self.count:
+            self._double()
+        self._total = self._sum(self.theta, self.dphi)
         self.refine()
 
+    def _place(self, target, lo, hi, guess):
+        """theta in (lo, hi) with Phi(theta) = target, and Phi' there: safeguarded Newton.
+
+        The bracket shrinks on the sign of the residual. A Newton step that
+        does not land strictly inside it, or that follows a step which failed
+        to halve the residual, is replaced by the bracket's midpoint. Where
+        lam = 0 the guesses are the targets to rounding, so those nodes stop
+        at the first evaluation. lo and hi are not modified.
+        """
+        shape = target.shape
+        target, lo, hi, guess = target.ravel(), lo.flatten(), hi.flatten(), guess.ravel()
+        r, delta = (np.broadcast_to(a, shape).ravel() for a in (self._r, self._delta))
+        theta = np.where((guess > lo) & (guess < hi), guess, 0.5 * (lo + hi))
+        dphi = np.empty_like(theta)
+        last = np.full(theta.size, np.inf)
+        todo = np.arange(theta.size)
+        for _ in range(_MAP_STEPS):
+            th = theta[todo]
+            phi, d = self._map(th, r[todo], delta[todo])
+            dphi[todo] = d
+            res = phi - target[todo]
+            keep = np.abs(res) > np.maximum(_MAP_TOL, 4.0 * _EPS * th * d)
+            todo, th, res, d = todo[keep], th[keep], res[keep], d[keep]
+            if not todo.size:
+                break
+            below = res < 0.0
+            lo[todo] = np.where(below, th, lo[todo])
+            hi[todo] = np.where(below, hi[todo], th)
+            step = th - res / d
+            a, b = lo[todo], hi[todo]
+            newton = (step > a) & (step < b) & (np.abs(res) <= 0.5 * last[todo])
+            theta[todo] = np.where(newton, step, 0.5 * (a + b))
+            last[todo] = np.abs(res)
+        return theta.reshape(shape), dphi.reshape(shape)
+
+    def _double(self):
+        """Double the nodes; return the new nodes and Phi' there."""
+        rows, n = self.theta.shape
+        up = np.concatenate([self.theta[:, 1:], np.full((rows, 1), _TWO_PI)], axis=1)
+        dup = np.concatenate([self.dphi[:, 1:], self.dphi[:, :1]], axis=1)
+        h = _TWO_PI / n
+        guess = 0.5 * (self.theta + up) + 0.125 * h * (1.0 / self.dphi - 1.0 / dup)
+        theta, dphi = self._place(self._phi0 + h * (np.arange(n) + 0.5), self.theta, up, guess)
+        self.theta = np.stack([self.theta, theta], axis=2).reshape(rows, 2 * n)
+        self.dphi = np.stack([self.dphi, dphi], axis=2).reshape(rows, 2 * n)
+        return theta, dphi
+
     def _sum(self, theta, dphi):
-        size = np.abs(self._product.derivative(self._grid.r * np.exp(1j * theta)))
+        size = np.abs(self._product.derivative(self._r * np.exp(1j * theta)))
         return [float(np.sum(self._weights * np.sum(size ** p / dphi, axis=1))) * self._factor
                 for p in self._ps]
 
@@ -239,7 +223,7 @@ class _Rule:
         """Double the angular count."""
         self.coarse = [t / self.count for t in self._total]
         # added left to right: Python 3.12's sum() is compensated and would move bits
-        self._total = [t + s for t, s in zip(self._total, self._sum(*self._grid.refine()))]
+        self._total = [t + s for t, s in zip(self._total, self._sum(*self._double()))]
         self.count *= 2
         self.value = [t / self.count for t in self._total]
 
@@ -331,7 +315,7 @@ def bergman_integral(product, p):
         raise DomainError("exponent p must be positive and finite")
     _require_evaluable(product, 1.0, " as r -> 1")
     # panel ends in delta = 1 - r: 1, 1/2, ..., 2^-J, 0, with 2^-J under the smallest gap
-    gap, ends = float(np.min(1.0 - product.zeros.moduli)), [1.0]
+    gap, ends = float(np.min(product.zeros.gaps)), [1.0]
     while ends[-1] >= gap:
         ends.append(0.5 * ends[-1])
     ends = np.asarray(ends + [0.0])

@@ -49,17 +49,22 @@ def _require_closed_disk(arr):
     _require(np.abs(arr) <= 1.0 + _EDGE_TOL, "evaluation point lies outside the closed unit disk")
 
 
+def _block_width(size):
+    """Points per block against `size` zeros or nodes: _BLOCK entries, at least one point."""
+    return max(1, _BLOCK // size)
+
+
 def _factor_blocks(zeros, z):
     """Per block of the flat points z: the slice, d = a - z and r = 1/(1/conj(a) - z).
 
-    Zeros run along axis 0 and points along axis 1; a block holds at most
-    _BLOCK entries (at least one point), so the temporaries stay small
-    whatever the degree. numpy reduces a block of two or more points along
-    axis 0 in zero order, whatever the other points, but a block of one point
-    in another order (pairwise for sums), which may move its last bits.
+    Zeros run along axis 0 and points along axis 1; a block holds
+    _block_width(degree) points, so the temporaries stay small whatever the
+    degree. numpy reduces a block of two or more points along axis 0 in zero
+    order, whatever the other points, but a block of one point in another
+    order (pairwise for sums), which may move its last bits.
     """
     refl = 1.0 / np.conj(zeros)[:, None]
-    cols = max(1, _BLOCK // zeros.size)
+    cols = _block_width(zeros.size)
     for lo in range(0, z.size, cols):
         sl = slice(lo, lo + cols)
         q = z[None, sl]
@@ -110,8 +115,8 @@ def factor_derivative(z, zero):
 class ZeroSequence:
     """Ordered finite list of zeros in the punctured open disk.
 
-    The summed gap alpha = sum(1 - |z_n|) is cached at construction. The
-    backing array is frozen, so instances are safe to share across threads.
+    The gaps 1 - |z_n| and their sum alpha are cached at construction. The
+    arrays are frozen, so instances are safe to share across threads.
     An empty sequence is allowed (it represents a product tail that has been
     cut to nothing); building a BlaschkeProduct from it is not.
     """
@@ -123,7 +128,9 @@ class ZeroSequence:
         self._zeros = arr
         self._moduli = np.abs(arr)
         self._moduli.flags.writeable = False
-        self._alpha = float(np.sum(1.0 - self._moduli))
+        self._gaps = 1.0 - self._moduli
+        self._gaps.flags.writeable = False
+        self._alpha = float(np.sum(self._gaps))
 
     @property
     def zeros(self):
@@ -132,6 +139,10 @@ class ZeroSequence:
     @property
     def moduli(self):
         return self._moduli
+
+    @property
+    def gaps(self):
+        return self._gaps
 
     @property
     def alpha(self):

@@ -540,6 +540,18 @@ class TestCriticalPoints:
         res = json.loads((out / "critical_points_residuals.json").read_text())
         assert len(res["residuals"]) == 1
 
+    def test_zeros_file_named_by_absolute_path(self, tmp_path):
+        # the file is not next to the config, so only its absolute name finds it
+        data, conf = tmp_path / "data", tmp_path / "conf"
+        data.mkdir()
+        conf.mkdir()
+        (data / "pair.txt").write_text(PAIR_ZEROS)
+        cfg = write_cfg(conf, {"zeros": str(data / "pair.txt")})
+        out = tmp_path / "out"
+        assert cli.main(["critical-points", "--config", cfg, "--out", str(out)]) == 0
+        rep = json.loads((out / "critical-points.json").read_text())
+        assert rep["results"]["degree"] == 2 and rep["results"]["count"] == 1
+
     def test_missing_zeros_file(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"zeros": "absent.txt"})
         assert cli.main(["critical-points", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -597,6 +609,18 @@ class TestBetaEstimate:
         assert rep["results"]["beta"] == pytest.approx(1.0, abs=0.01)
         assert len(rep["results"]["x_grid"]) == 11
         assert len(rep["results"]["neighborhood_measures"]) == 11
+
+    def test_boundary_file_named_by_absolute_path(self, tmp_path):
+        # the file is not next to the config, so only its absolute name finds it
+        data, conf = tmp_path / "data", tmp_path / "conf"
+        data.mkdir()
+        conf.mkdir()
+        (data / "set.json").write_text('{"points": [0.0]}')
+        cfg = write_cfg(conf, {"set": str(data / "set.json")})
+        out = tmp_path / "out"
+        assert cli.main(["beta-estimate", "--config", cfg, "--out", str(out)]) == 0
+        rep = json.loads((out / "beta-estimate.json").read_text())
+        assert rep["results"]["beta"] == pytest.approx(1.0, abs=0.01)
 
     def test_measures_computed_once_and_report_unchanged(self, tmp_path, monkeypatch):
         # the slope and the reported measures share one pass over the grid;

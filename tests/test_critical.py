@@ -350,6 +350,12 @@ class TestCriticalSum:
         with pytest.raises(DomainError):
             critical_sum(np.asarray([0.1 + 0j]), E, rho=1.0, beta=1.0, eps=0.0)
 
+    @pytest.mark.parametrize("pts", [[1.5, 0.5], [2.0], [np.nan]])
+    def test_points_outside_the_open_disk_are_refused(self, pts):
+        # [1.5, 0.5] summed to 0.0 from the terms -0.354 and 0.354, and [2.0] to -1.0
+        with pytest.raises(DomainError, match="strictly inside the unit disk"):
+            critical_sum(pts, BoundarySet.from_points([0.0]), 1.0, 1.0, 0.5)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["rho", "beta", "eps"])
     def test_non_finite_parameters_are_refused(self, name, value):
@@ -381,6 +387,12 @@ class TestLogWeightedSum:
         with pytest.raises(DomainError, match="positive and finite"):
             log_weighted_sum(np.asarray([0.5, 0.9j]), eps)
 
+    @pytest.mark.parametrize("pts", [[1.5, 0.5], [1.0], [np.nan]])
+    def test_points_outside_the_open_disk_are_refused(self, pts):
+        # [1.5, 0.5] gave nan with a RuntimeWarning
+        with pytest.raises(DomainError, match="strictly inside the unit disk"):
+            log_weighted_sum(pts, 0.5)
+
 
 class TestProtasSum:
     def test_single_zero_hand(self):
@@ -401,3 +413,9 @@ class TestProtasSum:
         for r in (0.0, 1.5, -0.2):
             with pytest.raises(DomainError):
                 protas_sum(np.asarray([0.5 + 0j]), r)
+
+    @pytest.mark.parametrize("pts", [[np.nan], [0.5, 1.5], [1j]])
+    def test_points_outside_the_open_disk_are_refused(self, pts):
+        # [nan] gave nan with a RuntimeWarning
+        with pytest.raises(DomainError, match="strictly inside the unit disk"):
+            protas_sum(pts, 1)

@@ -316,44 +316,55 @@ class TestBergmanIntegral:
 
 
 class TestAngularRule:
+    @staticmethod
+    def rule(product, r, count):
+        return blab.means._Rule(product, [1.0], r, 1.0 - r, np.ones(r.size), 1.0, count)
+
     def test_nodes_invert_the_map_and_nest(self):
         product = BlaschkeProduct(sampled_exp_zeros(10))
         pmap = blab.means._PoissonMap(product)
         r = np.array([0.5, 0.99, RIM])
-        grid = blab.means._AngularRule(pmap, r, 1.0 - r, 80)
-        coarse = grid.theta.copy()
-        grid.refine()
-        assert np.array_equal(grid.theta[:, ::2], coarse)
-        rows, n = grid.theta.shape
-        phi, dphi = pmap(grid.theta.ravel(), np.repeat(r, n), np.repeat(1.0 - r, n))
+        rule = self.rule(product, r, 160)
+        coarse = rule.theta.copy()
+        rule.refine()
+        assert np.array_equal(rule.theta[:, ::2], coarse)
+        rows, n = rule.theta.shape
+        phi, dphi = pmap(rule.theta.ravel(), np.repeat(r, n), np.repeat(1.0 - r, n))
         phi0, _ = pmap(np.zeros(3), r, 1.0 - r)
         want = phi0[:, None] + 2.0 * np.pi * np.arange(n) / n
         assert np.abs(phi.reshape(rows, n) - want).max() < 1e-12
-        assert np.allclose(dphi.reshape(rows, n), grid.dphi, rtol=1e-12)
-        assert np.all(np.diff(grid.theta, axis=1) > 0.0) and grid.theta.max() < 2.0 * np.pi
+        assert np.allclose(dphi.reshape(rows, n), rule.dphi, rtol=1e-12)
+        assert np.all(np.diff(rule.theta, axis=1) > 0.0) and rule.theta.max() < 2.0 * np.pi
 
-
-    def test_resolved_circles_keep_the_uniform_rule(self):
+    def test_resolved_circles_keep_the_uniform_rule(self, monkeypatch):
         # 64 nodes x (1 - r|a|) = 48 >= 40: lam = 0 on this circle
-        pmap = blab.means._PoissonMap(BlaschkeProduct([0.5]))
-        pmap._turn = np.full_like(pmap._turn, np.nan)  # a zero summed would show as NaN
-        r = np.array([0.5])
-        grid = blab.means._AngularRule(pmap, r, 1.0 - r, 64)
-        for _ in range(3):
-            grid.refine()
-        n = grid.theta.shape[1]
+        init = blab.means._PoissonMap.__init__
+
+        def unsummable(self, product):
+            init(self, product)
+            self._turn = np.full_like(self._turn, np.nan)  # a zero summed would show as NaN
+
+        monkeypatch.setattr(blab.means._PoissonMap, "__init__", unsummable)
+        rule = self.rule(BlaschkeProduct([0.5]), np.array([0.5]), 128)
+        for _ in range(2):
+            rule.refine()
+        n = rule.theta.shape[1]
         exact = 2.0 * np.pi * np.arange(n) / n
-        assert np.abs(grid.theta[0] - exact).max() <= np.spacing(2.0 * np.pi)
-        assert np.all(grid.dphi == 1.0)
+        assert np.abs(rule.theta[0] - exact).max() <= np.spacing(2.0 * np.pi)
+        assert np.all(rule.dphi == 1.0) and np.isfinite(rule.value[0])
 
     def test_only_unresolved_circles_are_mapped(self):
-        pmap = blab.means._PoissonMap(BlaschkeProduct([0.5]))
         # 64 (1 - r/2) < 40 once r > 0.75
         r = np.array([0.5, 0.74, 0.76, 0.99])
-        theta = np.full(4, 1.0)
-        phi, dphi = pmap(theta, r, 1.0 - r)
-        assert np.array_equal(phi[:2], theta[:2]) and np.array_equal(dphi[:2], [1.0, 1.0])
-        assert np.all(phi[2:] != theta[2:]) and np.all(dphi[2:] != 1.0)
+        rule = self.rule(BlaschkeProduct([0.5]), r, 128)
+        n = rule.theta.shape[1]
+        exact = 2.0 * np.pi * np.arange(n) / n
+        assert np.abs(rule.theta[:2] - exact).max() <= np.spacing(2.0 * np.pi)
+        assert np.all(rule.dphi[:2] == 1.0)
+        # a zero on the positive axis fixes the nodes at 0 and pi, and Phi'
+        # crosses 1 twice: every other node of a mapped circle moves
+        assert np.all((rule.theta[2:] != exact).sum(axis=1) >= n - 2)
+        assert np.all((rule.dphi[2:] != 1.0).sum(axis=1) >= n - 2)
 
 
 class TestMeansTable:

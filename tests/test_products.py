@@ -100,6 +100,15 @@ class TestZeroSequence:
         assert zs[0] == 0.5 and zs[2] == 0.5j
         assert list(zs) == [0.5, -0.5, 0.5j]
 
+    def test_gaps_are_frozen_and_sum_to_alpha(self):
+        zs = ZeroSequence(1.0 - 0.5 ** np.arange(1, 11) + 0.3j * 0.5 ** np.arange(1, 11))
+        assert zs.gaps.tobytes() == (1 - zs.moduli).tobytes()
+        assert zs.alpha == float(np.sum(zs.gaps))
+        with pytest.raises(ValueError):
+            zs.gaps[0] = 0.1
+        tail = zs[4:]
+        assert np.array_equal(tail.gaps, zs.gaps[4:]) and tail.alpha == float(np.sum(tail.gaps))
+
     def test_backing_array_is_frozen(self):
         zs = ZeroSequence([0.5])
         with pytest.raises(ValueError):
