@@ -27,16 +27,17 @@ past the smallest gap 1 - |a|, with the mapped angular rule on every radius.
 
 Quadrature is validated by node doubling on every call, from fixed start
 counts under a node cap: no function takes a node count. `_PoissonMap`
-computes Phi and Phi' and hides the map's formula; `_Rule` places the nodes
-by safeguarded Newton inversion of Phi, doubles them, and sums |B'|^p / Phi'
-per exponent. One rule serves Hardy circles and Bergman radii: a circle is
-the rule on one radius of weight 1. The s-grid at 2N holds the one at N, so
-an angular doubling evaluates B' only at its new nodes; a Bergman radial
-doubling has new radii throughout. A doubling disagreement above 1e-4
-relative signals an under-resolved rule, not a subtle accuracy loss, and is a
-resolution failure; the quality target is 1e-6. Doubling cannot see rounding
-in B' itself, which grows like eps/(1 - r|a|) next to a zero, so circles that
-near a zero are refused before any evaluation.
+computes Phi, Phi' and Phi'' and hides the map's formula; `_Rule` places the
+nodes by safeguarded Halley inversion of Phi, doubles them from quintic
+Hermite starts, and sums |B'|^p / Phi' per exponent. One rule serves Hardy
+circles and Bergman radii: a circle is the rule on one radius of weight 1.
+The s-grid at 2N holds the one at N, so an angular doubling evaluates B'
+only at its new nodes; a Bergman radial doubling has new radii throughout.
+A doubling disagreement above 1e-4 relative signals an under-resolved rule,
+not a subtle accuracy loss, and is a resolution failure; the quality target
+is 1e-6. Doubling cannot see rounding in B' itself, which grows like
+eps/(1 - r|a|) next to a zero, so circles that near a zero are refused
+before any evaluation.
 """
 from __future__ import annotations
 
@@ -63,8 +64,8 @@ _RESOLVED = 40.0
 # within a 2 MB L2 cache: on a Xeon with 2 MB L2 per core, Bergman p = 2 on
 # 20 random zeros ran 1.2x faster than with blocks of 1 << 15.
 _MAP_BLOCK = 1 << 14
-# Newton inversion of Phi stops at |Phi(theta) - s| <= _MAP_TOL, at a step
-# under a few ulps of theta, or after _MAP_STEPS steps.
+# Halley inversion of Phi stops at |Phi(theta) - s| <= _MAP_TOL or at a step
+# under a few ulps of theta; a node not there after _MAP_STEPS evaluations fails.
 _MAP_TOL = 1e-13
 _MAP_STEPS = 100
 # B' next to a zero a carries a rounding error of about eps/(1 - r|a|)
@@ -80,14 +81,16 @@ def _start_nodes(product):
 
 
 class _PoissonMap:
-    """Phi and Phi' at (theta, r) pairs, summed over the zeros in blocks.
+    """Phi, Phi' and Phi'' at (theta, r) pairs, summed over the zeros in blocks.
 
     Phi is taken as theta + 2 lam mean_k atan2(t sin x, 1 - t cos x), x = theta
     - arg a_k: the form above shifted by the constant lam mean_k arg a_k. In
     e^{ix/2} = c + ih, 1 - t cos x = (1 - t) + 2t h^2 and
-    1 - 2t cos x + t^2 = (1 - t)^2 + 4t h^2, with 1 - t = (1 - r) + r(1 - |a|),
-    so both keep their digits next to a zero. lam is a property of the
-    circle: 1/2 where the start count leaves the nearest pole
+    D = 1 - 2t cos x + t^2 = (1 - t)^2 + 4t h^2, with 1 - t = (1 - r) + r(1 - |a|),
+    so both keep their digits next to a zero. Phi'' = -4 lam mean_k P_k y_k / D_k
+    with y = t h c, the atan2's first argument. The terms of t alone are
+    (zeros x 1) columns on a block whose nodes share one radius. lam is a
+    property of the circle: 1/2 where the start count leaves the nearest pole
     unresolved, else 0, where Phi is the identity and no zero is summed.
     """
 
@@ -98,24 +101,38 @@ class _PoissonMap:
         self._start = _start_nodes(product)
 
     def __call__(self, theta, r, delta):
-        """Phi(theta) and Phi'(theta) on flat arrays theta, r and delta = 1 - r."""
-        phi, dphi = theta.copy(), np.ones_like(theta)
+        """Phi, Phi' and Phi'' at flat arrays theta, r and delta = 1 - r."""
+        phi, dphi, d2phi = theta.copy(), np.ones_like(theta), np.zeros_like(theta)
         mapped = np.flatnonzero(self._start * (delta + r * self._nearest) < _RESOLVED)
-        half = np.exp(0.5j * theta[mapped])
-        degree = self._rho.size  # sum / degree: mean's bits without its Python wrapper
+        th, r, delta = theta[mapped], r[mapped], delta[mapped]
+        half = np.exp(0.5j * th)
+        sums = np.empty((3, th.size))  # of atan2, P and P y / D over the zeros
+        degree = self._rho.size
         cols = max(1, _MAP_BLOCK // degree)
-        for lo in range(0, mapped.size, cols):
-            at = mapped[lo:lo + cols]
-            w = half[lo:lo + cols] * self._turn
-            t = self._rho * r[at]
-            omt = delta[at] + r[at] * self._gap
-            u = t * w.imag
-            v = u * w.imag
-            mean = np.arctan2(u * w.real, 0.5 * omt + v).sum(axis=0) / degree
-            phi[at] = theta[at] + 2.0 * _MAP_WEIGHT * mean
-            mean = (omt * (1.0 + t) / (omt * omt + 4.0 * v)).sum(axis=0) / degree
-            dphi[at] = 1.0 - _MAP_WEIGHT + _MAP_WEIGHT * mean
-        return phi, dphi
+        for lo in range(0, th.size, cols):
+            at = slice(lo, lo + cols)
+            rad, dlt = r[at], delta[at]
+            if (rad == rad[0]).all() and (dlt == dlt[0]).all():
+                rad, dlt = rad[:1], dlt[:1]
+            w = half[at] * self._turn
+            t = self._rho * rad
+            omt = dlt + rad * self._gap  # 1 - t
+            y = t * w.imag
+            v = y * w.imag  # t h^2
+            y *= w.real  # t h c
+            den = v + 0.5 * omt
+            np.arctan2(y, den, out=den).sum(axis=0, out=sums[0, at])
+            v *= 4.0
+            v += omt * omt  # D
+            np.divide(omt * (1.0 + t), v, out=den).sum(axis=0, out=sums[1, at])
+            den *= y
+            den /= v
+            den.sum(axis=0, out=sums[2, at])
+        sums /= degree  # sum / degree: mean's bits without its Python wrapper
+        phi[mapped] = th + 2.0 * _MAP_WEIGHT * sums[0]
+        dphi[mapped] = 1.0 - _MAP_WEIGHT + _MAP_WEIGHT * sums[1]
+        d2phi[mapped] = -4.0 * _MAP_WEIGHT * sums[2]
+        return phi, dphi, d2phi
 
 
 def _require_evaluable(product, r, where):
@@ -139,8 +156,9 @@ class _Rule:
     Row i of `theta` holds theta_j = Phi^-1(Phi(0) + 2 pi j/N) in [0, 2 pi) at
     radius r_i, and `dphi` Phi' there. The nodes for the odd part of N are
     bracketed by [0, 2 pi]; each doubling places one node between every
-    neighbour pair, bracketed by the pair and started from the cubic Hermite
-    interpolant of Phi^-1. Per exponent p, `value` is
+    neighbour pair, bracketed by the pair and started from the quintic
+    Hermite interpolant of Phi^-1, which takes Phi' and Phi'' at the pair.
+    Per exponent p, `value` is
     factor sum_i w_i (1/N) sum_j |B'(r_i e^{i theta_j})|^p / Phi'(theta_j) at
     N = `count` nodes, and `coarse` the same at its even-node sub-rule; a
     doubling evaluates B' at the new nodes only. A Hardy circle is one radius
@@ -152,67 +170,74 @@ class _Rule:
         self._product, self._ps, self._weights, self._factor = product, ps, weights, factor
         self._map = _PoissonMap(product)
         self._r, self._delta = r[:, None], delta[:, None]
-        phi0, dphi0 = self._map(np.zeros_like(r), r, delta)
+        phi0, dphi0, d2phi0 = self._map(np.zeros_like(r), r, delta)
         self._phi0 = phi0[:, None]
         self.radial, self.count = r.size, count // 2
         odd = self.count // (self.count & -self.count)
         frac = _TWO_PI * np.arange(1, odd) / odd
         shape = (r.size, odd - 1)
-        theta, dphi = self._place(self._phi0 + frac, np.zeros(shape), np.full(shape, _TWO_PI),
-                                  np.broadcast_to(frac, shape))
-        self.theta = np.concatenate([np.zeros((r.size, 1)), theta], axis=1)
-        self.dphi = np.concatenate([dphi0[:, None], dphi], axis=1)
+        placed = self._place(self._phi0 + frac, np.zeros(shape), np.full(shape, _TWO_PI),
+                             np.broadcast_to(frac, shape))
+        self.theta, self.dphi, self._d2phi = (
+            np.concatenate([first[:, None], rest], axis=1)
+            for first, rest in zip((np.zeros_like(r), dphi0, d2phi0), placed))
         while self.theta.shape[1] < self.count:
             self._double()
         self._total = self._sum(self.theta, self.dphi)
         self.refine()
 
     def _place(self, target, lo, hi, guess):
-        """theta in (lo, hi) with Phi(theta) = target, and Phi' there: safeguarded Newton.
+        """theta in (lo, hi) with Phi(theta) = target, Phi' and Phi'' there: safeguarded Halley.
 
-        The bracket shrinks on the sign of the residual. A Newton step that
+        The bracket shrinks on the sign of the residual. A Halley step that
         does not land strictly inside it, or that follows a step which failed
         to halve the residual, is replaced by the bracket's midpoint. Where
         lam = 0 the guesses are the targets to rounding, so those nodes stop
-        at the first evaluation. lo and hi are not modified.
+        at the first evaluation. A node still off target after _MAP_STEPS
+        evaluations is a resolution failure. lo and hi are not modified.
         """
         shape = target.shape
         target, lo, hi, guess = target.ravel(), lo.flatten(), hi.flatten(), guess.ravel()
         r, delta = (np.broadcast_to(a, shape).ravel() for a in (self._r, self._delta))
         theta = np.where((guess > lo) & (guess < hi), guess, 0.5 * (lo + hi))
-        dphi = np.empty_like(theta)
+        dphi, d2phi = np.empty_like(theta), np.empty_like(theta)
         last = np.full(theta.size, np.inf)
         todo = np.arange(theta.size)
         for _ in range(_MAP_STEPS):
             th = theta[todo]
-            phi, d = self._map(th, r[todo], delta[todo])
-            dphi[todo] = d
+            phi, d, d2 = self._map(th, r[todo], delta[todo])
+            dphi[todo], d2phi[todo] = d, d2
             res = phi - target[todo]
-            keep = np.abs(res) > np.maximum(_MAP_TOL, 4.0 * _EPS * th * d)
-            todo, th, res, d = todo[keep], th[keep], res[keep], d[keep]
+            size = np.abs(res)
+            keep = size > np.maximum(_MAP_TOL, 4.0 * _EPS * th * d)
+            todo, th, res, size, d, d2 = (x[keep] for x in (todo, th, res, size, d, d2))
             if not todo.size:
                 break
             below = res < 0.0
-            lo[todo] = np.where(below, th, lo[todo])
-            hi[todo] = np.where(below, hi[todo], th)
-            step = th - res / d
-            a, b = lo[todo], hi[todo]
-            newton = (step > a) & (step < b) & (np.abs(res) <= 0.5 * last[todo])
-            theta[todo] = np.where(newton, step, 0.5 * (a + b))
-            last[todo] = np.abs(res)
-        return theta.reshape(shape), dphi.reshape(shape)
+            a, b = np.where(below, th, lo[todo]), np.where(below, hi[todo], th)
+            lo[todo], hi[todo] = a, b
+            step = th - 2.0 * res * d / (2.0 * d * d - res * d2)
+            halley = (step > a) & (step < b) & (size <= 0.5 * last[todo])
+            theta[todo] = np.where(halley, step, 0.5 * (a + b))
+            last[todo] = size
+        else:
+            raise ResolutionError(f"inverting the Poisson map left {todo.size} nodes unconverged "
+                                  f"after {_MAP_STEPS} steps, the outermost at r = {r[todo].max()}")
+        return theta.reshape(shape), dphi.reshape(shape), d2phi.reshape(shape)
 
     def _double(self):
         """Double the nodes; return the new nodes and Phi' there."""
         rows, n = self.theta.shape
         up = np.concatenate([self.theta[:, 1:], np.full((rows, 1), _TWO_PI)], axis=1)
-        dup = np.concatenate([self.dphi[:, 1:], self.dphi[:, :1]], axis=1)
+        dup, d2up = (np.roll(d, -1, axis=1) for d in (self.dphi, self._d2phi))
         h = _TWO_PI / n
-        guess = 0.5 * (self.theta + up) + 0.125 * h * (1.0 / self.dphi - 1.0 / dup)
-        theta, dphi = self._place(self._phi0 + h * (np.arange(n) + 0.5), self.theta, up, guess)
-        self.theta = np.stack([self.theta, theta], axis=2).reshape(rows, 2 * n)
-        self.dphi = np.stack([self.dphi, dphi], axis=2).reshape(rows, 2 * n)
-        return theta, dphi
+        guess = (0.5 * (self.theta + up) + 5.0 / 32.0 * h * (1.0 / self.dphi - 1.0 / dup)
+                 - h * h / 64.0 * (self._d2phi / self.dphi ** 3 + d2up / dup ** 3))
+        new = self._place(self._phi0 + h * (np.arange(n) + 0.5), self.theta, up, guess)
+        self.theta, self.dphi, self._d2phi = (
+            np.stack([old, add], axis=2).reshape(rows, 2 * n)
+            for old, add in zip((self.theta, self.dphi, self._d2phi), new))
+        return new[:2]
 
     def _sum(self, theta, dphi):
         size = np.abs(self._product.derivative(self._r * np.exp(1j * theta)))

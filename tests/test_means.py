@@ -329,12 +329,75 @@ class TestAngularRule:
         rule.refine()
         assert np.array_equal(rule.theta[:, ::2], coarse)
         rows, n = rule.theta.shape
-        phi, dphi = pmap(rule.theta.ravel(), np.repeat(r, n), np.repeat(1.0 - r, n))
-        phi0, _ = pmap(np.zeros(3), r, 1.0 - r)
+        phi, dphi, _ = pmap(rule.theta.ravel(), np.repeat(r, n), np.repeat(1.0 - r, n))
+        phi0, _, _ = pmap(np.zeros(3), r, 1.0 - r)
         want = phi0[:, None] + 2.0 * np.pi * np.arange(n) / n
         assert np.abs(phi.reshape(rows, n) - want).max() < 1e-12
         assert np.allclose(dphi.reshape(rows, n), rule.dphi, rtol=1e-12)
         assert np.all(np.diff(rule.theta, axis=1) > 0.0) and rule.theta.max() < 2.0 * np.pi
+
+    def test_map_derivatives_match_centred_differences(self):
+        # P_t(x) = sum_m t^|m| e^{imx}, so |P_t^(k)| <= k! P_t(0) / w^k with
+        # w = 1 - t. A centred difference of step h is off by at most h^2/6
+        # times the third derivative of what it differences: by (h/w)^2 S/3 for
+        # Phi' and (h/w)^2 S/w for Phi'', where S = lam mean_k P_tk(0), lam <= 1/2,
+        # and w is the least 1 - r|a|. Rounding adds about eps max|f| / h.
+        zeros = sampled_exp_zeros(10)
+        pmap = blab.means._PoissonMap(BlaschkeProduct(zeros))
+        for r in (0.5, 0.99, RIM):
+            t = r * np.abs(zeros)
+            w = ((1.0 - r) + r * (1.0 - np.abs(zeros))).min()
+            h = 1e-3 * w
+            scale = 0.5 * np.mean((1.0 + t) / (1.0 - t))
+            near = np.angle(zeros)[:, None] + w * np.array([-3.0, -1.0, -0.3, 0.0, 0.3, 1.0, 3.0])
+            theta = np.concatenate([np.linspace(0.0, 2.0 * np.pi, 200, endpoint=False),
+                                    near.ravel() % (2.0 * np.pi)])
+            radius = np.full(theta.size, r)
+            phi, dphi, d2phi = pmap(theta, radius, 1.0 - radius)
+            up, dup, _ = pmap(theta + h, radius, 1.0 - radius)
+            down, ddown, _ = pmap(theta - h, radius, 1.0 - radius)
+            eps = np.finfo(float).eps
+            tol = (h / w) ** 2 * scale / 3.0 + eps * np.abs(up).max() / h
+            assert np.abs((up - down) / (2.0 * h) - dphi).max() <= tol
+            tol = (h / w) ** 2 * scale / w + eps * np.abs(dup).max() / h
+            assert np.abs((dup - ddown) / (2.0 * h) - d2phi).max() <= tol
+
+    def test_one_radius_blocks_keep_the_bits(self):
+        # a block whose nodes share one radius forms its radius terms as
+        # columns, one spanning two radii per node: the middle block of the
+        # mixed call holds half a block of each radius
+        pmap = blab.means._PoissonMap(BlaschkeProduct(sampled_exp_zeros(200)))
+        half = blab.means._MAP_BLOCK // 200 // 2
+        theta = np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, 6 * half)
+        r = np.repeat([0.999, RIM], 3 * half)
+        mixed = pmap(theta, r, 1.0 - r)
+        for part in (slice(None, 3 * half), slice(3 * half, None)):
+            alone = pmap(theta[part], r[part], 1.0 - r[part])
+            for one, both in zip(alone, mixed):
+                assert np.array_equal(one, both[part])
+
+    @pytest.mark.parametrize("n, r, placed", [(50, 0.999, 12_713), (200, RIM, 18_032)])
+    def test_fewer_map_evaluations_per_node_than_newton(self, n, r, placed, handed, monkeypatch):
+        # placed: the points a safeguarded Newton inversion from a cubic
+        # Hermite start handed to the map on these circles; this rule hands
+        # 10,037 and 12,855, on the same 6,400 accepted nodes
+        zeros, points = sampled_exp_zeros(n), []
+        call = blab.means._PoissonMap.__call__
+
+        def counting(self, theta, r, delta):
+            points.append(theta.size)
+            return call(self, theta, r, delta)
+
+        monkeypatch.setattr(blab.means._PoissonMap, "__call__", counting)
+        hardy_mean(zeros, 1.0, r)
+        assert sum(handed) == 6400
+        assert sum(points) < placed
+
+    def test_unconverged_nodes_fail_loudly(self, monkeypatch):
+        monkeypatch.setattr(blab.means, "_MAP_STEPS", 2)
+        with pytest.raises(ResolutionError,
+                           match=r"left \d+ nodes unconverged after 2 steps.* r = 0.999$"):
+            hardy_mean(sampled_exp_zeros(50), 1.0, 0.999)
 
     def test_resolved_circles_keep_the_uniform_rule(self, monkeypatch):
         # 64 nodes x (1 - r|a|) = 48 >= 40: lam = 0 on this circle
