@@ -11,8 +11,7 @@ therefore means a genuine defect in the surrounding code, never an expected
 numerical artifact.
 
 Sampling is chunked with one RNG stream per chunk index, so reports are
-reproducible and independent of how chunks would be distributed across
-workers.
+reproducible.
 """
 from __future__ import annotations
 
@@ -494,6 +493,8 @@ def envelope_grid(boundary_set, depth=14, rays=12, ring=64):
     the distances, treats those as vacuous.
     """
     depth, rays, ring = _whole(depth, "depth"), _whole(rays, "rays"), _whole(ring, "ring")
+    for count, name in ((depth, "depth"), (rays, "rays"), (ring, "ring")):
+        _require(count >= 0, f"{name} must be nonnegative, got {count}")
     anchors = list(np.atleast_1d(boundary_set.point_angles))
     for a, b in boundary_set.segments:
         anchors.extend((a, b, (a + b) / 2.0))

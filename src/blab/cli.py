@@ -8,10 +8,6 @@ verified inequality was violated, 2 bad configuration or unreadable input,
 3 numerical failure inside a module (sampling, resolution, root finding).
 Reports are canonical JSON (sorted keys, no timestamps): rerunning a config
 with the same seed reproduces every output byte for byte.
-
-The driver is sequential; BLAB_THREADS, when set, is validated and recorded
-as an upper bound on parallelism, which a one-worker driver satisfies
-trivially.
 """
 from __future__ import annotations
 
@@ -246,16 +242,6 @@ def _disk_points(rng, count):
         2j * np.pi * rng.uniform(0.0, 1.0, count))
 
 
-def _threads_config():
-    raw = os.environ.get("BLAB_THREADS")
-    if raw is None:
-        return None
-    try:
-        return _integer(int(raw), "BLAB_THREADS")
-    except ValueError:
-        raise ConfigError(f"BLAB_THREADS: expected an integer, got {raw!r}") from None
-
-
 def _resolve_seed(config_seed, flag_seed, required):
     """The seed to run with: --seed, when given, wins over config.seed."""
     seed = config_seed if flag_seed is None else flag_seed
@@ -276,8 +262,8 @@ def _resolve_seed(config_seed, flag_seed, required):
 # exit code), writing the side files through `_side`. `main` resolves
 # plan["seed"] and the report's name between the two, and refuses output names
 # that collide, before anything runs. The report's `config` is `_echo(plan)`
-# without `out` and the zeros read from a file, plus `threads`; `_RUNNERS`
-# gives each subcommand's inequality and whether its report records the seed.
+# without `out` and the zeros read from a file; `_RUNNERS` gives each
+# subcommand's inequality and whether its report records the seed.
 
 
 def _prep_verify_lemma(cfg, base_dir):
@@ -555,7 +541,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     prep, run, inequality, records_seed = _RUNNERS[args.command]
     try:
-        threads = _threads_config()
         try:
             with open(args.config, encoding="utf-8") as fh:
                 cfg = json.load(fh, parse_constant=_reject_constant)
@@ -580,7 +565,6 @@ def main(argv=None):
         return 2
     hidden = {"out", "zero_seq"} if records_seed else {"out", "zero_seq", "seed"}
     config = _echo({key: v for key, v in plan.items() if key not in hidden})
-    config["threads"] = threads
     try:
         results, code = run(plan, args.out)
     except BlabError as exc:

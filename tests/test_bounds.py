@@ -429,6 +429,13 @@ class TestEnvelope:
         assert np.all(np.abs(a) <= 1.0 + 1e-15)
         assert np.all(self.E.distance(a) > 0.0)
 
+    @pytest.mark.parametrize("name", ["depth", "rays", "ring"])
+    def test_grid_counts_are_nonnegative(self, name):
+        # a negative count is refused by name; zero is a valid count
+        with pytest.raises(DomainError, match=f"^{name} must be nonnegative, got -1$"):
+            envelope_grid(self.E, **{name: -1})
+        assert envelope_grid(self.E, **{name: 0}).size > 0
+
     def test_grid_covers_arcs(self):
         E = BoundarySet.from_arcs([(0.0, 1.0)])
         grid = envelope_grid(E, depth=6, rays=4, ring=16)

@@ -13,11 +13,6 @@ from blab import BoundReport, cli, parse_zero_line
 from test_regions import _reference_sample_zeros
 
 
-@pytest.fixture(autouse=True)
-def clean_threads_env(monkeypatch):
-    monkeypatch.delenv("BLAB_THREADS", raising=False)
-
-
 def write_cfg(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -306,14 +301,6 @@ class TestConfigRejection:
             f"config error: config.out.{key}: {name!r} is a directory in {out}\n")
         assert [p.name for p in out.rglob("*")] == [name]
 
-    def test_threads_env_validated(self, tmp_path, capsys, monkeypatch):
-        cfg = write_cfg(tmp_path, lemma_cfg(samples=10))
-        monkeypatch.setenv("BLAB_THREADS", "abc")
-        assert cli.main(["verify-lemma", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "BLAB_THREADS" in capsys.readouterr().err
-        monkeypatch.setenv("BLAB_THREADS", "0")
-        assert cli.main(["verify-lemma", "--config", cfg, "--out", str(tmp_path)]) == 2
-
 
 def small_config(command, tmp_path):
     """A quick config for each subcommand; zeros files land in tmp_path."""
@@ -341,16 +328,24 @@ def small_config(command, tmp_path):
 class TestReportPath:
     @pytest.mark.parametrize("command", sorted(cli._RUNNERS))
     def test_report_name_experiment_and_threads(self, command, tmp_path, monkeypatch):
+        # no environment variable sets a parallelism: BLAB_THREADS, set or
+        # malformed, leaves the exit code and every output byte as they are
         payload = small_config(command, tmp_path)
-        monkeypatch.setenv("BLAB_THREADS", "3")
-        default_out = tmp_path / "default"
-        assert cli.main([command, "--config", write_cfg(tmp_path, payload),
-                         "--out", str(default_out)]) == 0
-        rep = json.loads((default_out / f"{command}.json").read_text())
+        cfg = write_cfg(tmp_path, payload)
+        outputs = []
+        for threads in (None, "4", "abc"):
+            if threads is None:
+                monkeypatch.delenv("BLAB_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("BLAB_THREADS", threads)
+            default_out = tmp_path / f"default-{threads}"
+            assert cli.main([command, "--config", cfg, "--out", str(default_out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in default_out.iterdir()})
+        assert outputs == [outputs[0]] * 3
+        rep = json.loads(outputs[0][f"{command}.json"])
         assert rep["experiment"] == command
-        assert rep["config"]["threads"] == 3
+        assert "threads" not in rep["config"]
 
-        monkeypatch.delenv("BLAB_THREADS")
         payload["out"] = {"report": "named.json"}
         named_out = tmp_path / "named"
         assert cli.main([command, "--config", write_cfg(tmp_path, payload, "named.json"),
@@ -358,7 +353,6 @@ class TestReportPath:
         rep = json.loads((named_out / "named.json").read_text())
         assert not (named_out / f"{command}.json").exists()
         assert rep["experiment"] == command
-        assert rep["config"]["threads"] is None
 
 
 VERTEX = {"points": [0.0]}
@@ -366,82 +360,77 @@ EXP_REGION = {"model": {"kind": "exp", "rho": 1.0}, "K": 2, "set": VERTEX}
 EXP_MODEL = {"kind": "exp", "param": 1.0}
 POWER_LAW = {"kind": "power", "exponent": 2.0, "scale": 0.5}
 
-# (command, config, extra argv, BLAB_THREADS, the report's config) per case;
-# the configs leave out every optional field with a default, so the echo
-# shows the defaults filled in, and the regions spread into their parent
+# (command, config, extra argv, the report's config) per case; the configs
+# leave out every optional field with a default, so the echo shows the
+# defaults filled in, and the regions spread into their parent
 CONFIG_ECHO = {
     "verify-lemma": (
         "verify-lemma",
         {"region": EXP_REGION, "samples": 5, "seed": 1, "out": {"csv": "w.csv"}},
-        ["--seed", "4"], "2",
-        {"model": EXP_MODEL, "K": 2.0, "set": VERTEX, "samples": 5, "seed": 4,
-         "threads": 2}),
+        ["--seed", "4"],
+        {"model": EXP_MODEL, "K": 2.0, "set": VERTEX, "samples": 5, "seed": 4}),
     "verify-theorem1": (
         "verify-theorem1",
         {"region": EXP_REGION, "products": {"count": 1, "min_degree": 2, "max_degree": 3},
          "grid_points": 5, "seed": 3},
-        [], None,
+        [],
         {"model": EXP_MODEL, "K": 2.0, "set": VERTEX,
          "products": {"count": 1, "min_degree": 2, "max_degree": 3}, "grid_points": 5,
-         "law": {"kind": "geometric", "ratio": 0.5}, "seed": 3, "threads": None}),
+         "law": {"kind": "geometric", "ratio": 0.5}, "seed": 3}),
     "critical-points": (
-        "critical-points", {"zeros": "pair.txt", "out": {"points": "p.txt"}}, [], None,
-        {"zeros": "pair.txt", "threads": None}),
+        "critical-points", {"zeros": "pair.txt", "out": {"points": "p.txt"}}, [],
+        {"zeros": "pair.txt"}),
     "critical-sum": (
         "critical-sum",
         {"zeros": "pair.txt", "set": {"arcs": [[0, 1]]}, "rho": 1, "beta": -1,
          "eps": 0.5},
-        [], "1",
+        [],
         {"zeros": "pair.txt", "set": {"arcs": [[0.0, 1.0]]}, "rho": 1.0, "beta": -1.0,
-         "eps": 0.5, "threads": 1}),
+         "eps": 0.5}),
     "beta-estimate": (
-        "beta-estimate", {"set": VERTEX}, [], None,
-        {"set": VERTEX, "k_min": 4, "k_max": 14, "threads": None}),
+        "beta-estimate", {"set": VERTEX}, [],
+        {"set": VERTEX, "k_min": 4, "k_max": 14}),
     "means-trend/radial": (
         "means-trend",
         {"family": {"kind": "radial_geometric"}, "p_list": [1], "truncations": [2]},
-        [], None,
+        [],
         {"family": {"kind": "radial_geometric", "ratio": 0.5}, "p_list": [1.0],
-         "truncations": [2], "r_grid": [0.9, 0.99, 0.999], "seed": None,
-         "threads": None}),
+         "truncations": [2], "r_grid": [0.9, 0.99, 0.999], "seed": None}),
     "means-trend/sampled": (
         "means-trend",
         {"family": {"kind": "region_sampled", "region": EXP_REGION, "law": POWER_LAW},
          "p_list": [0.5], "truncations": [2], "r_grid": [0.5], "seed": 6},
-        [], None,
+        [],
         {"family": {"kind": "region_sampled", "model": EXP_MODEL, "K": 2.0, "set": VERTEX,
                     "law": POWER_LAW},
-         "p_list": [0.5], "truncations": [2], "r_grid": [0.5], "seed": 6,
-         "threads": None}),
+         "p_list": [0.5], "truncations": [2], "r_grid": [0.5], "seed": 6}),
     "envelope-fit/zeros": (
-        "envelope-fit", {"rho": 1, "zeros": "pair.txt", "set": VERTEX}, [], None,
+        "envelope-fit", {"rho": 1, "zeros": "pair.txt", "set": VERTEX}, [],
         {"zeros": "pair.txt", "set": VERTEX, "rho": 1.0,
-         "grid": {"depth": 14, "rays": 12, "ring": 64}, "seed": None, "threads": None}),
+         "grid": {"depth": 14, "rays": 12, "ring": 64}, "seed": None}),
     "envelope-fit/sampling": (
         "envelope-fit",
         {"rho": 1.0, "sampling": {"region": EXP_REGION, "law": {"kind": "geometric"},
                                   "count": 3},
          "grid": {"rays": 2, "ring": 8, "depth": 4}, "seed": 8},
-        [], None,
+        [],
         {"sampling": {"model": EXP_MODEL, "K": 2.0, "set": VERTEX,
                       "law": {"kind": "geometric", "ratio": 0.5}, "count": 3},
          "set": VERTEX, "rho": 1.0, "grid": {"depth": 4, "rays": 2, "ring": 8},
-         "seed": 8, "threads": None}),
+         "seed": 8}),
     "region-boundary": (
         "region-boundary", {"model": {"kind": "power", "gamma": 2}, "K": 1, "resolution": 3},
-        [], None,
+        [],
         {"model": {"kind": "power", "param": 2.0}, "K": 1.0, "vertex_angle": 0.0,
-         "resolution": 3, "threads": None}),
+         "resolution": 3}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CONFIG_ECHO))
-def test_report_config_echo(case, tmp_path, monkeypatch):
+def test_report_config_echo(case, tmp_path):
     """The report's `config` is the parsed config with its defaults filled in."""
-    command, payload, argv, threads, expected = CONFIG_ECHO[case]
+    command, payload, argv, expected = CONFIG_ECHO[case]
     (tmp_path / "pair.txt").write_text(PAIR_ZEROS)
-    if threads is not None:
-        monkeypatch.setenv("BLAB_THREADS", threads)
     out = tmp_path / "out"
     assert cli.main([command, "--config", write_cfg(tmp_path, payload), *argv,
                      "--out", str(out)]) == 0
@@ -461,7 +450,7 @@ class TestVerifyLemma:
         assert rep["results"]["violations"] == 0
         assert rep["results"]["samples"] == 2000
         assert rep["results"]["bound"] == 3.0
-        assert rep["config"]["threads"] is None
+        assert "threads" not in rep["config"]
         csv_lines = (out / "wit.csv").read_text().splitlines()
         assert csv_lines[0] == "rank,ratio,z_re,z_im,t_re,t_im,lambda_re,lambda_im"
         assert len(csv_lines) == 11
@@ -480,14 +469,6 @@ class TestVerifyLemma:
                          "--out", str(out)]) == 0
         rep = json.loads((out / "verify-lemma.json").read_text())
         assert rep["config"]["seed"] == 9
-
-    def test_threads_recorded(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BLAB_THREADS", "4")
-        cfg = write_cfg(tmp_path, lemma_cfg(samples=50))
-        out = tmp_path / "out"
-        assert cli.main(["verify-lemma", "--config", cfg, "--out", str(out)]) == 0
-        rep = json.loads((out / "verify-lemma.json").read_text())
-        assert rep["config"]["threads"] == 4
 
     def test_violation_exit_code(self, tmp_path, monkeypatch):
         # the inequality itself cannot fail, so fake one report to pin the

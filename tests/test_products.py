@@ -273,6 +273,9 @@ class TestProductDerivative:
         rim = np.exp(2j * np.pi * rng.uniform(0, 1, 50))
         pts = np.concatenate([pts, rim, zs[:3]])  # three points on zeros: the fallback path
         rng.shuffle(pts)
+        # the whole pass sets the reference bits, so it must leave no point alone too
+        assert pts.size % cols != 1, (
+            f"{pts.size} points leave the last one alone in its block at _BLOCK = {_BLOCK}")
         whole = B.derivative(pts)
         sizes = [2, 3, 17, cols, cols + 2, 2 * cols + 5, 2000]
         for size in sizes:
