@@ -96,15 +96,16 @@ def schwarz_pick_bound(product, z):
     product = _as_product(product)
     z = _as_complex(z)
     _require(np.abs(z) < 1.0, "the hyperbolic-derivative bound needs |z| < 1")
-    flat = z.ravel()
-    acc = np.empty(flat.shape, dtype=np.float64)
     sq = product.zeros.moduli[:, None] ** 2
-    for sl, d, r in _factor_blocks(product.zeros.zeros, flat):
+
+    def telescoped(d, r):
         inv = np.abs(r) ** 2 / sq  # 1 / |1 - conj(a) z|^2
         terms = (1.0 - sq) * inv
         # each term carries prod_{m<n} |b_m|^2 = prod_{m<n} |d_m|^2 inv_m
         terms[1:] *= np.cumprod(np.abs(d[:-1]) ** 2 * inv[:-1], axis=0)
-        acc[sl] = terms.sum(axis=0)
+        return terms.sum(axis=0)
+
+    acc = _factor_blocks(product.zeros.zeros, z.ravel(), telescoped)
     return _result(acc.reshape(z.shape), z)
 
 
@@ -233,13 +234,10 @@ def lemma_check(spec, n_samples, seed):
 class _LazyDerivative:
     """|B'| at the points z, evaluated only where asked, with the bits of one full pass.
 
-    `vals` holds |B'| where `done`, else 0. A full pass evaluates z in blocks
-    of `cols` points, and numpy reduces a block of two or more points in zero
-    order whatever the others, but a point alone in another (see
-    _factor_blocks): so no call leaves a point alone in its last block, and
-    the full pass's own lone last point is evaluated alone, at once.
-    `ceiling` bounds each computed |B'|: the Schwarz-Pick bound at first,
-    which `tighten` lowers to the factor-sum bound where asked.
+    `vals` holds |B'| where `done`, else 0: a point's |B'| has the same bits
+    in every call (see _factor_blocks). `ceiling` bounds each computed |B'|:
+    the Schwarz-Pick bound at first, which `tighten` lowers to the factor-sum
+    bound where asked.
     """
 
     def __init__(self, product, z):
@@ -247,9 +245,6 @@ class _LazyDerivative:
         self._cols = _block_width(product.degree)
         self.vals = np.zeros(z.size)
         self.done = np.zeros(z.size, dtype=bool)
-        if z.size % self._cols == 1:
-            self.vals[-1] = np.abs(product.derivative(z[-1:]))[0]
-            self.done[-1] = True
         # |B'(z)| <= (1 - |B(z)|^2)/(1 - |z|^2) <= 1/(1 - |z|^2). The computed
         # 1 - |z|^2 is off by under 2 eps, so minus 4 eps (exact) it is under
         # the true one where positive. The factor pass has each b_k and
@@ -291,8 +286,6 @@ class _LazyDerivative:
 
     def evaluate(self, idx):
         idx = idx[~self.done[idx]]
-        if idx.size % self._cols == 1:
-            idx = np.append(idx, idx[-1])
         if idx.size:
             self.vals[idx] = np.abs(self._product.derivative(self._z[idx]))
             self.done[idx] = True

@@ -65,15 +65,14 @@ def _pole_sums(unique, mult, z):
     """
     pts = np.asarray(z, dtype=np.complex128)
     coef = (mult * (np.abs(unique) ** 2 - 1.0) / np.conj(unique))[:, None]
-    h, hp, total = (np.empty_like(pts) for _ in range(3))
-    for sl, d, r in _factor_blocks(unique, pts):
+
+    def sums(d, r):
         inv = 1.0 / d
         g = coef * inv * r
         inv += r
-        h[sl] = g.sum(axis=0)
-        hp[sl] = (g * inv).sum(axis=0)
-        total[sl] = inv.sum(axis=0)
-    return h, hp, total
+        return np.array([g.sum(axis=0), (g * inv).sum(axis=0), inv.sum(axis=0)])
+
+    return _factor_blocks(unique, pts, sums)
 
 
 def _cauchy_sum(z, nodes):
@@ -266,13 +265,14 @@ def _residual_failure(product, unique, mult, points, residuals):
 
 @dataclass(frozen=True)
 class SumSeries:
-    """Terms of a positive series with cached partial sums."""
+    """Terms of a positive series, each finite and nonnegative, with cached partial sums."""
 
     terms: np.ndarray
     partial_sums: np.ndarray = field(init=False)
 
     def __post_init__(self):
         terms = np.asarray(self.terms, dtype=np.float64)
+        _require(np.isfinite(terms) & (terms >= 0.0), "series terms must be finite and nonnegative")
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "partial_sums", np.cumsum(terms))
 

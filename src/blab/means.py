@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlabError, DomainError, ResolutionError
-from .products import _as_product, _require, _whole
+from .products import _as_product, _block_width, _require, _whole
 
 _DOUBLING_GATE = 1e-4
 _DOUBLING_TARGET = 1e-6
@@ -60,10 +60,6 @@ _MAP_WEIGHT = 0.5
 # A circle needs it where the start count N leaves the nearest pole
 # unresolved: N min_k (1 - r|a_k|) < _RESOLVED, a trapezoid error over e^-40.
 _RESOLVED = 40.0
-# Zero-node pairs per block of the map, so that its block temporaries stay
-# within a 2 MB L2 cache: on a Xeon with 2 MB L2 per core, Bergman p = 2 on
-# 20 random zeros ran 1.2x faster than with blocks of 1 << 15.
-_MAP_BLOCK = 1 << 14
 # Halley inversion of Phi stops at |Phi(theta) - s| <= _MAP_TOL or at a step
 # under a few ulps of theta; a node not there after _MAP_STEPS evaluations fails.
 _MAP_TOL = 1e-13
@@ -108,7 +104,7 @@ class _PoissonMap:
         half = np.exp(0.5j * th)
         sums = np.empty((3, th.size))  # of atan2, P and P y / D over the zeros
         degree = self._rho.size
-        cols = max(1, _MAP_BLOCK // degree)
+        cols = _block_width(degree)
         for lo in range(0, th.size, cols):
             at = slice(lo, lo + cols)
             rad, dlt = r[at], delta[at]

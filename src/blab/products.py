@@ -21,8 +21,9 @@ from .errors import DomainError, InvalidZeroError
 # Evaluation points may poke past the circle by rounding only.
 _EDGE_TOL = 1e-12
 
-# Matrix entries (zeros x points) per block of the factor pass.
-_BLOCK = 1 << 15
+# Matrix entries (zeros x points) per block of the factor pass: the block
+# temporaries stay within a 2 MB L2 cache.
+_BLOCK = 1 << 14
 
 
 # The argument convention of every scalar-or-array function in the package:
@@ -50,25 +51,34 @@ def _require_closed_disk(arr):
 
 
 def _block_width(size):
-    """Points per block against `size` zeros or nodes: _BLOCK entries, at least one point."""
-    return max(1, _BLOCK // size)
+    """Points per block against `size` zeros or nodes: _BLOCK entries, at least two points."""
+    return max(2, _BLOCK // size)
 
 
-def _factor_blocks(zeros, z):
-    """Per block of the flat points z: the slice, d = a - z and r = 1/(1/conj(a) - z).
+def _factor_blocks(zeros, z, kernel):
+    """kernel(d, r) on each block of the flat points z, joined along the last axis.
 
-    Zeros run along axis 0 and points along axis 1; a block holds
-    _block_width(degree) points, so the temporaries stay small whatever the
-    degree. numpy reduces a block of two or more points along axis 0 in zero
-    order, whatever the other points, but a block of one point in another
-    order (pairwise for sums), which may move its last bits.
+    d = a - z and r = 1/(1/conj(a) - z) have zeros along axis 0 and the
+    block's points along axis 1; kernel reduces along axis 0. A block holds
+    _block_width(degree) points, so the temporaries stay small, and never a
+    point alone: a lone last point joins the block before it, and a single
+    point runs as two copies of itself, of which the first is kept. numpy
+    reduces a block of two or more points in zero order, whatever the other
+    points, so every result at a point has the same bits in every call.
     """
     refl = 1.0 / np.conj(zeros)[:, None]
     cols = _block_width(zeros.size)
-    for lo in range(0, z.size, cols):
-        sl = slice(lo, lo + cols)
-        q = z[None, sl]
-        yield sl, zeros[:, None] - q, 1.0 / (refl - q)
+    pts = np.repeat(z, 2) if z.size == 1 else z
+    ends, out = [*range(cols, pts.size - 1, cols), pts.size], None
+    for lo, hi in zip([0, *ends], ends):
+        q = pts[None, lo:hi]
+        # d and r stay bound until the next block's are made: freed at once, the
+        # heap top goes back to the system at every block and faults back in
+        d, r = zeros[:, None] - q, 1.0 / (refl - q)
+        part = kernel(d, r)
+        out = np.empty(part.shape[:-1] + pts.shape, part.dtype) if out is None else out
+        out[..., lo:hi] = part
+    return out[..., :z.size]
 
 
 def _validate_zero_array(arr):
@@ -212,11 +222,9 @@ class BlaschkeProduct:
         """Value of the product at z (scalar or array), |z| <= 1."""
         arr = np.asarray(z, dtype=np.complex128)
         _require_closed_disk(arr)
-        flat = arr.reshape(-1)
-        out = np.empty_like(flat)
         inv = 1.0 / self._seq.moduli[:, None]
-        for sl, d, r in _factor_blocks(self._seq.zeros, flat):
-            out[sl] = np.prod(d * r * inv, axis=0)
+        out = _factor_blocks(self._seq.zeros, arr.reshape(-1),
+                             lambda d, r: np.prod(d * r * inv, axis=0))
         return _result(out.reshape(arr.shape), arr)
 
     def derivative(self, z):
@@ -231,21 +239,22 @@ class BlaschkeProduct:
         arr = np.asarray(z, dtype=np.complex128)
         _require_closed_disk(arr)
         flat = arr.reshape(-1)
-        out = np.empty_like(flat)
         zeros = self._seq.zeros
         inv = 1.0 / self._seq.moduli[:, None]
         coef = (self._seq.moduli[:, None] ** 2 - 1.0) / np.conj(zeros)[:, None]
+
+        def leave_one_out(d, r):
+            fac, one = d * r * inv, np.ones_like(d[:1])  # b_n, and b_n' = coef_n r_n^2 / |a_n|
+            before = np.cumprod(np.concatenate([one, fac[:-1]]), axis=0)
+            after = np.cumprod(np.concatenate([one, fac[:0:-1]]), axis=0)[::-1]
+            return (coef * r * r * inv * before * after).sum(axis=0)
+
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for sl, d, r in _factor_blocks(zeros, flat):
-                out[sl] = np.prod(d * r * inv, axis=0) * (coef * r / d).sum(axis=0)
-            # one point per block: its bits do not depend on the other points
-            for k in np.flatnonzero(~np.isfinite(out)):
-                (_, d, r), = _factor_blocks(zeros, flat[k:k + 1])
-                fac, der = d * r * inv, coef * r * r * inv  # b_n, and b_n' = coef_n r_n^2 / |a_n|
-                one = np.ones((1, 1), dtype=fac.dtype)
-                before = np.cumprod(np.concatenate([one, fac[:-1]]), axis=0)
-                after = np.cumprod(np.concatenate([one, fac[:0:-1]]), axis=0)[::-1]
-                out[k] = np.sum(der * before * after)
+            out = _factor_blocks(zeros, flat, lambda d, r: np.prod(d * r * inv, axis=0)
+                                 * (coef * r / d).sum(axis=0))
+            bad = np.flatnonzero(~np.isfinite(out))
+            if bad.size:
+                out[bad] = _factor_blocks(zeros, flat[bad], leave_one_out)
         return _result(out.reshape(arr.shape), arr)
 
     def derivative_fd(self, z, h=1e-5):

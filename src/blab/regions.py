@@ -199,7 +199,7 @@ class BoundarySet:
             raise DomainError("boundary set must be nonempty")
         self._lo, self._hi = _union(np.concatenate([lo, pts]), np.concatenate([hi, pts]))
         self._arc = self._hi > self._lo
-        self._unit_lo, self._unit_hi = np.exp(1j * self._lo), np.exp(1j * self._hi)
+        self._unit_hi, self._unit_next = np.exp(1j * self._hi), np.roll(np.exp(1j * self._lo), -1)
         # an arc that ends at 2 pi also holds angle 0
         self._wraps = bool(self._arc[-1] and self._hi[-1] >= TWO_PI)
 
@@ -283,12 +283,13 @@ class BoundarySet:
         """
         arr = np.asarray(z, dtype=np.complex128)
         flat = arr.reshape(-1)
-        ang = np.mod(np.angle(flat), TWO_PI)
+        ang = np.angle(flat)
+        np.add(ang, TWO_PI, out=ang, where=ang < 0.0)
         k = np.searchsorted(self._lo, ang, side="right") - 1
         inside = (k >= 0) & (ang <= self._hi[k]) & self._arc[k]
         if self._wraps:
             inside |= ang == 0.0
-        before, after = self._unit_hi[k], self._unit_lo[(k + 1) % self._lo.size]
+        before, after = self._unit_hi[k], self._unit_next[k]
         out = np.minimum(np.abs(flat - before), np.abs(flat - after))
         out = np.where(inside, np.abs(np.abs(flat) - 1.0), out)
         return _result(out.reshape(arr.shape), arr)

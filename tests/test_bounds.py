@@ -34,7 +34,7 @@ from blab import (
 )
 from blab import cli
 from blab.bounds import _LazyDerivative
-from blab.products import _BLOCK
+from blab.products import _block_width
 from test_regions import vertex_spec
 
 GAUGES = [
@@ -546,14 +546,14 @@ class TestEnvelopePruning:
 
     @pytest.mark.parametrize("sets", ["c1", "c2"])
     def test_lone_last_point_keeps_the_bits_of_the_full_pass(self, sets):
-        # the full pass evaluates the last point alone when the grid size is
-        # 1 mod the block width; the point that sets c1 (or c2) goes last, on
-        # a zero set where evaluating it inside a block would change the fit
+        # a grid 1 mod the block width leaves its last point alone in the full
+        # pass unless it joins the block before it; the point that sets c1 (or
+        # c2) goes last, so the fit reads its bits
         E = BoundarySet.from_points([0.0])
         rng = np.random.default_rng(5)
-        for seed in range(1, 40):
+        for seed in range(1, 6):
             product = vertex_product(seed)
-            cols = max(1, _BLOCK // product.degree)
+            cols = _block_width(product.degree)
             base = np.concatenate([envelope_grid(E), np.sqrt(rng.uniform(0, 1, 2 * cols)) * np.exp(
                 2j * np.pi * rng.uniform(0, 1, 2 * cols))])
             d, vals = E.distance(base), np.abs(product.derivative(base))
@@ -562,28 +562,23 @@ class TestEnvelopePruning:
                 key = np.where(d >= 0.5, vals, -1.0) if sets == "c1" else d * np.log(vals / c1)
             k = np.argmax(key)
             grid = np.append(np.delete(base, k)[:2 * cols], base[k])
-            # the last point inside a block, next to a copy of itself
-            blocked = np.abs(product.derivative(np.append(grid, grid[-1])))[:-1]
-            if full_fit(product, E, 1.0, grid) != full_fit(product, E, 1.0, grid, blocked):
-                break
-        else:
-            pytest.fail("no zero set where the last point's bits alone change the fit")
-        assert grid.size % cols == 1
-        assert pruned_fit(product, E, 1.0, grid) == full_fit(product, E, 1.0, grid)
+            assert grid.size % cols == 1 and not alone_differs(product, grid[-1])
+            assert pruned_fit(product, E, 1.0, grid) == full_fit(product, E, 1.0, grid)
 
     def test_single_survivor_is_not_evaluated_alone(self, evaluated):
         # c1 comes from next to the zero at -0.9, so that of the points near
-        # E = {0} only the one at radius 0.95 has a positive bound
+        # E = {0} only the one at radius 0.95 has a positive bound; evaluated
+        # alone, it has the bits it has inside a block
         E = BoundarySet.from_points([0.0])
         product = BlaschkeProduct([-0.9] + [0.1 * np.exp(2j * np.pi * k / 9) for k in range(9)])
-        theta = next(t for t in np.linspace(0.01, 0.2, 20)
-                     if alone_differs(product, 0.95 * np.exp(1j * t)))
+        survivor = 0.95 * np.exp(0.01j)
+        assert not alone_differs(product, survivor)
         far = np.concatenate([[-0.9 + 0.001j], 0.25 * np.exp(2j * np.pi * np.arange(16) / 16)])
-        near = np.array([0.6, 0.65 * np.exp(0.1j), 0.7, 0.95 * np.exp(1j * theta)])
+        near = np.array([0.6, 0.65 * np.exp(0.1j), 0.7, survivor])
         grid = np.concatenate([far, near])
         evaluated.clear()
         got = pruned_fit(product, E, 1.0, grid)
-        assert evaluated == [far.size, 2]  # the survivor, repeated
+        assert evaluated == [far.size, 1]
         assert got == full_fit(product, E, 1.0, grid)
         assert got[1] > 0.0
 
@@ -676,11 +671,11 @@ class TestTheoremPruning:
 
     def test_every_rhs_infinite(self, evaluated):
         # the exp gauge vanishes next to the vertex: every ratio is 0 and only
-        # the witness, the first point, is evaluated (next to a copy of itself)
+        # the witness, the first point, is evaluated
         spec = vertex_spec(ModelFunction.exp_tangential(1.0), 0.0, 1.0)
         z = (1.0 - np.linspace(1e-9, 5e-9, 50)) * np.exp(1j * np.linspace(-1e-10, 1e-10, 50))
         rep = same_check([0.5, 0.9j], z, spec, check_zeros=False)
-        assert evaluated[:-1] == [2]  # the last call is the reference's
+        assert evaluated[:-1] == [1]  # the last call is the reference's
         assert rep.worst_ratio == 0.0 and rep.worst_witness["lhs"] > 0.0
 
     @pytest.mark.parametrize("rtol", [-0.5, -1.0, -3.0])
@@ -696,26 +691,24 @@ class TestTheoremPruning:
             assert same_check(product, z, vertex, rtol=rtol, check_zeros=False).violations == 60
 
     def test_grid_one_past_a_block_keeps_the_last_points_bits(self, evaluated):
-        # the full pass evaluates the last point alone when the grid size is
-        # 1 mod the block width; the witness goes last, on a product where
-        # evaluating it inside a block would change its bits
+        # a grid 1 mod the block width leaves its last point alone in the full
+        # pass unless it joins the block before it; the witness goes last
         spec = StolzSpec(ModelFunction.truncated_power(2.0), ARC, 1.0)
+        checked = 0
         for product, grid in theorem_products(spec, 3):
-            cols = max(1, _BLOCK // product.degree)
+            cols = _block_width(product.degree)
             if 2 * cols + 1 > grid.size:
                 continue
             grid = grid[:2 * cols + 1]
             lhs, rhs = theorem_bound(product, grid, spec, check_zeros=False)
             k = int(np.argmax(lhs / rhs))
             grid = np.append(np.delete(grid, k), grid[k])
-            if alone_differs(product, grid[-1]):
-                break
-        else:
-            pytest.fail("no product where the last point's bits alone differ")
-        assert grid.size % cols == 1
-        evaluated.clear()
-        rep = same_check(product, grid, spec, check_zeros=False)
-        assert evaluated[0] == 1 and rep.worst_witness["z"] == grid[-1]
+            assert grid.size % cols == 1 and not alone_differs(product, grid[-1])
+            evaluated.clear()
+            rep = same_check(product, grid, spec, check_zeros=False)
+            assert rep.worst_witness["z"] == grid[-1] and sum(evaluated[:-1]) < grid.size
+            checked += 1
+        assert checked >= 10
 
     def test_points_on_zeros_and_next_to_the_circle(self):
         spec = StolzSpec(ModelFunction.truncated_power(2.0), ARC, 1.0)

@@ -320,6 +320,12 @@ class TestSumSeries:
         s = SumSeries([])
         assert s.total == 0.0 and s.rows() == []
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -5e-324])
+    def test_refuses_terms_that_are_not_finite_and_nonnegative(self, bad):
+        with pytest.raises(DomainError, match="series terms must be finite and nonnegative"):
+            SumSeries([0.5, bad])
+        assert SumSeries([0.5, -0.0, 0.0]).total == 0.5
+
 
 class TestCriticalSum:
     def test_origin_point_hand_value(self):

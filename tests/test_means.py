@@ -19,6 +19,7 @@ from blab import (
     radial_geometric_family,
     sample_zeros,
 )
+from blab.products import _block_width
 
 RIM = 1.0 - 1e-6
 
@@ -367,7 +368,7 @@ class TestAngularRule:
         # columns, one spanning two radii per node: the middle block of the
         # mixed call holds half a block of each radius
         pmap = blab.means._PoissonMap(BlaschkeProduct(sampled_exp_zeros(200)))
-        half = blab.means._MAP_BLOCK // 200 // 2
+        half = _block_width(200) // 2
         theta = np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, 6 * half)
         r = np.repeat([0.999, RIM], 3 * half)
         mixed = pmap(theta, r, 1.0 - r)

@@ -12,7 +12,9 @@ from blab import (
     factor_derivative,
     truncation_tail,
 )
-from blab.products import _BLOCK
+from blab.bounds import schwarz_pick_bound
+from blab.critical import _group_exact, _pole_sums
+from blab.products import _block_width
 
 
 def interior_zero(rng, lo=0.05, hi=0.95):
@@ -260,35 +262,34 @@ class TestProductDerivative:
 
     @pytest.mark.parametrize("deg", [40, 300])
     def test_batch_independent_bits(self, deg):
-        # a point's B' has the same bits in every call that leaves no factor
-        # block holding that point alone, whatever the other points are; a
-        # point on a zero falls back alone in every call. The pruned envelope
-        # fit rests on this
+        # a point's B, B', Schwarz-Pick bound and pole sums have the same bits
+        # in every call, whatever the other points are: a block never holds a
+        # point alone, so numpy reduces each in zero order. The pruned
+        # envelope fit and theorem check rest on this
         rng = np.random.default_rng(deg)
         zs = np.asarray([interior_zero(rng, 0.05, 0.999) for _ in range(deg)])
         B = BlaschkeProduct(zs)
-        cols = max(1, _BLOCK // deg)
-        pts = 0.999 * np.sqrt(rng.uniform(0, 1, 2000)) * np.exp(
+        cols = _block_width(deg)
+        disk = 0.999 * np.sqrt(rng.uniform(0, 1, 2000)) * np.exp(
             2j * np.pi * rng.uniform(0, 1, 2000))
         rim = np.exp(2j * np.pi * rng.uniform(0, 1, 50))
-        pts = np.concatenate([pts, rim, zs[:3]])  # three points on zeros: the fallback path
+        pts = np.concatenate([disk, rim, zs[:3]])  # three points on zeros: the fallback path
         rng.shuffle(pts)
-        # the whole pass sets the reference bits, so it must leave no point alone too
-        assert pts.size % cols != 1, (
-            f"{pts.size} points leave the last one alone in its block at _BLOCK = {_BLOCK}")
-        whole = B.derivative(pts)
-        sizes = [2, 3, 17, cols, cols + 2, 2 * cols + 5, 2000]
-        for size in sizes:
-            assert size % cols != 1
-            for idx in (rng.choice(pts.size, size, replace=False),
-                        rng.integers(0, pts.size, size),  # repeats allowed
-                        np.arange(pts.size - size, pts.size)):
-                assert np.array_equal(B.derivative(pts[idx]), whole[idx])
-        # the exception: alone in its block, a point has its sum (pairwise)
-        # and product over the zeros taken in another order by numpy, which
-        # may move the last bits
-        for k in rng.integers(0, pts.size, 20):
-            assert B.derivative(pts[k:k + 1])[0] == pytest.approx(whole[k], rel=1e-13)
+        inner = pts[np.abs(pts) < 1.0]  # the Schwarz-Pick bound is for |z| < 1
+        unique, mult = _group_exact(zs)
+        passes = [(B.derivative, pts), (B.evaluate, pts),
+                  (lambda z: schwarz_pick_bound(B, z), inner),
+                  (lambda z: _pole_sums(unique, mult, np.atleast_1d(z)), disk)]
+        sizes = [1, 2, 3, cols - 1, cols, cols + 1, 2 * cols + 1]
+        for f, z in passes:
+            whole = f(z)
+            for size in sizes:
+                for idx in (rng.choice(z.size, size, replace=False),
+                            rng.integers(0, z.size, size),  # repeats allowed
+                            np.arange(z.size - size, z.size)):
+                    assert np.array_equal(f(z[idx]), whole[..., idx])
+            for k in np.concatenate([rng.integers(0, z.size, 20), np.flatnonzero(np.isin(z, zs))]):
+                assert np.array_equal(np.ravel(f(complex(z[k]))), np.ravel(whole[..., k]))
 
     def test_rim_poisson_oracle(self):
         # on the circle |B'(e^{i theta})| = sum (1 - |a|^2) / |e^{i theta} - a|^2

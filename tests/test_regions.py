@@ -261,6 +261,33 @@ def test_interval_arrays_match_list_merge_bitwise(case):
         assert E.neighborhood_measure(x) == ref.neighborhood_measure(x), x
 
 
+def _lookup_reference(E, z):
+    """BoundarySet.distance's lookup with a float modulo for the angle and an
+    index wrap for the next interval, rebuilt from the public segments and points."""
+    lo, hi = np.asarray(sorted(E.segments + [(p, p) for p in E.point_angles.tolist()])).T
+    arc = hi > lo
+    ang = np.mod(np.angle(z), TWO_PI)
+    k = np.searchsorted(lo, ang, side="right") - 1
+    inside = (k >= 0) & (ang <= hi[k]) & arc[k]
+    if arc[-1] and hi[-1] >= TWO_PI:
+        inside |= ang == 0.0
+    before, after = np.exp(1j * hi)[k], np.exp(1j * lo)[(k + 1) % lo.size]
+    chord = np.minimum(np.abs(z - before), np.abs(z - after))
+    return np.where(inside, np.abs(np.abs(z) - 1.0), chord)
+
+
+def _edge_points(E):
+    """Signed zeros, angles just below and above 0, the set's ends and random disk points."""
+    signed = [complex(x, y) for x in (0.0, -0.0, 0.5, -0.5, 1.0) for y in (0.0, -0.0)]
+    tiny = np.concatenate([np.ldexp(1.0, -np.arange(0, 64)), [1e-300, 5e-324]])
+    lo, hi = np.asarray(sorted(E.segments + [(p, p) for p in E.point_angles.tolist()])).T
+    rng = np.random.default_rng(59)
+    return np.concatenate([
+        signed, 0.9 * np.exp(-1j * tiny), 0.9 * np.exp(1j * tiny), 1.0 - 1j * tiny, 1.0 + 1j * tiny,
+        np.exp(1j * lo), np.exp(1j * hi), 0.7 * np.exp(1j * np.nextafter(lo, -np.inf)),
+        np.sqrt(rng.uniform(0, 1, 2000)) * np.exp(2j * np.pi * rng.uniform(0, 1, 2000))])
+
+
 class TestBoundarySet:
     @pytest.mark.parametrize("depth", [3.7, 2.5, math.inf, math.nan])
     def test_cantor_depth_must_be_an_integer(self, depth):
@@ -322,6 +349,24 @@ class TestBoundarySet:
         want = np.where(inside, np.abs(np.abs(z) - 1.0), chord)
         E = BoundarySet(arcs=arcs, points=points)
         assert np.max(np.abs(E.distance(z) - want)) <= 1e-12
+
+    @pytest.mark.parametrize("kwargs", [
+        {"cantor": ((0.0, TWO_PI), 1.0 / 3.0, 10)},
+        {"cantor": ((0.0, TWO_PI), 1.0 / 3.0, 14)},
+        {"points": [0.0, 1.0, 2.5, 6.0]},
+        {"points": [0.0]},
+        {"arcs": [(-0.5, 0.5)], "points": [3.0]},  # wraps across angle 0
+        {"arcs": [(6.0, 6.8), (1.0, 1.5)]},  # wraps, given past 2 pi
+        {"arcs": [(5.0, TWO_PI)], "points": [2.0]},  # ends at 2 pi
+    ], ids=["cantor-10", "cantor-14", "points", "one-point", "wrap-below", "wrap-past",
+            "ends-at-2pi"])
+    def test_distance_keeps_the_bits_of_the_modulo_lookup(self, kwargs):
+        # the angle wraps into [0, 2 pi] by adding 2 pi below 0, and the next
+        # interval's start comes from a rolled copy: bitwise what a float
+        # modulo and an index wrap give, at signed zeros and angles next to 0
+        E = BoundarySet(**kwargs)
+        z = _edge_points(E)
+        assert E.distance(z).tobytes() == _lookup_reference(E, z).tobytes()
 
     def test_point_on_set_has_zero_distance(self):
         E = BoundarySet.from_points([0.7])
