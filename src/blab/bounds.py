@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, EmptyRegionError, SamplingError
-from .products import _as_product, _block_width, _factor_blocks, _require, _result, _whole
+from .products import _as_product, _blocks, _factor_blocks, _require, _result, _whole
 from .regions import MEMBERSHIP_TOL, _seed_int, angular_halfwidth, in_stolz, region_is_empty
 
 _DRAWS = 4096  # draws per RNG stream of the lemma sampler
@@ -235,14 +235,13 @@ class _LazyDerivative:
     """|B'| at the points z, evaluated only where asked, with the bits of one full pass.
 
     `vals` holds |B'| where `done`, else 0: a point's |B'| has the same bits
-    in every call (see _factor_blocks). `ceiling` bounds each computed |B'|:
-    the Schwarz-Pick bound at first, which `tighten` lowers to the factor-sum
-    bound where asked.
+    in every call, and so has a ceiling (both run on _blocks). `ceiling` bounds
+    each computed |B'|: the Schwarz-Pick bound at first, which `tighten`
+    lowers to the factor-sum bound where asked.
     """
 
     def __init__(self, product, z):
         self._product, self._z = product, z
-        self._cols = _block_width(product.degree)
         self.vals = np.zeros(z.size)
         self.done = np.zeros(z.size, dtype=bool)
         # |B'(z)| <= (1 - |B(z)|^2)/(1 - |z|^2) <= 1/(1 - |z|^2). The computed
@@ -278,8 +277,8 @@ class _LazyDerivative:
         """Lower the ceiling at the points idx to (1 + slack)^2 S where that is lower."""
         idx = idx[~self._tight[idx]]
         self._tight[idx] = True
-        for lo in range(0, idx.size, self._cols):
-            blk = idx[lo:lo + self._cols]
+        for at in _blocks(self._product.degree, idx.size):
+            blk = idx[at]
             w = self._conj * self._z[None, blk]
             s = (self._gap2 / ((1.0 - w.real) ** 2 + w.imag ** 2)).sum(axis=0)
             self.ceiling[blk] = np.minimum(self.ceiling[blk], self._scale * s)
@@ -339,7 +338,12 @@ def _theorem_rhs(product, z, spec, check_zeros):
     z = _as_complex(z)
     _require(np.abs(z) < 1.0, "the derivative bound is checked strictly inside the disk")
     gauge = spec.phi(spec.boundary.distance(z) / 6.0)
-    const = 2.0 * lemma_bound(spec.phi, spec.k_const) ** 2 * product.zeros.alpha
+    try:
+        const = 2.0 * lemma_bound(spec.phi, spec.k_const) ** 2 * product.zeros.alpha
+    except OverflowError:  # (2C + K)^2 past the float64 range
+        const = np.inf
+    _require(const < np.inf, "the constant 2 (2C + K)^2 sum(1 - |a|) of the derivative bound "
+                             "overflows float64")
     with np.errstate(divide="ignore", over="ignore"):
         rhs = np.where(gauge > 0.0, const / np.asarray(gauge) ** 2, np.inf)
     return z, rhs

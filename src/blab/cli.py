@@ -377,7 +377,7 @@ def _run_critical_sum(plan, out_dir):
         "critical_count": cs.count,
         "weighted_total": weighted.total,
         "log_weighted_total": log_weighted_sum(cs, plan["eps"]).total,
-        "unweighted_total": protas_sum(cs, 1.0) if cs.count else 0.0,
+        "unweighted_total": protas_sum(cs, 1.0),
     }
     _side(plan, out_dir, "csv", series_csv(weighted))
     return results, 0

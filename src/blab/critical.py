@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, RootFindingError
-from .products import ZeroSequence, _as_product, _block_width, _factor_blocks, _require
+from .products import ZeroSequence, _as_product, _blocks, _factor_blocks, _require
 
 _INTERIOR_EDGE = 1e-12  # |root| < 1 - this counts as interior
 _RESIDUAL_MAX = 1e-8
@@ -76,18 +76,17 @@ def _pole_sums(unique, mult, z):
 
 
 def _cauchy_sum(z, nodes):
-    """sum_j 1/(z - nodes_j) at each z; terms that are not finite count 0.
+    """sum_j 1/(z - nodes_j) at each z, on `_blocks`; terms that are not finite count 0.
 
     That drops a node coinciding with z (the point itself, in a repulsion
     sum) and a node at infinity.
     """
     out = np.empty_like(z)
-    rows = _block_width(nodes.size)
     with np.errstate(all="ignore"):
-        for lo in range(0, z.size, rows):
-            inv = 1.0 / (z[lo : lo + rows, None] - nodes)
+        for at in _blocks(nodes.size, z.size):
+            inv = 1.0 / (z[at, None] - nodes)
             inv[~np.isfinite(inv)] = 0.0
-            out[lo : lo + rows] = inv.sum(axis=1)
+            out[at] = inv.sum(axis=1)
     return out
 
 
@@ -226,7 +225,7 @@ def critical_points(product):
     if points.size != n - 1:
         failure = f"found {points.size} interior critical points, expected {n - 1}"
     else:
-        residuals = np.abs(product.derivative(points)) if points.size else np.asarray([])
+        residuals = np.abs(product.derivative(points))
         if not (points.size and np.max(residuals) >= _RESIDUAL_MAX):
             return CriticalSet(points, residuals, n)
         failure = _residual_failure(product, unique, mult, points, residuals)
@@ -308,9 +307,7 @@ def critical_sum(cs, boundary_set, rho, beta, eps):
     if not (0.0 < rho < np.inf and 0.0 < eps < np.inf and np.isfinite(beta)):
         raise DomainError("rho and eps must be positive and finite, and beta finite")
     expo = max(rho - beta + eps, 0.0)
-    d = boundary_set.distance(pts) if pts.size else np.asarray([])
-    terms = gaps * np.power(d, expo) if pts.size else np.asarray([])
-    return SumSeries(terms)
+    return SumSeries(gaps * np.power(boundary_set.distance(pts), expo))
 
 
 def log_weighted_sum(cs, eps):

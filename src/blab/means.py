@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlabError, DomainError, ResolutionError
-from .products import _as_product, _block_width, _require, _whole
+from .products import _as_product, _blocks, _require, _whole
 
 _DOUBLING_GATE = 1e-4
 _DOUBLING_TARGET = 1e-6
@@ -65,7 +65,9 @@ _RESOLVED = 40.0
 _MAP_TOL = 1e-13
 _MAP_STEPS = 100
 # B' next to a zero a carries a rounding error of about eps/(1 - r|a|)
-# relative, so circles nearer a zero than this miss the doubling target.
+# relative, so circles nearer a zero than this miss the doubling target. A
+# Hardy mean's 1/p root multiplies the rounding of the mean of |B'|^p, about
+# eps relative, by 1/p, so exponents under this floor miss it too.
 _EPS = np.finfo(float).eps
 _FLOAT_FLOOR = _EPS / _DOUBLING_TARGET
 _TWO_PI = 2.0 * np.pi
@@ -77,7 +79,7 @@ def _start_nodes(product):
 
 
 class _PoissonMap:
-    """Phi, Phi' and Phi'' at (theta, r) pairs, summed over the zeros in blocks.
+    """Phi, Phi' and Phi'' at (theta, r) pairs, summed over the zeros on `_blocks`.
 
     Phi is taken as theta + 2 lam mean_k atan2(t sin x, 1 - t cos x), x = theta
     - arg a_k: the form above shifted by the constant lam mean_k arg a_k. In
@@ -104,11 +106,9 @@ class _PoissonMap:
         half = np.exp(0.5j * th)
         sums = np.empty((3, th.size))  # of atan2, P and P y / D over the zeros
         degree = self._rho.size
-        cols = _block_width(degree)
-        for lo in range(0, th.size, cols):
-            at = slice(lo, lo + cols)
+        for at in _blocks(degree, th.size):
             rad, dlt = r[at], delta[at]
-            if (rad == rad[0]).all() and (dlt == dlt[0]).all():
+            if (rad == rad[:1]).all() and (dlt == dlt[:1]).all():
                 rad, dlt = rad[:1], dlt[:1]
             w = half[at] * self._turn
             t = self._rho * rad
@@ -117,13 +117,13 @@ class _PoissonMap:
             v = y * w.imag  # t h^2
             y *= w.real  # t h c
             den = v + 0.5 * omt
-            np.arctan2(y, den, out=den).sum(axis=0, out=sums[0, at])
+            sums[0, at] = np.arctan2(y, den, out=den).sum(axis=0)
             v *= 4.0
             v += omt * omt  # D
-            np.divide(omt * (1.0 + t), v, out=den).sum(axis=0, out=sums[1, at])
+            sums[1, at] = np.divide(omt * (1.0 + t), v, out=den).sum(axis=0)
             den *= y
             den /= v
-            den.sum(axis=0, out=sums[2, at])
+            sums[2, at] = den.sum(axis=0)
         sums /= degree  # sum / degree: mean's bits without its Python wrapper
         phi[mapped] = th + 2.0 * _MAP_WEIGHT * sums[0]
         dphi[mapped] = 1.0 - _MAP_WEIGHT + _MAP_WEIGHT * sums[1]
@@ -144,6 +144,14 @@ def _require_evaluable(product, r, where):
 
 def _moved(coarse, fine):
     return abs(fine - coarse) / max(abs(fine), np.finfo(float).tiny)
+
+
+def _out_of_range(value, p, where):
+    """The ResolutionError of a pass whose weighted |B'|^p sum is 0 or not finite, else None."""
+    if not 0.0 < value < math.inf:
+        return ResolutionError(f"the weighted sum of |B'|^p at p = {p} is {value:g}{where}: "
+                               f"|B'|^p leaves the float64 range")
+    return None
 
 
 class _Rule:
@@ -237,8 +245,9 @@ class _Rule:
 
     def _sum(self, theta, dphi):
         size = np.abs(self._product.derivative(self._r * np.exp(1j * theta)))
-        return [float(np.sum(self._weights * np.sum(size ** p / dphi, axis=1))) * self._factor
-                for p in self._ps]
+        with np.errstate(over="ignore"):  # an infinite sum fails the caller's range check
+            return [float(np.sum(self._weights * np.sum(size ** p / dphi, axis=1))) * self._factor
+                    for p in self._ps]
 
     def refine(self):
         """Double the angular count."""
@@ -252,7 +261,8 @@ class _Rule:
 def hardy_mean(product, p, r):
     """(1/2pi integral |B'(r e^{i theta})|^p dtheta)^(1/p), doubling-validated.
 
-    p is a positive finite exponent or a sequence of them; a sequence gives
+    p is a finite exponent of at least eps/1e-6 (about 2.2e-10, under which the
+    1/p root lifts rounding over 1e-6) or a sequence of them; a sequence gives
     the list of means. r = 0 collapses to |B'(0)|. The angular rule is the Poisson-mapped
     trapezoid rule of the module docstring; each doubling evaluates B' only
     at the new nodes, once for every exponent. The node count is automatic:
@@ -264,7 +274,8 @@ def hardy_mean(product, p, r):
     (1 - r|a| under eps/1e-6), is a resolution failure before any
     evaluation. The returned value is the doubled-node one; disagreement
     above 1e-4 is a resolution failure that names the radius and the node
-    count. Each exponent runs its own doubling over the shared passes, so its
+    count, and so is a pass whose |B'|^p sum underflows to 0 or overflows,
+    naming p. Each exponent runs its own doubling over the shared passes, so its
     mean and its failure are those of a call with that exponent alone, and a
     sequence raises the failure of the first exponent that fails.
     """
@@ -273,10 +284,12 @@ def hardy_mean(product, p, r):
     r = float(r)
     # a call per exponent checks its exponent before the circle and fails
     # after the exponents before it have run
-    valid = next((i for i, q in enumerate(exponents) if not 0.0 < q < math.inf), len(exponents))
+    valid = next((i for i, q in enumerate(exponents) if not _FLOAT_FLOOR <= q < math.inf),
+                 len(exponents))
     means = _circle_means(product, exponents[:valid], r) if valid else []
     if valid < len(exponents):
-        raise DomainError("exponent p must be positive and finite")
+        raise DomainError(f"exponent p must be positive and finite, and at least the float64 "
+                          f"floor {_FLOAT_FLOOR:.3g} of the 1/p root, got {exponents[valid]}")
     return means if np.ndim(p) else means[0]
 
 
@@ -295,21 +308,26 @@ def _circle_means(product, ps, r):
         )
     radius = np.array([r])
     rule = _Rule(product, ps, radius, 1.0 - radius, np.ones(1), 1.0, nodes << 1)
+    # an exponent's failure waits for the exponents before it, which may fail later
     means = [None] * len(ps)
     while True:
         last = rule.count << 1 > _NODE_CAP  # the next pass would exceed the cap
+        on = f"{where} on a pass of {rule.count} nodes"
         for i, q in enumerate(ps):
+            if means[i] is None:
+                means[i] = _out_of_range(rule.value[i], q, on)
             if means[i] is None:
                 fine = rule.value[i] ** (1.0 / q)
                 rel = _moved(rule.coarse[i] ** (1.0 / q), fine)
                 if last and rel > _DOUBLING_GATE:
-                    raise ResolutionError(
-                        f"node doubling moved the mean by {rel:.3g} relative{where} on a pass "
-                        f"of {rule.count} nodes"
-                    )
-                if last or rel <= _DOUBLING_TARGET:
+                    means[i] = ResolutionError(f"node doubling moved the mean by {rel:.3g} "
+                                               f"relative{on}")
+                elif last or rel <= _DOUBLING_TARGET:
                     means[i] = fine
         if None not in means:
+            failed = [m for m in means if isinstance(m, ResolutionError)]
+            if failed:
+                raise failed[0]
             return means
         rule.refine()
 
@@ -327,8 +345,9 @@ def bergman_integral(product, p):
     node cap. A start over the cap, a zero whose gap 1 - |a| is under the
     float64 floor of `hardy_mean`, or a last check over 1e-4 off is a
     resolution failure naming the dimension that moved and the radial x
-    angular counts. For a degree-1 product at p = 2 the value is the area of
-    the image disk, pi exactly.
+    angular counts, and so is a pass whose |B'|^p sum underflows to 0 or
+    overflows, naming p and the counts. For a degree-1 product at p = 2 the
+    value is the area of the image disk, pi exactly.
     """
     product = _as_product(product)
     p = float(p)
@@ -360,6 +379,11 @@ def bergman_integral(product, p):
 
     fine, half = (rule(m, count) for m in (per_panel, per_panel // 2))
     while True:
+        for one in (fine, half):
+            failed = _out_of_range(one.value[0], p, f" for degree {n} on a pass of "
+                                   f"{one.radial} x {one.count} nodes")
+            if failed:
+                raise failed
         moved = {"angle": _moved(fine.coarse[0], fine.value[0]),
                  "radius": _moved(half.value[0], fine.value[0])}
         radial, angular = (moved[dim] > _DOUBLING_TARGET for dim in ("radius", "angle"))

@@ -11,6 +11,8 @@ d r / |a|, and the logarithmic derivative is
 H = B'/B = sum ((|a|^2 - 1)/conj(a)) r / d, so B' = B H. Only at points
 where B H is not finite (z equal to a zero, or next to a zero of tiny
 modulus) does the derivative fall back to the leave-one-out product.
+The Poisson map of `means`, the ceiling of `bounds` and the repulsion of
+`critical` sum over zeros x points on the same blocks (`_blocks`).
 """
 from __future__ import annotations
 
@@ -55,30 +57,37 @@ def _block_width(size):
     return max(2, _BLOCK // size)
 
 
+def _blocks(size, count):
+    """Index blocks of `count` points against `size` zeros or nodes: the one block rule.
+
+    Slices of _block_width(size) points; a lone last point joins the block before it,
+    and a single point runs as [0, 0], two copies of itself. No block holds a point
+    alone, so numpy sums each in zero order and a sum over the zeros at a point has the
+    same bits in every call. No points give one empty block, which fixes a kernel's shape.
+    """
+    if count == 1:
+        return [np.zeros(2, dtype=np.intp)]
+    cols = _block_width(size)
+    ends = [*range(cols, count - 1, cols), count]
+    return [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
+
+
 def _factor_blocks(zeros, z, kernel):
-    """kernel(d, r) on each block of the flat points z, joined along the last axis.
+    """kernel(d, r) on each of the `_blocks` of the flat points z, joined along the last axis.
 
     d = a - z and r = 1/(1/conj(a) - z) have zeros along axis 0 and the
-    block's points along axis 1; kernel reduces along axis 0. A block holds
-    _block_width(degree) points, so the temporaries stay small, and never a
-    point alone: a lone last point joins the block before it, and a single
-    point runs as two copies of itself, of which the first is kept. numpy
-    reduces a block of two or more points in zero order, whatever the other
-    points, so every result at a point has the same bits in every call.
+    block's points along axis 1; kernel reduces along axis 0.
     """
-    refl = 1.0 / np.conj(zeros)[:, None]
-    cols = _block_width(zeros.size)
-    pts = np.repeat(z, 2) if z.size == 1 else z
-    ends, out = [*range(cols, pts.size - 1, cols), pts.size], None
-    for lo, hi in zip([0, *ends], ends):
-        q = pts[None, lo:hi]
+    refl, out = 1.0 / np.conj(zeros)[:, None], None
+    for blk in _blocks(zeros.size, z.size):
+        q = z[None, blk]
         # d and r stay bound until the next block's are made: freed at once, the
         # heap top goes back to the system at every block and faults back in
         d, r = zeros[:, None] - q, 1.0 / (refl - q)
         part = kernel(d, r)
-        out = np.empty(part.shape[:-1] + pts.shape, part.dtype) if out is None else out
-        out[..., lo:hi] = part
-    return out[..., :z.size]
+        out = np.empty(part.shape[:-1] + z.shape, part.dtype) if out is None else out
+        out[..., blk] = part
+    return out
 
 
 def _validate_zero_array(arr):

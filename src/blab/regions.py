@@ -50,6 +50,9 @@ class ModelFunction:
         elif self.kind == "power":
             if not 1.0 <= self.param < math.inf:
                 raise DomainError(f"power variant needs finite gamma >= 1, got {self.param}")
+            if self.param >= 1024.0:  # phi, C and the inverse form 2^gamma
+                raise DomainError(f"power variant needs gamma < 1024, where 2^gamma is finite, "
+                                  f"got {self.param}")
         elif self.kind == "exp":
             if not 0.0 < self.param < math.inf:
                 raise DomainError(f"exp variant needs finite rho > 0, got {self.param}")
@@ -92,7 +95,10 @@ class ModelFunction:
         if self.kind == "power":
             return 2.0 ** (self.param - 1.0)
         rho = self.param
-        return math.exp(-1.0 / rho) * rho ** (-1.0 / rho)
+        try:
+            return math.exp(-1.0 / rho) * rho ** (-1.0 / rho)
+        except OverflowError:  # rho under about 0.007
+            raise DomainError(f"exp variant: C_phi overflows float64 at rho = {rho}") from None
 
     def inverse(self, y):
         """Inverse on the range of phi; +inf where exp variants saturate (y >= 1)."""
@@ -105,11 +111,11 @@ class ModelFunction:
             vals = np.where(arr <= 2.0**g, arr ** (1.0 / g), arr / 2.0 ** (g - 1.0))
         else:
             rho = self.param
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", over="ignore"):  # saturates to +inf below 1 too
                 logs = -np.log(arr, where=arr > 0, out=np.full_like(arr, np.inf))
-            vals = np.where(arr >= 1.0, np.inf,
-                            np.power(logs, -1.0 / rho, where=logs > 0,
-                                     out=np.zeros_like(arr)))
+                vals = np.where(arr >= 1.0, np.inf,
+                                np.power(logs, -1.0 / rho, where=logs > 0,
+                                         out=np.zeros_like(arr)))
             vals = np.where(arr == 0.0, 0.0, vals)
         return _result(vals, arr)
 

@@ -269,6 +269,20 @@ def test_every_import_is_used():
     assert unused == {}
 
 
+def test_only_products_names_the_block_rule():
+    """Every sum over zeros x points runs on products' blocks, so no other module
+    of the package names the block constant or the block width."""
+    rule, named = {"_BLOCK", "_block_width"}, {}
+    for path in sorted(Path(blab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = _references(tree).union(*({a.asname or a.name for a in node.names}
+                                           for node in ast.walk(tree)
+                                           if isinstance(node, ast.ImportFrom)))
+        if names & rule:
+            named[path.name] = sorted(names & rule)
+    assert named == {"products.py": ["_BLOCK", "_block_width"]}
+
+
 def _raises_domain_error_under_any(path):
     """Line numbers of `raise DomainError` under an `if` whose test holds an
     any() call outside a `not`: such a test lets a nan argument through."""

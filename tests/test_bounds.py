@@ -325,6 +325,15 @@ class TestTheoremBound:
         lhs, rhs = theorem_bound([0.5], 1.0 - 1e-9, spec)
         assert np.isfinite(lhs) and np.isinf(rhs)
 
+    def test_constant_past_the_float_range_is_refused(self):
+        # (2C + K)^2 overflows once C passes about 1e154: gamma 1000 here
+        spec = vertex_spec(ModelFunction.truncated_power(1000.0), 0.0, 1.0)
+        with pytest.raises(DomainError, match=r"2 \(2C \+ K\)\^2 .* overflows float64"):
+            theorem_bound([0.5], 0.0, spec)
+        spec = vertex_spec(ModelFunction.truncated_power(500.0), 0.0, 1e154)
+        with pytest.raises(DomainError, match="overflows float64"):  # finite square, 2 alpha
+            theorem_bound([0.5, 0.5j, -0.5], 0.0, spec)
+
     def test_power_branch_constant_identity(self):
         # below the knee: rhs * (d/6)^(2 gamma) == 2 (2C + K)^2 alpha
         gamma, K = 2.0, 1.0

@@ -481,6 +481,40 @@ class TestVerifyLemma:
         assert cli.main(["verify-lemma", "--config", cfg, "--out", str(tmp_path)]) == 1
 
 
+# per case: the subcommand, its gauge, the exit code and what stderr starts with
+GAUGE_RANGE = {
+    "power-1023.5-region": ("region-boundary", {"kind": "power", "gamma": 1023.5}, 0, ""),
+    "power-1023.5-theorem": ("verify-theorem1", {"kind": "power", "gamma": 1023.5}, 3,
+                             "numerical failure (DomainError): the constant 2 (2C + K)^2"),
+    **{f"power-{g}-region": ("region-boundary", {"kind": "power", "gamma": g}, 2,
+                             "config error: config.model: power variant needs gamma < 1024")
+       for g in (1024, 2000)},
+    **{f"power-{g}-theorem": ("verify-theorem1", {"kind": "power", "gamma": g}, 2,
+                              "config error: config.region.model: power variant needs gamma < 1024")
+       for g in (1024, 2000)},
+    "exp-0.007-lemma": ("verify-lemma", {"kind": "exp", "rho": 0.007}, 0, ""),
+    "exp-0.001-lemma": ("verify-lemma", {"kind": "exp", "rho": 0.001}, 3,
+                        "numerical failure (DomainError): exp variant: C_phi overflows float64 "
+                        "at rho = 0.001"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GAUGE_RANGE))
+def test_gauges_at_the_edge_of_the_float_range(case, tmp_path, capsys):
+    command, model, code, err = GAUGE_RANGE[case]
+    payload = small_config(command, tmp_path)
+    if command == "region-boundary":
+        payload = dict(payload, model=model)
+    else:
+        payload = dict(payload, region=dict(payload["region"], model=model))
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == code
+    got = capsys.readouterr().err
+    assert got.startswith(err) if code else got == ""
+    assert (out / f"{command}.json").exists() == (code == 0)
+
+
 class TestVerifyTheorem1:
     def test_clean_run(self, tmp_path):
         cfg = write_cfg(tmp_path, {
@@ -579,6 +613,23 @@ class TestCriticalSum:
         assert res["unweighted_total"] == pytest.approx(1.0, abs=1e-9)
         lines = (out / "series.csv").read_text().splitlines()
         assert lines[0] == "index,term,partial_sum" and len(lines) == 2
+
+    def test_one_zero_has_no_critical_points(self, tmp_path):
+        (tmp_path / "one.txt").write_text("0.5 0.0\n")
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, {"zeros": "one.txt"})
+        assert cli.main(["critical-points", "--config", cfg, "--out", str(out)]) == 0
+        res = json.loads((out / "critical-points.json").read_text())["results"]
+        assert res["count"] == 0 and res["max_residual"] == 0.0
+        assert json.loads((out / "critical_points_residuals.json").read_text()) == {
+            "residuals": []}
+        cfg = write_cfg(tmp_path, {"zeros": "one.txt", "set": {"points": [0.0]}, "rho": 1.0,
+                                   "beta": 1.0, "eps": 0.5, "out": {"csv": "series.csv"}})
+        assert cli.main(["critical-sum", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "critical-sum.json").read_text())["results"] == {
+            "critical_count": 0, "weighted_total": 0.0, "log_weighted_total": 0.0,
+            "unweighted_total": 0.0}
+        assert (out / "series.csv").read_text() == "index,term,partial_sum\n"
 
 
 class TestBetaEstimate:

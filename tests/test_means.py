@@ -197,6 +197,35 @@ class TestHardyMean:
         with pytest.raises(DomainError):
             hardy_mean([0.5], 1.0, -0.1)
 
+    def test_exponents_past_the_float_range(self):
+        # max |B'| on this circle is 0.9209, so |B'|^1e4 underflows on every
+        # node; under eps/1e-6 the 1/p root lifts rounding over 1e-6 (against
+        # the p -> 0 limit 0.69568, p = 1e-12 was off by 4e-5 and p = 1e-300
+        # gave 1.0)
+        B = BlaschkeProduct([0.5, 0.3j, -0.7])
+        assert hardy_mean(B, 5000.0, 0.5) == pytest.approx(0.9201, rel=1e-4)
+        with pytest.raises(ResolutionError, match=r"\|B'\|\^p at p = 10000.0 is 0 for degree 3 "
+                                                  r"at r = 0.5 on a pass of 128 nodes"):
+            hardy_mean(B, 1e4, 0.5)
+        floor = np.finfo(float).eps / 1e-6
+        assert hardy_mean(B, 1.01 * floor, 0.5) == pytest.approx(0.69568, rel=1e-5)
+        for q in (0.99 * floor, 1e-12, 1e-300):
+            with pytest.raises(DomainError, match=f"floor 2.22e-10 of the 1/p root, got {q}"):
+                hardy_mean(B, q, 0.5)
+
+    def test_a_failure_waits_for_the_exponents_before_it(self, monkeypatch):
+        # p = 1e4 leaves the float range on the first pass, and p = 1 fails
+        # the doubling gate on the second, the last under this cap: p = 1
+        # comes first, so its failure is the one raised, as when run alone
+        B = BlaschkeProduct([0.5, 0.3j, -0.7])
+        monkeypatch.setattr(blab.means, "_NODE_CAP", 256)
+        monkeypatch.setattr(blab.means, "_DOUBLING_TARGET", 0.0)
+        monkeypatch.setattr(blab.means, "_DOUBLING_GATE", 0.0)
+        with pytest.raises(ResolutionError, match="doubling moved the mean .* 256 nodes$"):
+            hardy_mean(B, [1.0, 1e4], 0.5)
+        with pytest.raises(ResolutionError, match="p = 10000.0 is 0 .* 128 nodes"):
+            hardy_mean(B, [1e4, 1.0], 0.5)
+
     @pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf])
     def test_non_finite_exponents_are_refused(self, q):
         # NaN would pass a `p <= 0` test and run every doubling to the node cap
@@ -237,6 +266,11 @@ class TestBergmanIntegral:
     def test_exponent_domain(self):
         with pytest.raises(DomainError):
             bergman_integral([0.5], 0.0)
+
+    def test_exponent_past_the_float_range(self):
+        with pytest.raises(ResolutionError, match=r"\|B'\|\^p at p = 1000.0 is inf for degree 3 "
+                                                  r"on a pass of 66 x 18 nodes"):
+            bergman_integral([0.5, 0.3j, -0.7], 1000.0)
 
     @pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf])
     def test_non_finite_exponents_are_refused(self, q):

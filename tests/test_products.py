@@ -12,8 +12,9 @@ from blab import (
     factor_derivative,
     truncation_tail,
 )
-from blab.bounds import schwarz_pick_bound
-from blab.critical import _group_exact, _pole_sums
+from blab.bounds import _LazyDerivative, schwarz_pick_bound
+from blab.critical import _cauchy_sum, _group_exact, _pole_sums
+from blab.means import _PoissonMap
 from blab.products import _block_width
 
 
@@ -290,6 +291,38 @@ class TestProductDerivative:
                     assert np.array_equal(f(z[idx]), whole[..., idx])
             for k in np.concatenate([rng.integers(0, z.size, 20), np.flatnonzero(np.isin(z, zs))]):
                 assert np.array_equal(np.ravel(f(complex(z[k]))), np.ravel(whole[..., k]))
+
+    @pytest.mark.parametrize("deg", [40, 300])
+    def test_the_other_sums_over_the_zeros_have_batch_independent_bits(self, deg):
+        # the Poisson map on one radius and on mixed radii, the factor-sum
+        # ceilings after tighten and the repulsion sum run on the factor
+        # pass's blocks, so a point's values have the same bits in every call
+        rng = np.random.default_rng(deg + 1)
+        zs = np.asarray([interior_zero(rng, 0.05, 0.999) for _ in range(deg)])
+        B, cols, size = BlaschkeProduct(zs), _block_width(deg), 2000
+        theta = rng.uniform(0.0, 2.0 * np.pi, size)
+        one, mixed = np.full(size, 0.999), rng.choice([0.5, 0.999, 0.9999], size)
+        disk = 0.999 * np.sqrt(rng.uniform(0, 1, size)) * np.exp(
+            2j * np.pi * rng.uniform(0, 1, size))
+        nodes = np.concatenate([disk[:deg // 2], 1.0 / np.conj(disk[:deg // 2])])
+        pmap = _PoissonMap(B)
+
+        def ceiling(idx):
+            lazy = _LazyDerivative(B, disk)
+            lazy.tighten(idx)
+            return lazy.ceiling[idx]
+
+        passes = [lambda idx: np.array(pmap(theta[idx], one[idx], 1.0 - one[idx])),
+                  lambda idx: np.array(pmap(theta[idx], mixed[idx], 1.0 - mixed[idx])),
+                  ceiling, lambda idx: _cauchy_sum(disk[idx], nodes)]
+        assert nodes.size == deg and np.all(pmap(theta, one, 1.0 - one)[1] != 1.0)  # mapped
+        for f in passes:
+            whole = f(np.arange(size))
+            for count in [1, 2, 3, cols - 1, cols, cols + 1, 2 * cols + 1]:
+                for idx in (rng.choice(size, count, replace=False),
+                            rng.integers(0, size, count),  # repeats allowed
+                            np.arange(size - count, size)):
+                    assert np.array_equal(f(idx), whole[..., idx])
 
     def test_rim_poisson_oracle(self):
         # on the circle |B'(e^{i theta})| = sum (1 - |a|^2) / |e^{i theta} - a|^2

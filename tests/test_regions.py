@@ -77,6 +77,23 @@ class TestModelFunction:
         with pytest.raises(DomainError, match="finite rho"):
             ModelFunction.exp_tangential(math.inf)
 
+    def test_gauges_whose_constant_leaves_the_float_range(self):
+        # phi, C and the inverse of the power gauge form 2^gamma, which is
+        # finite under gamma = 1024; C of the exp gauge, formed as
+        # exp(-1/rho) rho^(-1/rho), overflows for rho under about 0.007
+        phi = ModelFunction.truncated_power(1023.5)
+        assert phi.constant == 2.0 ** 1022.5 and phi(2.0) == 2.0 ** 1023.5
+        assert phi.inverse(phi(1.5)) == pytest.approx(1.5) and phi.inverse(2.0 ** 1023.5) == 2.0
+        for gamma in (1024.0, 2000.0):
+            with pytest.raises(DomainError, match=f"gamma < 1024, .* got {gamma}"):
+                ModelFunction.truncated_power(gamma)
+        rho = 0.007
+        phi = ModelFunction.exp_tangential(rho)
+        assert phi.constant == math.exp(-1.0 / rho) * rho ** (-1.0 / rho)  # about 6.3e245
+        assert phi.inverse(1.0 - 1e-3) == math.inf  # (1/log(1/y))^(1/rho) saturates
+        with pytest.raises(DomainError, match="overflows float64 at rho = 0.001"):
+            ModelFunction.exp_tangential(0.001).constant
+
     def test_rejects_negative_argument(self):
         with pytest.raises(DomainError):
             ModelFunction.linear()(-0.1)
