@@ -81,8 +81,11 @@ def lemma_lhs(z, t, lam, phi):
 
 
 def lemma_bound(phi, k_const):
-    """The constant 2 C_phi + K."""
-    return 2.0 * phi.constant + float(k_const)
+    """The constant 2 C_phi + K; a DomainError where it leaves the float64 range."""
+    bound = 2.0 * phi.constant + float(k_const)
+    _require(bound < np.inf, f"the lemma's constant 2C + K overflows float64 at "
+                             f"C = {phi.constant:.3g} and K = {float(k_const):.3g}")
+    return bound
 
 
 def schwarz_pick_bound(product, z):

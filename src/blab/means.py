@@ -41,7 +41,6 @@ before any evaluation.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -276,29 +275,39 @@ def hardy_mean(product, p, r):
     above 1e-4 is a resolution failure that names the radius and the node
     count, and so is a pass whose |B'|^p sum underflows to 0 or overflows,
     naming p. Each exponent runs its own doubling over the shared passes, so its
-    mean and its failure are those of a call with that exponent alone, and a
-    sequence raises the failure of the first exponent that fails.
+    mean and its failure are those of a call with it alone; a sequence raises
+    the failure of the first failing exponent once the exponents before it resolve.
     """
-    product = _as_product(product)
-    exponents = [float(q) for q in np.ravel(p)]
-    r = float(r)
-    # a call per exponent checks its exponent before the circle and fails
-    # after the exponents before it have run
-    valid = next((i for i, q in enumerate(exponents) if not _FLOAT_FLOOR <= q < math.inf),
-                 len(exponents))
-    means = _circle_means(product, exponents[:valid], r) if valid else []
-    if valid < len(exponents):
-        raise DomainError(f"exponent p must be positive and finite, and at least the float64 "
-                          f"floor {_FLOAT_FLOOR:.3g} of the 1/p root, got {exponents[valid]}")
-    return means if np.ndim(p) else means[0]
+    outcomes = _circle_means(_as_product(product), [float(q) for q in np.ravel(p)], float(r))
+    if outcomes and isinstance(outcomes[-1], BlabError):
+        raise outcomes[-1]
+    return outcomes if np.ndim(p) else outcomes[0]
 
 
 def _circle_means(product, ps, r):
-    """hardy_mean for positive exponents ps, in order, from one set of passes."""
+    """Each exponent's outcome on the circle of radius r, in order, from one set of passes.
+
+    An outcome is the exponent's mean, or the BlabError that hardy_mean with
+    that exponent alone raises; the list ends at the first failing exponent.
+    An exponent outside [eps/1e-6, inf) fails before the circle is checked,
+    as a call with it alone does, and the exponents after it do not run. The
+    circle's own refusals (radius domain, float64 floor, start over the node
+    cap) raise at once. Each exponent runs its own doubling over the shared
+    passes, so its outcome is bitwise the one it has alone, and the passes
+    stop once every exponent before the first failing one has resolved.
+    """
+    valid = next((i for i, q in enumerate(ps) if not _FLOAT_FLOOR <= q < math.inf), len(ps))
+    outcomes = [None] * valid
+    if valid < len(ps):
+        outcomes.append(DomainError(f"exponent p must be positive and finite, and at least the "
+                                    f"float64 floor {_FLOAT_FLOOR:.3g} of the 1/p root, "
+                                    f"got {ps[valid]}"))
+    if not valid:
+        return outcomes
     if not 0.0 <= r < 1.0:
         raise DomainError("radius must lie in [0, 1)")
     if r == 0.0:
-        return [float(abs(product.derivative(0.0)))] * len(ps)
+        return [float(abs(product.derivative(0.0)))] * valid + outcomes[valid:]
     nodes, where = _start_nodes(product), f" for degree {product.degree} at r = {r}"
     _require_evaluable(product, r, f" at r = {r}")
     if nodes << 1 > _NODE_CAP:
@@ -307,28 +316,24 @@ def _circle_means(product, ps, r):
             f"and validate at {nodes << 1}, beyond the node cap {_NODE_CAP}"
         )
     radius = np.array([r])
-    rule = _Rule(product, ps, radius, 1.0 - radius, np.ones(1), 1.0, nodes << 1)
-    # an exponent's failure waits for the exponents before it, which may fail later
-    means = [None] * len(ps)
+    rule = _Rule(product, ps[:valid], radius, 1.0 - radius, np.ones(1), 1.0, nodes << 1)
     while True:
         last = rule.count << 1 > _NODE_CAP  # the next pass would exceed the cap
         on = f"{where} on a pass of {rule.count} nodes"
-        for i, q in enumerate(ps):
-            if means[i] is None:
-                means[i] = _out_of_range(rule.value[i], q, on)
-            if means[i] is None:
+        for i, q in enumerate(ps[:valid]):
+            if outcomes[i] is None:
+                outcomes[i] = _out_of_range(rule.value[i], q, on)
+            if outcomes[i] is None:
                 fine = rule.value[i] ** (1.0 / q)
                 rel = _moved(rule.coarse[i] ** (1.0 / q), fine)
                 if last and rel > _DOUBLING_GATE:
-                    means[i] = ResolutionError(f"node doubling moved the mean by {rel:.3g} "
-                                               f"relative{on}")
+                    outcomes[i] = ResolutionError(f"node doubling moved the mean by {rel:.3g} "
+                                                  f"relative{on}")
                 elif last or rel <= _DOUBLING_TARGET:
-                    means[i] = fine
-        if None not in means:
-            failed = [m for m in means if isinstance(m, ResolutionError)]
-            if failed:
-                raise failed[0]
-            return means
+                    outcomes[i] = fine
+        failed = next((i for i, m in enumerate(outcomes) if isinstance(m, BlabError)), len(ps))
+        if None not in outcomes[:failed]:
+            return outcomes[:failed + 1]
         rule.refine()
 
 
@@ -429,38 +434,31 @@ def hp_trend(family, p, truncations, r_grid):
     N. p is an exponent or a sequence of them. One row per (N, p, r), in the
     order p, then N, then r; growth of the per-N supremum over r across N is
     the trend read against the membership threshold. Each circle takes one
-    hardy_mean call for every exponent, so a row is bitwise what a run with
-    its exponent alone gives, and a failure is the one such runs, exponent
-    after exponent, would raise first.
+    set of passes for the exponents before the first failure so far, so a
+    row is bitwise what a run with its exponent alone gives, and a failure
+    is the one such runs, exponent after exponent, would raise first.
     """
     ps = [float(q) for q in np.ravel(p)]
     truncations = [_whole(n, "truncation N") for n in truncations]
     radii = [float(r) for r in r_grid]
-    products = {}
-
-    def circles():
-        for n in truncations:
-            if n not in products:
-                product = _as_product(family(n))
-                if product.degree != n:
-                    raise DomainError(f"family returned {product.degree} zeros for N = {n}")
-                products[n] = product
-            for r in radii:
-                yield n, products[n], r
-
-    means = []
-    for i, (n, product, r) in enumerate(circles()):
-        try:
-            means.append((n, r, hardy_mean(product, ps, r)))
-        except BlabError:
-            # some exponent fails here; one that comes before it may fail on a
-            # later circle, so replay exponent by exponent to raise that first
-            for q in ps:
-                for _, later, radius in itertools.islice(circles(), i, None):
-                    hardy_mean(later, q, radius)
-            # the replay raises first while each exponent's run is bitwise the
-            # joint one; this raise is the only guard of that rule
-            raise
+    products, means, live, failure = {}, [], len(ps), None
+    for n in truncations:
+        if n not in products:
+            product = _as_product(family(n))
+            if product.degree != n:
+                raise DomainError(f"family returned {product.degree} zeros for N = {n}")
+            products[n] = product
+        for r in radii:
+            outcomes = _circle_means(products[n], ps[:live], r)
+            if outcomes and isinstance(outcomes[-1], BlabError):
+                # it precedes every failure of a later exponent; an earlier
+                # exponent may still fail on a later circle, and then precedes it
+                failure, live = outcomes.pop(), len(outcomes)
+                if not live:
+                    raise failure
+            means.append((n, r, outcomes))
+    if failure is not None:
+        raise failure
     return MeansTable([(n, q, r, vals[j]) for j, q in enumerate(ps) for n, r, vals in means])
 
 

@@ -77,8 +77,8 @@ class ModelFunction:
         if self.kind == "linear":
             vals = arr.copy()
         elif self.kind == "power":
-            g = self.param
-            vals = np.where(arr <= 2.0, arr**g, 2.0 ** (g - 1.0) * arr)
+            vals = np.multiply(arr, 2.0 ** (self.param - 1.0), out=np.empty_like(arr))
+            np.power(arr, self.param, where=arr <= 2.0, out=vals)  # past 2, x^g may overflow
         else:
             # subnormal x: x**-rho overflows to +inf and exp(-inf) = 0, the
             # honest limit value

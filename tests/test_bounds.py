@@ -134,6 +134,18 @@ class TestLemmaPointwise:
         assert lemma_bound(ModelFunction.linear(), 1.0) == 3.0
         assert lemma_bound(ModelFunction.truncated_power(2.0), 0.5) == 4.5
 
+    def test_bound_past_the_float_range_is_refused(self, monkeypatch):
+        # C = 2^1022.5 at gamma 1023.5, so 2C + K is finite at K = 1 and inf
+        # at K = 1e308; the sampled check refuses it before its first draw
+        phi = ModelFunction.truncated_power(1023.5)
+        assert lemma_bound(phi, 1.0) == 2.0 * phi.constant + 1.0 < np.inf
+        with pytest.raises(DomainError, match=r"2C \+ K overflows float64 at C = 6.36e\+307 "
+                                              r"and K = 1e\+308$"):
+            lemma_bound(phi, 1e308)
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(DomainError, match=r"2C \+ K overflows float64"):
+            lemma_check(vertex_spec(phi, 0.0, 1e308), 100, seed=0)
+
     @pytest.mark.parametrize("phi", GAUGES, ids=lambda p: p.kind)
     def test_gauge_chain_reaches_boundary_distance(self, phi):
         # phi(d(z,E)/6) <= phi(|t - z|lam||/3) for t in E: the step that turns

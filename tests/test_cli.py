@@ -9,8 +9,21 @@ import numpy as np
 import pytest
 
 import blab
-from blab import BoundReport, cli, parse_zero_line
+from blab import BoundReport, cli, fileio, parse_zero_line
 from test_regions import _reference_sample_zeros
+
+
+@pytest.fixture(autouse=True)
+def strict_reports(monkeypatch):
+    """Every report the CLI writes reads back as strict JSON: no NaN or Infinity."""
+    write = cli.write_report
+
+    def write_and_reread(path, payload):
+        write(path, payload)
+        with open(path, encoding="utf-8") as fh:
+            json.loads(fh.read(), parse_constant=fileio._reject_constant)
+
+    monkeypatch.setattr(cli, "write_report", write_and_reread)
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -513,6 +526,20 @@ def test_gauges_at_the_edge_of_the_float_range(case, tmp_path, capsys):
     got = capsys.readouterr().err
     assert got.startswith(err) if code else got == ""
     assert (out / f"{command}.json").exists() == (code == 0)
+
+
+def test_lemma_bound_past_the_float_range_writes_no_report(tmp_path, capsys):
+    # 2C + K is inf at gamma 1023.5 and K = 1e308, a bound no JSON report holds
+    payload = lemma_cfg(samples=50)
+    payload["region"] = dict(payload["region"], model={"kind": "power", "gamma": 1023.5},
+                             K=1e308)
+    out = tmp_path / "out"
+    assert cli.main(["verify-lemma", "--config", write_cfg(tmp_path, payload),
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("numerical failure (DomainError): the lemma's constant "
+                                       "2C + K overflows float64 at C = 6.36e+307 and "
+                                       "K = 1e+308\n")
+    assert not (out / "verify-lemma.json").exists()
 
 
 class TestVerifyTheorem1:

@@ -544,22 +544,40 @@ class TestHpTrend:
         with pytest.raises(DomainError, match="positive and finite"):
             hp_trend(radial_geometric_family(), [1.0, q], [2, 4], [0.5])
 
-    def test_a_joint_failure_that_no_replay_repeats_propagates(self, monkeypatch):
-        # each exponent's run is bitwise the joint one, so the replay raises
-        # first; were it not, the joint call's own error still propagates
-        real, calls = blab.means.hardy_mean, []
+    def test_a_failure_ends_the_passes(self, handed, monkeypatch):
+        # the set of the failure-order test: 0.5 fails degree 4 at the cap,
+        # after 64 + 64 + ... + 1024 = 2048 points, and no circle runs after
+        # it when it comes first; after 1.2 it leaves 1.2 alone on degree 10,
+        # which fails there after 160 + 160 + 320 + 640 = 1280 points
+        monkeypatch.setattr(blab.means, "_NODE_CAP", 2048)
+        zeros = RIM * np.exp(2j * np.pi * np.random.default_rng(9).uniform(0, 1, 20))
+        for ps, points in (([0.5, 1.2], 2048), ([1.2, 0.5], 2048 + 1280)):
+            handed.clear()
+            with pytest.raises(ResolutionError, match="moved the mean"):
+                hp_trend(lambda n: zeros[:n], ps, [4, 10], [RIM])
+            assert sum(handed) == points
 
-        def joint_fails(product, p, r):
-            calls.append(p)
-            if np.ndim(p):
-                raise ResolutionError("the joint call failed")
-            return real(product, p, r)
+    def test_no_exponents_give_no_means(self):
+        sampled = []
 
-        monkeypatch.setattr(blab.means, "hardy_mean", joint_fails)
-        with pytest.raises(ResolutionError, match="^the joint call failed$"):
-            hp_trend(radial_geometric_family(), [1.0, 2.0], [2, 3], [0.5])
-        # the replay ran each exponent on the failing circle and the later one
-        assert calls == [[1.0, 2.0], 1.0, 1.0, 2.0, 2.0]
+        def fam(n):
+            sampled.append(n)
+            return radial_geometric_family()(n)
+
+        assert hardy_mean([0.5], [], 0.5) == []
+        assert hp_trend(fam, [], [2, 3], [0.5]).rows == []
+        assert sampled == [2, 3]
+
+    def test_a_repeated_truncation_samples_the_family_once(self):
+        sampled = []
+
+        def fam(n):
+            sampled.append(n)
+            return radial_geometric_family()(n)
+
+        rows = hp_trend(fam, 1.0, [2, 3, 2], [0.5]).rows
+        assert sampled == [2, 3]
+        assert [row[0] for row in rows] == [2, 3, 2] and rows[0] == rows[2]
 
     def test_family_degree_mismatch(self):
         with pytest.raises(DomainError, match="family returned"):

@@ -94,6 +94,17 @@ class TestModelFunction:
         with pytest.raises(DomainError, match="overflows float64 at rho = 0.001"):
             ModelFunction.exp_tangential(0.001).constant
 
+    def test_power_gauge_forms_the_power_only_up_to_the_knee(self):
+        # past x = 2 the gauge is linear, and x^gamma there would overflow
+        # with numpy's RuntimeWarning where phi itself is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ModelFunction.truncated_power(1023.5)(2.5) == 2.5 * 2.0 ** 1022.5
+            phi = ModelFunction.truncated_power(3.0)
+            assert phi(1e150) == 4.0 * 1e150
+            knee = np.array([np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0)])
+            assert phi(knee).tolist() == [knee[0] ** 3.0, 8.0, 4.0 * knee[2]]
+
     def test_rejects_negative_argument(self):
         with pytest.raises(DomainError):
             ModelFunction.linear()(-0.1)
