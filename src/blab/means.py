@@ -280,6 +280,7 @@ def hardy_mean(product, p, r):
     """
     outcomes = _circle_means(_as_product(product), [float(q) for q in np.ravel(p)], float(r))
     if outcomes and isinstance(outcomes[-1], BlabError):
+        outcomes[-1]._resolved = len(outcomes) - 1  # the exponents before it, for hp_trend
         raise outcomes[-1]
     return outcomes if np.ndim(p) else outcomes[0]
 
@@ -293,8 +294,8 @@ def _circle_means(product, ps, r):
     as a call with it alone does, and the exponents after it do not run. The
     circle's own refusals (radius domain, float64 floor, start over the node
     cap) raise at once. Each exponent runs its own doubling over the shared
-    passes, so its outcome is bitwise the one it has alone, and the passes
-    stop once every exponent before the first failing one has resolved.
+    passes, so its outcome is bitwise the one it has alone; each pass stops
+    at the first failing exponent, and the passes once the ones before it resolve.
     """
     valid = next((i for i, q in enumerate(ps) if not _FLOAT_FLOOR <= q < math.inf), len(ps))
     outcomes = [None] * valid
@@ -320,7 +321,7 @@ def _circle_means(product, ps, r):
     while True:
         last = rule.count << 1 > _NODE_CAP  # the next pass would exceed the cap
         on = f"{where} on a pass of {rule.count} nodes"
-        for i, q in enumerate(ps[:valid]):
+        for i, q in enumerate(ps[:len(outcomes)]):  # up to the first failure so far
             if outcomes[i] is None:
                 outcomes[i] = _out_of_range(rule.value[i], q, on)
             if outcomes[i] is None:
@@ -331,9 +332,10 @@ def _circle_means(product, ps, r):
                                                   f"relative{on}")
                 elif last or rel <= _DOUBLING_TARGET:
                     outcomes[i] = fine
-        failed = next((i for i, m in enumerate(outcomes) if isinstance(m, BlabError)), len(ps))
-        if None not in outcomes[:failed]:
-            return outcomes[:failed + 1]
+            if isinstance(outcomes[i], BlabError):
+                break
+        if None not in outcomes[:i + 1]:
+            return outcomes[:i + 1]
         rule.refine()
 
 
@@ -433,8 +435,8 @@ def hp_trend(family, p, truncations, r_grid):
     family maps a truncation N to its first N zeros and is sampled once per
     N. p is an exponent or a sequence of them. One row per (N, p, r), in the
     order p, then N, then r; growth of the per-N supremum over r across N is
-    the trend read against the membership threshold. Each circle takes one
-    set of passes for the exponents before the first failure so far, so a
+    the trend read against the membership threshold. Each circle is one
+    hardy_mean call for the exponents before the first failure so far, so a
     row is bitwise what a run with its exponent alone gives, and a failure
     is the one such runs, exponent after exponent, would raise first.
     """
@@ -449,14 +451,13 @@ def hp_trend(family, p, truncations, r_grid):
                 raise DomainError(f"family returned {product.degree} zeros for N = {n}")
             products[n] = product
         for r in radii:
-            outcomes = _circle_means(products[n], ps[:live], r)
-            if outcomes and isinstance(outcomes[-1], BlabError):
-                # it precedes every failure of a later exponent; an earlier
-                # exponent may still fail on a later circle, and then precedes it
-                failure, live = outcomes.pop(), len(outcomes)
+            try:
+                means.append((n, r, hardy_mean(products[n], ps[:live], r)))
+            except BlabError as err:
+                # it precedes later exponents' failures, not an earlier one's on a later circle
+                failure, live = err, getattr(err, "_resolved", 0)  # 0: the circle refused
                 if not live:
-                    raise failure
-            means.append((n, r, outcomes))
+                    raise
     if failure is not None:
         raise failure
     return MeansTable([(n, q, r, vals[j]) for j, q in enumerate(ps) for n, r, vals in means])

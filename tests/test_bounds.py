@@ -345,6 +345,10 @@ class TestTheoremBound:
         spec = vertex_spec(ModelFunction.truncated_power(500.0), 0.0, 1e154)
         with pytest.raises(DomainError, match="overflows float64"):  # finite square, 2 alpha
             theorem_bound([0.5, 0.5j, -0.5], 0.0, spec)
+        spec = vertex_spec(ModelFunction.truncated_power(1023.5), 0.0, 1e308)
+        with pytest.raises(DomainError, match=r"^the lemma's constant 2C \+ K overflows float64 "
+                                              r"at C = 6.36e\+307 and K = 1e\+308$"):
+            theorem_bound([0.5], 0.0, spec)  # 2C + K itself past the range
 
     def test_power_branch_constant_identity(self):
         # below the knee: rhs * (d/6)^(2 gamma) == 2 (2C + K)^2 alpha
