@@ -20,26 +20,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, EmptyRegionError, SamplingError
-from .products import _as_product, _blocks, _factor_blocks, _require, _result, _whole
+from .products import (_as_product, _blocks, _factor_blocks, _in_closed_disk, _inside_disk,
+                       _on_circle, _require, _result, _whole)
 from .regions import MEMBERSHIP_TOL, _seed_int, angular_halfwidth, in_stolz, region_is_empty
 
 _DRAWS = 4096  # draws per RNG stream of the lemma sampler
-_UNIT_TOL = 1e-9  # |t| = 1 validated to this
 _DESCENT_MIN, _DESCENT_MAX = 64, 4096  # points per derivative call of a descent, doubling
 _ABS_TOL = 1e-14  # absolute slack of the pointwise inequalities
 _CLOSED_RTOL = 1e-12  # relative slack of the closed-form bounds
 _THEOREM_RTOL = 1e-9  # relative slack of the derivative bound
 _WITNESSES = 10  # worst witnesses a lemma report keeps
-
-
-def _as_complex(z):
-    return np.asarray(z, dtype=np.complex128)
-
-
-def _check_unit(t):
-    t = _as_complex(t)
-    _require(np.abs(np.abs(t) - 1.0) <= _UNIT_TOL, "t must lie on the unit circle")
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -59,10 +49,8 @@ def three_point_check(phi, x, y, u):
 
 def chord_check(z, lam, t):
     """|t - z| <= 2 |t - z |lam|| for |z| < 1, |lam| < 1, |t| = 1, up to absolute slack."""
-    z, lam = _as_complex(z), _as_complex(lam)
-    t = _check_unit(t)
-    _require((np.abs(z) < 1.0) & (np.abs(lam) < 1.0),
-             "z and lam must lie strictly inside the disk")
+    t = _on_circle(t, "t")
+    z, lam = _inside_disk(z, "z"), _inside_disk(lam, "lam")
     return _result(np.abs(t - z) <= 2.0 * np.abs(t - z * np.abs(lam)) + _ABS_TOL, z, lam, t)
 
 
@@ -72,10 +60,8 @@ def lemma_lhs(z, t, lam, phi):
     The quantity bounded by 2 C_phi + K whenever lam sits in the vertex
     region at t with aperture K.
     """
-    z, lam = _as_complex(z), _as_complex(lam)
-    t = _check_unit(t)
-    _require(np.abs(z) <= 1.0 + 1e-15, "z must lie in the closed unit disk")
-    _require(np.abs(lam) < 1.0, "lam must lie strictly inside the disk")
+    t = _on_circle(t, "t")
+    z, lam = _in_closed_disk(z, "z"), _inside_disk(lam, "lam")
     vals = phi(np.abs(t - z * np.abs(lam)) / 3.0) / np.abs(1.0 - np.conj(lam) * z)
     return _result(vals, z, t, lam)
 
@@ -97,8 +83,7 @@ def schwarz_pick_bound(product, z):
     naive difference (the check runs at near-equality as |z| -> 1).
     """
     product = _as_product(product)
-    z = _as_complex(z)
-    _require(np.abs(z) < 1.0, "the hyperbolic-derivative bound needs |z| < 1")
+    z = _inside_disk(z, "z")
     sq = product.zeros.moduli[:, None] ** 2
 
     def telescoped(d, r):
@@ -115,7 +100,7 @@ def schwarz_pick_bound(product, z):
 def schwarz_pick_check(product, z):
     """|B'(z)| <= (1 - |B(z)|^2)/(1 - |z|^2), with relative slack."""
     product = _as_product(product)
-    z = _as_complex(z)
+    z = _inside_disk(z, "z")
     lhs = np.abs(product.derivative(z))
     return _result(lhs <= schwarz_pick_bound(product, z) * (1.0 + _CLOSED_RTOL), z)
 
@@ -338,8 +323,7 @@ def _theorem_rhs(product, z, spec, check_zeros):
             raise DomainError(
                 f"zero #{k} = {complex(product.zeros.zeros[k])} lies outside the region"
             )
-    z = _as_complex(z)
-    _require(np.abs(z) < 1.0, "the derivative bound is checked strictly inside the disk")
+    z = _inside_disk(z, "z")
     gauge = spec.phi(spec.boundary.distance(z) / 6.0)
     try:
         const = 2.0 * lemma_bound(spec.phi, spec.k_const) ** 2 * product.zeros.alpha
@@ -449,10 +433,9 @@ def envelope_fit(product, boundary_set, rho, grid):
     rho = float(rho)
     if not 0.0 < rho < np.inf:
         raise DomainError("rho must be positive and finite")
-    grid = _as_complex(grid).ravel()
+    grid = _in_closed_disk(grid, "grid").ravel()
     if grid.size == 0:
         raise DomainError("empty fitting grid")
-    _require(np.abs(grid) <= 1.0 + 1e-15, "grid must lie in the closed unit disk")
     d = boundary_set.distance(grid)
     far = d >= 0.5
     if not far.any():

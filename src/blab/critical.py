@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, RootFindingError
-from .products import ZeroSequence, _as_product, _blocks, _factor_blocks, _require
+from .products import ZeroSequence, _as_product, _blocks, _factor_blocks, _inside_disk, _require
 
 _INTERIOR_EDGE = 1e-12  # |root| < 1 - this counts as interior
 _RESIDUAL_MAX = 1e-8
@@ -294,9 +294,7 @@ def _points_and_gaps(points):
     if isinstance(points, CriticalSet):
         pts = points.points
     else:
-        pts = np.asarray(points, dtype=np.complex128)
-        # 0 stays allowed: a critical point may lie there
-        _require(np.abs(pts) < 1.0, "point must lie strictly inside the unit disk")
+        pts = _inside_disk(points, "point")  # 0 stays allowed: a critical point may lie there
     return pts, 1.0 - np.abs(pts)
 
 

@@ -1,6 +1,12 @@
 """Finite Blaschke products: factors, evaluation, analytic and numerical derivatives.
 
-Each zero a must satisfy 0 < |a| < 1. A factor carries the unimodular
+This module owns where a zero or a point may lie, for the whole package. A
+zero a satisfies 0 < |a| < 1 by numpy's modulus: one rule
+(`_validate_zero_array`, or `_valid_moduli` as a mask) for ZeroSequence, the
+factor functions and the zero sampler. A point is checked strictly inside
+(|z| < 1, `_inside_disk`), in the closed disk (|z| <= 1 + _EDGE_TOL,
+`_in_closed_disk`) or on the circle (||t| - 1| <= _UNIT_TOL, `_on_circle`),
+and a refusal names the argument. A factor carries the unimodular
 normalization conj(a)/|a|, so the full product is positive at the origin.
 Infinite products are handled through finite truncations; `truncation_tail`
 certifies the cut-off error.
@@ -22,6 +28,7 @@ from .errors import DomainError, InvalidZeroError
 
 # Evaluation points may poke past the circle by rounding only.
 _EDGE_TOL = 1e-12
+_UNIT_TOL = 1e-9  # |t| = 1 validated to this
 
 # Matrix entries (zeros x points) per block of the factor pass: the block
 # temporaries stay within a 2 MB L2 cache.
@@ -48,8 +55,23 @@ def _result(values, *args):
     return values
 
 
-def _require_closed_disk(arr):
-    _require(np.abs(arr) <= 1.0 + _EDGE_TOL, "evaluation point lies outside the closed unit disk")
+def _disk_check(z, name, ok, where):
+    """z as a complex array, after a DomainError naming it unless ok(|z|) holds everywhere."""
+    arr = np.asarray(z, dtype=np.complex128)
+    _require(ok(np.abs(arr)), f"{name} must lie {where}")
+    return arr
+
+
+def _inside_disk(z, name):
+    return _disk_check(z, name, lambda r: r < 1.0, "strictly inside the unit disk")
+
+
+def _in_closed_disk(z, name):
+    return _disk_check(z, name, lambda r: r <= 1.0 + _EDGE_TOL, "in the closed unit disk")
+
+
+def _on_circle(t, name):
+    return _disk_check(t, name, lambda r: np.abs(r - 1.0) <= _UNIT_TOL, "on the unit circle")
 
 
 def _block_width(size):
@@ -90,17 +112,21 @@ def _factor_blocks(zeros, z, kernel):
     return out
 
 
+def _valid_moduli(radii):
+    """The zero rule 0 < |a| < 1 as a mask over moduli; a nan modulus fails it."""
+    return (radii > 0.0) & (radii < 1.0)
+
+
 def _validate_zero_array(arr):
-    if arr.size == 0:
-        return
+    """The moduli np.abs(arr) of the zeros arr, after an InvalidZeroError naming the first bad one."""
     radii = np.abs(arr)
-    # written as a negation so that a nan modulus fails it too
-    bad = np.flatnonzero(~((radii > 0.0) & (radii < 1.0)))
+    bad = np.flatnonzero(~_valid_moduli(radii))
     if bad.size:
         k = int(bad[0])
         raise InvalidZeroError(
             f"zero #{k} = {arr[k]} violates 0 < |z| < 1 (|z| = {radii[k]})"
         )
+    return radii
 
 
 def blaschke_factor(z, zero):
@@ -110,11 +136,8 @@ def blaschke_factor(z, zero):
     At z = 0 the factor equals |a| > 0.
     """
     a = complex(zero)
-    ra = abs(a)
-    if not 0.0 < ra < 1.0:
-        raise InvalidZeroError(f"zero {a} violates 0 < |z| < 1 (|z| = {ra})")
-    arr = np.asarray(z, dtype=np.complex128)
-    _require_closed_disk(arr)
+    ra = float(_validate_zero_array(np.array([a]))[0])
+    arr = _in_closed_disk(z, "z")
     vals = (a.conjugate() / ra) * (a - arr) / (1.0 - a.conjugate() * arr)
     return _result(vals, arr)
 
@@ -122,11 +145,8 @@ def blaschke_factor(z, zero):
 def factor_derivative(z, zero):
     """Derivative of a single factor: conj(a)/|a| * (|a|^2 - 1) / (1 - conj(a) z)^2."""
     a = complex(zero)
-    ra = abs(a)
-    if not 0.0 < ra < 1.0:
-        raise InvalidZeroError(f"zero {a} violates 0 < |z| < 1 (|z| = {ra})")
-    arr = np.asarray(z, dtype=np.complex128)
-    _require_closed_disk(arr)
+    ra = float(_validate_zero_array(np.array([a]))[0])
+    arr = _in_closed_disk(z, "z")
     vals = (a.conjugate() / ra) * (ra * ra - 1.0) / (1.0 - a.conjugate() * arr) ** 2
     return _result(vals, arr)
 
@@ -142,10 +162,9 @@ class ZeroSequence:
 
     def __init__(self, zeros):
         arr = np.atleast_1d(np.asarray(zeros, dtype=np.complex128)).reshape(-1).copy()
-        _validate_zero_array(arr)
+        self._moduli = _validate_zero_array(arr)
         arr.flags.writeable = False
         self._zeros = arr
-        self._moduli = np.abs(arr)
         self._moduli.flags.writeable = False
         self._gaps = 1.0 - self._moduli
         self._gaps.flags.writeable = False
@@ -196,8 +215,7 @@ def truncation_tail(tail, z):
     circle itself is rejected.
     """
     seq = tail if isinstance(tail, ZeroSequence) else ZeroSequence(tail)
-    arr = np.asarray(z, dtype=np.complex128)
-    _require(np.abs(arr) < 1.0, "point must lie strictly inside the unit disk")
+    arr = _inside_disk(z, "z")
     return _result(2.0 * seq.alpha / (1.0 - np.abs(arr)), arr)
 
 
@@ -229,8 +247,7 @@ class BlaschkeProduct:
 
     def evaluate(self, z):
         """Value of the product at z (scalar or array), |z| <= 1."""
-        arr = np.asarray(z, dtype=np.complex128)
-        _require_closed_disk(arr)
+        arr = _in_closed_disk(z, "z")
         inv = 1.0 / self._seq.moduli[:, None]
         out = _factor_blocks(self._seq.zeros, arr.reshape(-1),
                              lambda d, r: np.prod(d * r * inv, axis=0))
@@ -245,8 +262,7 @@ class BlaschkeProduct:
         those points only: at a simple zero a_k it is
         b_k'(a_k) prod_{j!=k} b_j(a_k), and at a repeated one exactly 0.
         """
-        arr = np.asarray(z, dtype=np.complex128)
-        _require_closed_disk(arr)
+        arr = _in_closed_disk(z, "z")
         flat = arr.reshape(-1)
         zeros = self._seq.zeros
         inv = 1.0 / self._seq.moduli[:, None]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyRegionError, SamplingError
-from .products import ZeroSequence, _require, _result, _whole
+from .products import ZeroSequence, _inside_disk, _require, _result, _valid_moduli, _whole
 
 TWO_PI = 2.0 * math.pi
 
@@ -369,9 +369,8 @@ class StolzSpec:
 
 def in_stolz(lam, spec):
     """Membership test phi(d(lam, E)) <= K (1 - |lam|), with relative slack MEMBERSHIP_TOL."""
-    arr = np.asarray(lam, dtype=np.complex128)
+    arr = _inside_disk(lam, "lam")
     r = np.abs(arr)
-    _require(r < 1.0, "membership is defined strictly inside the unit disk")
     lhs = spec.phi(spec.boundary.distance(arr))
     rhs = spec.k_const * (1.0 - r)
     return _result(lhs <= rhs + MEMBERSHIP_TOL * np.maximum(lhs, rhs), arr)
@@ -630,8 +629,8 @@ def sample_zeros(spec, n, seed, law=GeometricLaw(0.5)):
         h, psi = half[left][wide], np.zeros(left.size)
         psi[wide] = -h + (h + h) * rng.random(wide)
         cand = (1.0 - u[left]) * np.exp(1j * (anchor + psi))
-        # near gap 2^-53, |cand| can round to 1, a point membership refuses
-        rim = np.abs(cand) >= 1.0
+        # near gap 2^-53, |cand| can round to 1, which the zero rule refuses
+        rim = ~_valid_moduli(np.abs(cand))
         failed.update((i, SamplingError(
             f"cannot place zero #{i + 1}: a candidate at gap {u[i]:g} rounds onto the "
             "unit circle")) for i in left[rim].tolist())

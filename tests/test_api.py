@@ -325,6 +325,53 @@ def test_the_any_guard_detector_sees_one(tmp_path):
     assert _raises_domain_error_under_any(src) == [4]
 
 
+def _requires_comparing_a_modulus_with_one(source):
+    """Line numbers of `_require` calls whose condition compares a term holding
+    abs(...) or np.abs(...) with one holding the constant 1."""
+
+    def holds(node, test):
+        return any(test(sub) for sub in ast.walk(node))
+
+    def is_abs(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func) in ("abs", "np.abs")
+
+    def is_one(node):
+        return (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+                and node.value == 1)
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and ast.unparse(node.func).endswith("_require")
+                and node.args):
+            for cmp in (sub for sub in ast.walk(node.args[0]) if isinstance(sub, ast.Compare)):
+                terms = [cmp.left, *cmp.comparators]
+                if any(holds(t, is_abs) for t in terms) and any(holds(t, is_one) for t in terms):
+                    found.append(node.lineno)
+                    break
+    return found
+
+
+def test_only_products_checks_the_unit_disk():
+    """products owns where a point may lie: every other module calls its checks."""
+    checks = {}
+    for path in sorted(Path(blab.__file__).parent.glob("*.py")):
+        lines = _requires_comparing_a_modulus_with_one(path.read_text(encoding="utf-8"))
+        if lines and path.name != "products.py":
+            checks[path.name] = lines
+    assert checks == {}
+
+
+def test_the_disk_check_detector_sees_one():
+    source = ("def f(z, t, x, tol):\n"
+              "    _require(np.abs(z) <= 1.0 + 1e-15, 'closed disk')\n"
+              "    _require((x >= 0.0) & (abs(z) < 1), 'open disk')\n"
+              "    _require(np.abs(np.abs(t) - 1.0) <= tol, 'circle')\n"
+              "    _require(np.abs(x) < 2.0, 'not the disk')\n"
+              "    _require((0.0 < x) & (x < 1.0), 'no modulus')\n"
+              "    _require(np.abs(z) < True, 'a bool is not 1')\n")
+    assert _requires_comparing_a_modulus_with_one(source) == [2, 3, 4]
+
+
 def _envelope():
     return blab.EnvelopeFit(c1=1.0, c2=0.5, rho=1.0, grid_size=1)
 

@@ -4,12 +4,17 @@ from hypothesis import given, settings, strategies as st
 
 from blab import (
     BlaschkeProduct,
+    BoundarySet,
     DomainError,
     InvalidZeroError,
+    ModelFunction,
     ZeroSequence,
     blaschke_factor,
     blaschke_sum,
+    envelope_fit,
+    envelope_grid,
     factor_derivative,
+    lemma_lhs,
     truncation_tail,
 )
 from blab.bounds import _LazyDerivative, schwarz_pick_bound
@@ -60,7 +65,7 @@ class TestFactor:
         assert abs(v) <= 1.0 + 1e-12
 
     def test_rejects_bad_zeros(self):
-        for bad in (0.0, 1.0, 1.5, np.exp(0.3j)):
+        for bad in (0.0, 1.0, 1.5):
             with pytest.raises(InvalidZeroError):
                 blaschke_factor(0.1, bad)
             with pytest.raises(InvalidZeroError):
@@ -70,12 +75,46 @@ class TestFactor:
         with pytest.raises(DomainError):
             blaschke_factor(1.1, 0.5)
 
+    def test_every_entry_point_accepts_the_same_rim_zeros(self):
+        # unit-circle floats: numpy's modulus and Python's abs disagree on
+        # thousands of them, so one rule must decide at every entry point
+        theta = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 20_000)
+        zeros = [complex(a) for a in np.exp(1j * theta)] + [complex(np.exp(0.3j))]
+
+        def accepts(build, a):
+            try:
+                build(a)
+            except InvalidZeroError:
+                return False
+            return True
+
+        verdicts = [[accepts(build, a) for a in zeros] for build in (
+            ZeroSequence, lambda a: BlaschkeProduct([a]),
+            lambda a: blaschke_factor(0.0, a), lambda a: factor_derivative(0.0, a))]
+        assert all(v == verdicts[0] for v in verdicts[1:])
+        assert 0 < sum(verdicts[0]) < len(zeros)
+        assert verdicts[0][-1]  # e^{0.3i}: |a|^2 - 1 is -9.1e-17 exactly, inside
+
     def test_derivative_closed_form(self):
         # b'(z) = -(1 - a^2)/(1 - a z)^2 for real a
         a = 0.5
         for z in (0.0, 0.2 + 0.1j, -0.7j):
             expect = -(1 - a * a) / (1 - a * z) ** 2
             assert factor_derivative(z, a) == pytest.approx(expect, rel=1e-14)
+
+
+class TestClosedDisk:
+    def test_every_entry_point_keeps_one_tolerance(self):
+        product, phi = BlaschkeProduct([0.5, -0.3j]), ModelFunction.linear()
+        boundary = BoundarySet.from_points([np.pi])
+        ring = envelope_grid(boundary, depth=2, rays=1, ring=8)
+        entry_points = (
+            product, product.derivative, lambda z: lemma_lhs(z, 1.0, 0.5, phi),
+            lambda z: envelope_fit(product, boundary, 1.0, np.append(ring, z)))
+        for call in entry_points:
+            call(1.0 + 1e-13)  # past the circle by rounding only
+            with pytest.raises(DomainError, match="must lie in the closed unit disk"):
+                call(1.0 + 1e-11)
 
 
 class TestZeroSequence:
