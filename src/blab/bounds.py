@@ -50,8 +50,8 @@ def three_point_check(phi, x, y, u):
 def chord_check(z, lam, t):
     """|t - z| <= 2 |t - z |lam|| for |z| < 1, |lam| < 1, |t| = 1, up to absolute slack."""
     t = _on_circle(t, "t")
-    z, lam = _inside_disk(z, "z"), _inside_disk(lam, "lam")
-    return _result(np.abs(t - z) <= 2.0 * np.abs(t - z * np.abs(lam)) + _ABS_TOL, z, lam, t)
+    (z, _), (lam, rlam) = _inside_disk(z, "z"), _inside_disk(lam, "lam")
+    return _result(np.abs(t - z) <= 2.0 * np.abs(t - z * rlam) + _ABS_TOL, z, lam, t)
 
 
 def lemma_lhs(z, t, lam, phi):
@@ -61,8 +61,8 @@ def lemma_lhs(z, t, lam, phi):
     region at t with aperture K.
     """
     t = _on_circle(t, "t")
-    z, lam = _in_closed_disk(z, "z"), _inside_disk(lam, "lam")
-    vals = phi(np.abs(t - z * np.abs(lam)) / 3.0) / np.abs(1.0 - np.conj(lam) * z)
+    z, (lam, rlam) = _in_closed_disk(z, "z"), _inside_disk(lam, "lam")
+    vals = phi(np.abs(t - z * rlam) / 3.0) / np.abs(1.0 - np.conj(lam) * z)
     return _result(vals, z, t, lam)
 
 
@@ -83,7 +83,7 @@ def schwarz_pick_bound(product, z):
     naive difference (the check runs at near-equality as |z| -> 1).
     """
     product = _as_product(product)
-    z = _inside_disk(z, "z")
+    z = _inside_disk(z, "z")[0]
     sq = product.zeros.moduli[:, None] ** 2
 
     def telescoped(d, r):
@@ -100,9 +100,8 @@ def schwarz_pick_bound(product, z):
 def schwarz_pick_check(product, z):
     """|B'(z)| <= (1 - |B(z)|^2)/(1 - |z|^2), with relative slack."""
     product = _as_product(product)
-    z = _inside_disk(z, "z")
-    lhs = np.abs(product.derivative(z))
-    return _result(lhs <= schwarz_pick_bound(product, z) * (1.0 + _CLOSED_RTOL), z)
+    bound = schwarz_pick_bound(product, z)  # first, so its disk check refuses z
+    return _result(np.abs(product.derivative(z)) <= bound * (1.0 + _CLOSED_RTOL), z)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +322,7 @@ def _theorem_rhs(product, z, spec, check_zeros):
             raise DomainError(
                 f"zero #{k} = {complex(product.zeros.zeros[k])} lies outside the region"
             )
-    z = _inside_disk(z, "z")
+    z = _inside_disk(z, "z")[0]
     gauge = spec.phi(spec.boundary.distance(z) / 6.0)
     try:
         const = 2.0 * lemma_bound(spec.phi, spec.k_const) ** 2 * product.zeros.alpha

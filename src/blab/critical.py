@@ -292,10 +292,10 @@ def _points_and_gaps(points):
     if isinstance(points, ZeroSequence):
         return points.zeros, points.gaps
     if isinstance(points, CriticalSet):
-        pts = points.points
+        pts, radii = points.points, np.abs(points.points)
     else:
-        pts = _inside_disk(points, "point")  # 0 stays allowed: a critical point may lie there
-    return pts, 1.0 - np.abs(pts)
+        pts, radii = _inside_disk(points, "point")  # 0 too: a critical point may lie there
+    return pts, 1.0 - radii
 
 
 def critical_sum(cs, boundary_set, rho, beta, eps):

@@ -280,6 +280,7 @@ def hardy_mean(product, p, r):
     """
     outcomes = _circle_means(_as_product(product), [float(q) for q in np.ravel(p)], float(r))
     if outcomes and isinstance(outcomes[-1], BlabError):
+        outcomes[-1]._resolved = len(outcomes) - 1  # the exponents before it, for hp_trend
         raise outcomes[-1]
     return outcomes if np.ndim(p) else outcomes[0]
 
@@ -434,10 +435,10 @@ def hp_trend(family, p, truncations, r_grid):
     family maps a truncation N to its first N zeros and is sampled once per
     N. p is an exponent or a sequence of them. One row per (N, p, r), in the
     order p, then N, then r; growth of the per-N supremum over r across N is
-    the trend read against the membership threshold. Each circle is one set
-    of passes (`_circle_means`) for the exponents before the first failure so
-    far, so a row is bitwise what a run with its exponent alone gives, and a
-    failure is the one such runs, exponent after exponent, would raise first.
+    the trend read against the membership threshold. Each circle is one
+    hardy_mean call for the exponents before the first failure so far, so a
+    row is bitwise what a run with its exponent alone gives, and a failure
+    is the one such runs, exponent after exponent, would raise first.
     """
     ps = [float(q) for q in np.ravel(p)]
     truncations = [_whole(n, "truncation N") for n in truncations]
@@ -450,13 +451,13 @@ def hp_trend(family, p, truncations, r_grid):
                 raise DomainError(f"family returned {product.degree} zeros for N = {n}")
             products[n] = product
         for r in radii:
-            outcomes = _circle_means(products[n], ps[:live], r)
-            if outcomes and isinstance(outcomes[-1], BlabError):
+            try:
+                means.append((n, r, hardy_mean(products[n], ps[:live], r)))
+            except BlabError as err:
                 # it precedes later exponents' failures, not an earlier one's on a later circle
-                failure, live = outcomes[-1], len(outcomes) - 1
+                failure, live = err, getattr(err, "_resolved", 0)  # 0: the circle refused
                 if not live:
-                    raise failure
-            means.append((n, r, outcomes))
+                    raise
     if failure is not None:
         raise failure
     return MeansTable([(n, q, r, vals[j]) for j, q in enumerate(ps) for n, r, vals in means])

@@ -1,15 +1,14 @@
 """Finite Blaschke products: factors, evaluation, analytic and numerical derivatives.
 
 This module owns where a zero or a point may lie, for the whole package. A
-zero a satisfies 0 < |a| < 1 by numpy's modulus: one rule
-(`_validate_zero_array`, or `_valid_moduli` as a mask) for ZeroSequence, the
-factor functions and the zero sampler. A point is checked strictly inside
-(|z| < 1, `_inside_disk`), in the closed disk (|z| <= 1 + _EDGE_TOL,
-`_in_closed_disk`) or on the circle (||t| - 1| <= _UNIT_TOL, `_on_circle`),
-and a refusal names the argument. A factor carries the unimodular
-normalization conj(a)/|a|, so the full product is positive at the origin.
-Infinite products are handled through finite truncations; `truncation_tail`
-certifies the cut-off error.
+zero a satisfies 0 < |a| < 1 by numpy's modulus: one rule (`_valid_moduli`, or
+`_validate_zero_array` over an array) for ZeroSequence, the factor functions
+and the zero sampler. A point is checked strictly inside (|z| < 1,
+`_inside_disk`), in the closed disk (|z| <= 1 + _EDGE_TOL, `_in_closed_disk`)
+or on the circle (||t| - 1| <= _UNIT_TOL, `_on_circle`), and a refusal names
+the argument. A factor carries the unimodular normalization conj(a)/|a|, so
+the full product is positive at the origin. Infinite products are handled
+through finite truncations; `truncation_tail` certifies the cut-off error.
 
 Every per-product quantity comes from one blocked pass over the factors
 (`_factor_blocks`): with d = a - z and r = 1/(1/conj(a) - z) the factor is
@@ -56,10 +55,11 @@ def _result(values, *args):
 
 
 def _disk_check(z, name, ok, where):
-    """z as a complex array, after a DomainError naming it unless ok(|z|) holds everywhere."""
+    """z as a complex array and its moduli, after a DomainError naming z unless ok(|z|) holds."""
     arr = np.asarray(z, dtype=np.complex128)
-    _require(ok(np.abs(arr)), f"{name} must lie {where}")
-    return arr
+    radii = np.abs(arr)
+    _require(ok(radii), f"{name} must lie {where}")
+    return arr, radii
 
 
 def _inside_disk(z, name):
@@ -67,11 +67,11 @@ def _inside_disk(z, name):
 
 
 def _in_closed_disk(z, name):
-    return _disk_check(z, name, lambda r: r <= 1.0 + _EDGE_TOL, "in the closed unit disk")
+    return _disk_check(z, name, lambda r: r <= 1.0 + _EDGE_TOL, "in the closed unit disk")[0]
 
 
 def _on_circle(t, name):
-    return _disk_check(t, name, lambda r: np.abs(r - 1.0) <= _UNIT_TOL, "on the unit circle")
+    return _disk_check(t, name, lambda r: np.abs(r - 1.0) <= _UNIT_TOL, "on the unit circle")[0]
 
 
 def _block_width(size):
@@ -123,10 +123,17 @@ def _validate_zero_array(arr):
     bad = np.flatnonzero(~_valid_moduli(radii))
     if bad.size:
         k = int(bad[0])
-        raise InvalidZeroError(
-            f"zero #{k} = {arr[k]} violates 0 < |z| < 1 (|z| = {radii[k]})"
-        )
+        raise InvalidZeroError(f"zero #{k} = {arr[k]} violates 0 < |z| < 1 (|z| = {radii[k]})")
     return radii
+
+
+def _factor_zero(zero):
+    """A factor's zero as a complex and its modulus, after the zero rule."""
+    a = complex(zero)
+    ra = float(np.abs(a))
+    if not _valid_moduli(ra):
+        raise InvalidZeroError(f"zero {a} violates 0 < |z| < 1 (|z| = {ra})")
+    return a, ra
 
 
 def blaschke_factor(z, zero):
@@ -135,8 +142,7 @@ def blaschke_factor(z, zero):
     Modulus is at most 1 on the closed disk and exactly 1 on the circle.
     At z = 0 the factor equals |a| > 0.
     """
-    a = complex(zero)
-    ra = float(_validate_zero_array(np.array([a]))[0])
+    a, ra = _factor_zero(zero)
     arr = _in_closed_disk(z, "z")
     vals = (a.conjugate() / ra) * (a - arr) / (1.0 - a.conjugate() * arr)
     return _result(vals, arr)
@@ -144,8 +150,7 @@ def blaschke_factor(z, zero):
 
 def factor_derivative(z, zero):
     """Derivative of a single factor: conj(a)/|a| * (|a|^2 - 1) / (1 - conj(a) z)^2."""
-    a = complex(zero)
-    ra = float(_validate_zero_array(np.array([a]))[0])
+    a, ra = _factor_zero(zero)
     arr = _in_closed_disk(z, "z")
     vals = (a.conjugate() / ra) * (ra * ra - 1.0) / (1.0 - a.conjugate() * arr) ** 2
     return _result(vals, arr)
@@ -215,8 +220,8 @@ def truncation_tail(tail, z):
     circle itself is rejected.
     """
     seq = tail if isinstance(tail, ZeroSequence) else ZeroSequence(tail)
-    arr = _inside_disk(z, "z")
-    return _result(2.0 * seq.alpha / (1.0 - np.abs(arr)), arr)
+    arr, radii = _inside_disk(z, "z")
+    return _result(2.0 * seq.alpha / (1.0 - radii), arr)
 
 
 class BlaschkeProduct:

@@ -369,8 +369,7 @@ class StolzSpec:
 
 def in_stolz(lam, spec):
     """Membership test phi(d(lam, E)) <= K (1 - |lam|), with relative slack MEMBERSHIP_TOL."""
-    arr = _inside_disk(lam, "lam")
-    r = np.abs(arr)
+    arr, r = _inside_disk(lam, "lam")
     lhs = spec.phi(spec.boundary.distance(arr))
     rhs = spec.k_const * (1.0 - r)
     return _result(lhs <= rhs + MEMBERSHIP_TOL * np.maximum(lhs, rhs), arr)
