@@ -40,7 +40,6 @@ from .errors import (
 from .fileio import (
     atomic_write_text,
     canonical_json,
-    complex_pair,
     format_zeros,
     means_csv,
     parse_zero_line,

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EmptyRegionError, SamplingError
+from .errors import DomainError, SamplingError
 from .products import (_as_product, _blocks, _factor_blocks, _in_closed_disk, _inside_disk,
                        _on_circle, _require, _result, _whole)
-from .regions import MEMBERSHIP_TOL, _seed_int, angular_halfwidth, in_stolz, region_is_empty
+from .regions import MEMBERSHIP_TOL, _refuse_empty, _seed_int, angular_halfwidth, in_stolz
 
 _DRAWS = 4096  # draws per RNG stream of the lemma sampler
 _DESCENT_MIN, _DESCENT_MAX = 64, 4096  # points per derivative call of a descent, doubling
@@ -124,21 +124,12 @@ class BoundReport:
     worst_k: list = field(default_factory=list)
 
     def to_payload(self):
-        """JSON-ready dict; complex values flattened to [re, im]."""
-
-        def flat(w):
-            if w is None:
-                return None
-            out = {}
-            for key, val in w.items():
-                out[key] = [val.real, val.imag] if isinstance(val, complex) else val
-            return out
-
+        """The report's JSON fields; canonical_json writes each complex value as [re, im]."""
         return {
             "samples": self.samples,
             "violations": self.violations,
             "worst_ratio": self.worst_ratio,
-            "worst_witness": flat(self.worst_witness),
+            "worst_witness": self.worst_witness,
         }
 
 
@@ -164,10 +155,7 @@ def lemma_check(spec, n_samples, seed):
     phi, k = spec.phi, spec.k_const
     t = _require_vertex(spec)
     t_angle = float(np.angle(t))
-    if region_is_empty(phi, k):
-        raise EmptyRegionError(
-            f"no interior point satisfies {phi.kind} membership with K = {k}"
-        )
+    _refuse_empty(phi, k)
     seed = _seed_int(seed)
     bound = lemma_bound(phi, k)
     accepted = 0

@@ -20,12 +20,12 @@ import sys
 
 import numpy as np
 
-from .bounds import envelope_fit, envelope_grid, lemma_bound, lemma_check, theorem_check
+from .bounds import (BoundReport, envelope_fit, envelope_grid, lemma_bound, lemma_check,
+                     theorem_check)
 from .critical import critical_points, critical_sum, log_weighted_sum, protas_sum
 from .errors import BlabError
-from .fileio import (_csv, _reject_constant, atomic_write_text, canonical_json, complex_pair,
-                     format_zeros, means_csv, points_csv, read_boundary, read_zeros,
-                     series_csv, write_report)
+from .fileio import (_csv, _reject_constant, atomic_write_text, canonical_json, format_zeros,
+                     means_csv, points_csv, read_boundary, read_zeros, series_csv, write_report)
 from .means import hp_trend, radial_geometric_family
 from .products import BlaschkeProduct
 from .regions import (BoundarySet, GeometricLaw, ModelFunction, PowerLaw,
@@ -299,11 +299,8 @@ def _prep_verify_theorem1(cfg, base_dir):
 
 
 def _run_verify_theorem1(plan, out_dir):
-    spec = plan["region"]
-    seed = plan["seed"]
-    prod = plan["products"]
+    spec, seed, prod = plan["region"], plan["seed"], plan["products"]
     rows = []
-    total_viol = 0
     worst = None
     for j in range(prod["count"]):
         rng = np.random.default_rng([seed, 101, j])
@@ -311,18 +308,14 @@ def _run_verify_theorem1(plan, out_dir):
         zeros = sample_zeros(spec, n, seed=(seed, j), law=plan["law"])
         grid = _disk_points(np.random.default_rng([seed, 202, j]), plan["grid_points"])
         rep = theorem_check(BlaschkeProduct(zeros), grid, spec, check_zeros=False)
-        total_viol += rep.violations
         rows.append((j, n, rep.worst_ratio, rep.violations))
         if worst is None or rep.worst_ratio > worst["ratio"]:
             worst = dict(rep.worst_witness, product=j, degree=n)
     _side(plan, out_dir, "csv", _csv("product,degree,worst_ratio,violations", rows))
-    worst_ratio = worst.pop("ratio")
-    return {
-        "samples": prod["count"] * plan["grid_points"],
-        "violations": total_viol,
-        "worst_ratio": worst_ratio,
-        "worst_witness": dict(worst, z=complex_pair(worst["z"])),
-    }, 1 if total_viol else 0
+    report = BoundReport(samples=prod["count"] * plan["grid_points"],
+                         violations=sum(row[3] for row in rows),
+                         worst_ratio=worst.pop("ratio"), worst_witness=worst)
+    return report.to_payload(), 1 if report.violations else 0
 
 
 def _read_zeros_file(name, base_dir):

@@ -6,8 +6,9 @@ Python's float(), which rounds decimal literals to nearest binary, so a file
 written by write_zeros round-trips bit-exactly.
 
 Reports are JSON with sorted keys and no volatile fields, so a rerun with
-the same seed produces byte-identical files. All writers go through a
-temp-file-and-rename so failures never leave partial artifacts.
+the same seed produces byte-identical files; a complex value is written as
+the pair [re, im]. All writers go through a temp-file-and-rename so
+failures never leave partial artifacts.
 """
 from __future__ import annotations
 
@@ -105,9 +106,18 @@ def write_boundary(path, boundary_set):
     atomic_write_text(path, canonical_json(boundary_set.to_payload()))
 
 
+def _complex_pair(value):
+    """json's default hook: a complex value as [re, im]; anything else stays unencodable."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def canonical_json(payload):
-    """Deterministic JSON text: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """Deterministic JSON text: sorted keys, fixed separators, trailing newline,
+    complex values as [re, im]."""
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True,
+                      default=_complex_pair) + "\n"
 
 
 def write_report(path, payload):
@@ -130,9 +140,3 @@ def means_csv(table):
 def points_csv(points):
     """Complex points as re,im rows (region boundary polylines and the like)."""
     return _csv("re,im", ((float(z.real), float(z.imag)) for z in np.asarray(points)))
-
-
-def complex_pair(z):
-    """JSON-friendly [re, im]."""
-    z = complex(z)
-    return [z.real, z.imag]

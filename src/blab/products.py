@@ -43,8 +43,9 @@ def _require(ok, message):
 
 
 def _whole(count, name):
-    """count as an int; a fraction is refused, not dropped."""
-    _require(float(count).is_integer(), f"{name} must be an integer, got {count}")
+    """count as an int; a fraction or a boolean is refused, not dropped."""
+    _require(not isinstance(count, (bool, np.bool_)) and float(count).is_integer(),
+             f"{name} must be an integer, got {count}")
     return int(count)
 
 

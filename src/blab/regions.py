@@ -386,6 +386,12 @@ def region_is_empty(phi, k_const):
     return bool(slope_one and k_const < 1.0)
 
 
+def _refuse_empty(phi, k_const):
+    """EmptyRegionError when region_is_empty(phi, k_const): the one refusal of an empty region."""
+    if region_is_empty(phi, k_const):
+        raise EmptyRegionError(f"region is empty: slope-one gauge with K = {k_const} < 1")
+
+
 def angular_halfwidth(phi, k_const, u):
     """Largest |psi| with (1-u) e^{i psi} inside the vertex region at angle 0.
 
@@ -607,10 +613,7 @@ def sample_zeros(spec, n, seed, law=GeometricLaw(0.5)):
         raise DomainError("sample size must be nonnegative")
     if n >= 2**32:
         raise DomainError(f"sample size must be below 2**32 (one seed word per index), got {n}")
-    if region_is_empty(spec.phi, spec.k_const):
-        raise EmptyRegionError(
-            f"region is empty: slope-one gauge with K = {spec.k_const} < 1"
-        )
+    _refuse_empty(spec.phi, spec.k_const)
     base = [_seed_int(s) for s in (seed if isinstance(seed, (tuple, list)) else [seed])]
     u = np.array([float(law.gap(i)) for i in range(1, n + 1)], dtype=np.float64)
     stop, barred = _first_barred_gap(spec, u)
@@ -668,8 +671,7 @@ def region_boundary(phi, k_const, vertex_angle, resolution):
         raise DomainError("aperture constant must be positive and finite")
     if not math.isfinite(vertex_angle):
         raise DomainError("vertex angle must be finite")
-    if region_is_empty(phi, k_const):
-        raise EmptyRegionError(f"region is empty: slope-one gauge with K = {k_const} < 1")
+    _refuse_empty(phi, k_const)
     t = np.exp(1j * vertex_angle)
     betas = (np.arange(resolution) + 0.5) / resolution * math.pi - math.pi / 2.0
     # rays as rows, so that margin() takes a scan (rays x samples) or one point per ray

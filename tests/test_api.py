@@ -21,7 +21,7 @@ EXPORTS = [
     "InvalidZeroError", "MeansTable", "ModelFunction", "PowerLaw", "ResolutionError",
     "RootFindingError", "SamplingError", "StolzSpec", "SumSeries", "ZeroSequence",
     "__version__", "angular_halfwidth", "atomic_write_text", "bergman_integral",
-    "blaschke_factor", "blaschke_sum", "canonical_json", "chord_check", "complex_pair",
+    "blaschke_factor", "blaschke_sum", "canonical_json", "chord_check",
     "critical_points", "critical_sum", "envelope_fit", "envelope_grid",
     "factor_derivative", "format_zeros", "hardy_mean", "hp_trend", "in_stolz",
     "lemma_bound", "lemma_check", "lemma_lhs", "log_weighted_sum", "means_csv",
@@ -55,7 +55,6 @@ PARAMETERS = {
     "blaschke_sum": "zeros",
     "canonical_json": "payload",
     "chord_check": "z, lam, t",
-    "complex_pair": "z",
     "critical_points": "product",
     "critical_sum": "cs, boundary_set, rho, beta, eps",
     "envelope_fit": "product, boundary_set, rho, grid",
@@ -466,3 +465,12 @@ def test_counts_must_be_whole_numbers(name):
         call(2.5)
     want = pickle.dumps(call(2))
     assert pickle.dumps(call(2.0)) == want and pickle.dumps(call(np.int64(2))) == want
+
+
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_counts_refuse_booleans(name, flag):
+    """A boolean is no count, as it is no seed: True is refused, not read as 1."""
+    call, arg = COUNTS[name]
+    with pytest.raises(blab.DomainError, match=f"^{arg} must be an integer, got True$"):
+        call(flag)

@@ -17,6 +17,7 @@ from blab import (
     PowerLaw,
     SamplingError,
     StolzSpec,
+    canonical_json,
     chord_check,
     envelope_fit,
     envelope_grid,
@@ -773,13 +774,13 @@ class TestTheoremPruning:
 
 
 class TestReportPayload:
-    def test_complex_flattening(self):
-        w = {"ratio": 0.5, "z": 0.1 + 0.2j, "t": 1.0 + 0j, "lambda": 0.3 + 0j}
+    def test_complex_witness_written_as_pairs(self):
+        w = {"ratio": 0.5, "z": 0.1 + 0.2j, "t": 1.0 + 0j, "lambda": np.complex128(0.3)}
         rep = BoundReport(samples=10, violations=0, worst_ratio=0.5, worst_witness=w)
         payload = rep.to_payload()
-        assert payload["worst_witness"]["z"] == [0.1, 0.2]
-        assert payload["worst_witness"]["lambda"] == [0.3, 0.0]
-        assert payload["samples"] == 10
+        assert payload["worst_witness"] is w and payload["samples"] == 10
+        back = json.loads(canonical_json(payload))["worst_witness"]
+        assert back == {"ratio": 0.5, "z": [0.1, 0.2], "t": [1.0, 0.0], "lambda": [0.3, 0.0]}
 
     def test_none_witness(self):
         rep = BoundReport(samples=0, violations=0, worst_ratio=0.0, worst_witness=None)

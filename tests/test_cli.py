@@ -565,6 +565,28 @@ class TestVerifyTheorem1:
         assert len(rows) == 4
 
 
+# per verify subcommand: a config and the witness fields that are points of the disk
+WITNESS_POINTS = {
+    "verify-lemma": (lemma_cfg(samples=500), {"z", "t", "lambda"}),
+    "verify-theorem1": ({"region": {"model": {"kind": "power", "gamma": 2.0}, "K": 1.0,
+                                    "set": {"points": [0.0]}},
+                         "products": {"count": 2, "min_degree": 2, "max_degree": 6},
+                         "grid_points": 50, "seed": 3}, {"z"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(WITNESS_POINTS))
+def test_witness_points_are_float_pairs(command, tmp_path):
+    """Both verify reports write every witness point as [re, im], and nothing else as a list."""
+    payload, points = WITNESS_POINTS[command]
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 0
+    witness = json.loads((out / f"{command}.json").read_text())["results"]["worst_witness"]
+    assert {key for key, value in witness.items() if isinstance(value, list)} == points
+    assert all(len(witness[key]) == 2 and all(type(x) is float for x in witness[key])
+               for key in points)
+
+
 class TestCriticalPoints:
     def test_artifacts(self, tmp_path):
         (tmp_path / "pair.txt").write_text(PAIR_ZEROS)

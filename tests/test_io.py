@@ -14,7 +14,6 @@ from blab import (
     ZeroSequence,
     atomic_write_text,
     canonical_json,
-    complex_pair,
     format_zeros,
     means_csv,
     parse_zero_line,
@@ -169,6 +168,25 @@ class TestCanonicalJson:
         write_report(p2, payload)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_complex_as_pair(self):
+        assert canonical_json({"z": 0.5 - 0.25j}) == canonical_json({"z": [0.5, -0.25]})
+        assert json.loads(canonical_json([1j, 2 + 0j])) == [[0.0, 1.0], [2.0, 0.0]]
+
+    def test_numpy_complex_as_pair(self):
+        z = np.complex128(0.1 + 0.2j)
+        assert canonical_json({"z": z}) == canonical_json({"z": [0.1, 0.2]})
+        # the parts keep every bit, as repr writes a float
+        assert json.loads(canonical_json(z)) == [z.real, z.imag]
+
+    def test_none_witness(self):
+        text = canonical_json({"worst_ratio": 0.0, "worst_witness": None})
+        assert json.loads(text)["worst_witness"] is None
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}], ids=["object", "set"])
+    def test_other_values_still_refused(self, value):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            canonical_json({"x": value})
+
 
 class TestCsvForms:
     def test_series_csv_exact(self):
@@ -189,8 +207,3 @@ class TestCsvForms:
         line = series_csv(s).splitlines()[1]
         assert float(line.split(",")[1]) == v
 
-
-class TestComplexPair:
-    def test_pair(self):
-        assert complex_pair(0.5 - 0.25j) == [0.5, -0.25]
-        assert complex_pair(1) == [1.0, 0.0]

@@ -18,6 +18,7 @@ from blab import (
     ZeroSequence,
     angular_halfwidth,
     in_stolz,
+    lemma_check,
     region_boundary,
     region_is_empty,
     sample_zeros,
@@ -598,6 +599,19 @@ class TestEmptyRegion:
         assert region_is_empty(ModelFunction.linear(), 1.0) is False
         assert region_is_empty(ModelFunction.truncated_power(2.0), 0.5) is False
         assert region_is_empty(ModelFunction.exp_tangential(1.0), 0.01) is False
+
+    @pytest.mark.parametrize("phi", [ModelFunction.linear(), ModelFunction.truncated_power(1.0)],
+                             ids=["linear", "power-1"])
+    def test_one_refusal_text(self, phi):
+        """The sampler, the boundary tracer and the lemma sampler refuse in the same words."""
+        spec = vertex_spec(phi, 0.0, 0.5)
+        calls = [lambda: sample_zeros(spec, 3, seed=1),
+                 lambda: region_boundary(phi, 0.5, 0.0, 8),
+                 lambda: lemma_check(spec, 10, seed=0)]
+        for call in calls:
+            with pytest.raises(EmptyRegionError,
+                               match=r"^region is empty: slope-one gauge with K = 0\.5 < 1$"):
+                call()
 
 
 class TestAngularHalfwidth:
