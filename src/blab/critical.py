@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, RootFindingError
-from .products import ZeroSequence, _as_product, _blocks, _factor_blocks, _inside_disk, _require
+from .products import ZeroSequence, _as_product, _inside_disk, _require, _split_blocks
 
 _INTERIOR_EDGE = 1e-12  # |root| < 1 - this counts as interior
 _RESIDUAL_MAX = 1e-8
@@ -50,8 +50,8 @@ def _group_exact(zs):
             np.asarray(list(seen.values()), dtype=np.float64))
 
 
-def _pole_sums(unique, mult, z):
-    """H = B'/B, H' and the pole sum S at the points z.
+def _pole_sums(unique, mult):
+    """z -> (H, H', S): H = B'/B, its derivative H' and the pole sum S at the points z.
 
     With a_j* = 1/conj(a_j), each term of H stays a product,
     m_j (|a_j|^2 - 1) / ((1 - conj(a_j) z)(a_j - z))
@@ -60,33 +60,63 @@ def _pole_sums(unique, mult, z):
     its derivative is the term times 1/(a_j - z) + 1/(a_j* - z). S sums those
     last two fractions over the distinct zeros: it is minus the logarithmic
     derivative of W's denominator prod (1 - conj(a_j) z)(a_j - z). The
-    fractions come from the product's own factor blocks (`_factor_blocks`),
-    run on the distinct zeros.
+    fractions are the factor pass's 1/d and r (`_factor_blocks`) on the
+    distinct zeros, formed on `_split_blocks` in buffers that each thread
+    allocates once per pass. c_j and the poles depend on the zeros alone,
+    so a solve forms them once, not at every sweep.
     """
-    pts = np.asarray(z, dtype=np.complex128)
     coef = (mult * (np.abs(unique) ** 2 - 1.0) / np.conj(unique))[:, None]
+    poles = np.empty((2, unique.size, 1), dtype=np.complex128)
+    poles[:, :, 0] = 1.0 / np.conj(unique), unique  # a*, a
 
-    def sums(d, r):
-        inv = 1.0 / d
-        g = coef * inv * r
-        inv += r
-        return np.array([g.sum(axis=0), (g * inv).sum(axis=0), inv.sum(axis=0)])
+    def at(z):
+        pts = np.asarray(z, dtype=np.complex128)
+        out = np.empty((3, pts.size), dtype=np.complex128)
 
-    return _factor_blocks(unique, pts, sums)
+        def run(blocks, cols):
+            terms = np.empty(3 * unique.size * cols, dtype=np.complex128)
+            sums = np.empty(3 * cols, dtype=np.complex128)
+            for blk in blocks:
+                q = pts[None, blk]
+                # zeros x points slabs, summed over the zeros at the end: the
+                # terms of H (g), of H' (g times the fraction pair) and of S (the pair)
+                slabs = terms[:3 * unique.size * q.size].reshape(3, unique.size, q.size)
+                g, r, inv = slabs
+                np.divide(1.0, np.subtract(poles, q, out=slabs[1:]), out=slabs[1:])
+                np.multiply(coef, inv, out=g)
+                g *= r
+                inv += r
+                np.multiply(g, inv, out=r)
+                out[:, blk] = slabs.sum(axis=1, out=sums[:3 * q.size].reshape(3, q.size))
+
+        _split_blocks(unique.size, pts.size, run)
+        return out
+    return at
 
 
 def _cauchy_sum(z, nodes):
     """sum_j 1/(z - nodes_j) at each z, on `_blocks`; terms that are not finite count 0.
 
     That drops a node coinciding with z (the point itself, in a repulsion
-    sum) and a node at infinity.
+    sum) and a node at infinity. The pass splits as `_pole_sums` does.
     """
     out = np.empty_like(z)
+
+    def run(blocks, cols):
+        terms = np.empty(cols * nodes.size, dtype=np.complex128)
+        bad = np.empty(terms.size, dtype=bool)
+        sums = np.empty(cols, dtype=np.complex128)
+        for at in blocks:
+            q = z[at, None]
+            inv = terms[:q.size * nodes.size].reshape(q.size, nodes.size)
+            drop = bad[:inv.size].reshape(inv.shape)
+            np.divide(1.0, np.subtract(q, nodes, out=inv), out=inv)
+            np.logical_not(np.isfinite(inv, out=drop), out=drop)
+            inv[drop] = 0.0
+            out[at] = inv.sum(axis=1, out=sums[:q.size])
+
     with np.errstate(all="ignore"):
-        for at in _blocks(nodes.size, z.size):
-            inv = 1.0 / (z[at, None] - nodes)
-            inv[~np.isfinite(inv)] = 0.0
-            out[at] = inv.sum(axis=1)
+        _split_blocks(nodes.size, z.size, run)
     return out
 
 
@@ -140,13 +170,14 @@ def _aberth_free_points(unique, mult):
     """
     w = _geometric_seeds(unique)
     live = np.ones(w.size, dtype=bool)
+    pole_sums = _pole_sums(unique, mult)
     for _ in range(_MAX_SWEEPS):
         idx = np.flatnonzero(live)
         z = w[idx]
         with np.errstate(all="ignore"):
             # W'/W = H'/H - S; the repulsion runs over the other estimates
             # and every reflection (the self term is not finite and drops)
-            h, hp, total = _pole_sums(unique, mult, z)
+            h, hp, total = pole_sums(z)
             partners = np.concatenate([w, 1.0 / np.conj(w)])
             step = 1.0 / (hp / h - total - _cauchy_sum(z, partners))
         stalled = ~np.isfinite(step)
@@ -164,8 +195,9 @@ def _aberth_free_points(unique, mult):
 def _newton_on_h(unique, mult, points):
     """Polish free critical points on H = B'/B, which evaluates stably."""
     pts = np.array(points, dtype=np.complex128)
+    pole_sums = _pole_sums(unique, mult)
     for _ in range(_POLISH_STEPS):
-        h, hp, _ = _pole_sums(unique, mult, pts)
+        h, hp, _ = pole_sums(pts)
         with np.errstate(all="ignore"):
             step = h / hp
         step[~np.isfinite(step)] = 0.0
@@ -246,7 +278,7 @@ def _residual_failure(product, unique, mult, points, residuals):
     k = int(np.argmax(residuals))
     c = complex(points[k])
     with np.errstate(all="ignore"):
-        _, hp, _ = _pole_sums(unique, mult, [c])
+        _, hp, _ = _pole_sums(unique, mult)([c])
         floor = float(np.spacing(abs(c)) * abs(product.evaluate(c) * hp[0]))
     msg = (
         f"worst residual |B'| = {residuals[k]:g} exceeds {_RESIDUAL_MAX:g} "

@@ -641,6 +641,36 @@ class TestCriticalPoints:
         assert cli.main(["critical-points", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "numerical failure (RootFindingError)" in capsys.readouterr().err
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+    def test_one_usable_cpu_writes_the_same_bytes_on_one_thread(self, tmp_path):
+        # a 300-zero solve splits its sweeps over a second thread when two CPUs
+        # are usable; pinned to one CPU it starts no thread, and no byte moves
+        rng = np.random.default_rng(300)
+        zs = (1.0 - rng.uniform(1e-3, 0.5, 300)) * np.exp(2j * np.pi * rng.uniform(0, 1, 300))
+        blab.write_zeros(str(tmp_path / "z.txt"), zs)
+        cfg = write_cfg(tmp_path, {"zeros": "z.txt"})
+        child = ("import os, sys, threading\n"
+                 "from blab import cli\n"
+                 "if sys.argv[1] == 'pinned':\n"
+                 "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                 "code = cli.main(['critical-points', '--config', sys.argv[2], '--out', sys.argv[3]])\n"
+                 "print(code, len(os.sched_getaffinity(0)), threading.active_count(), file=sys.stderr)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(blab.__file__).parents[1]),
+                                                          env.get("PYTHONPATH")]))
+        runs = {}
+        for mode in ("pinned", "free"):
+            out = tmp_path / mode
+            proc = subprocess.run([sys.executable, "-c", child, mode, cfg, str(out)],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            *said, last = proc.stderr.splitlines() or [""]
+            code, cpus, threads = map(int, last.split())
+            runs[mode] = (proc.returncode, code, proc.stdout, said,
+                          {f.name: f.read_bytes() for f in sorted(out.iterdir())})
+            assert threads == (2 if cpus >= 2 else 1), mode
+        assert cpus >= 1 and runs["pinned"] == runs["free"]
+        assert runs["free"][:2] == (0, 0) and len(runs["free"][4]) == 3
+
 
 class TestCriticalSum:
     def test_pair_totals(self, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import blab.critical
+import blab.products
 from blab import (
     BlaschkeProduct,
     CriticalSet,
@@ -22,6 +23,7 @@ from blab import (
     StolzSpec,
     sample_zeros,
 )
+from blab.critical import _cauchy_sum, _pole_sums
 from winding import ContourError, argument_principle_count
 
 
@@ -200,7 +202,8 @@ class TestCriticalPoints:
 
 def _sampled_vertex_zeros(gauge, n, seed):
     phi = {"linear": ModelFunction.linear(),
-           "exp": ModelFunction.exp_tangential(1.0)}[gauge]
+           "exp": ModelFunction.exp_tangential(1.0),
+           "power": ModelFunction.truncated_power(2.0)}[gauge]
     spec = StolzSpec(phi, BoundarySet.from_points([0.0]), 2.0)
     return sample_zeros(spec, n, seed=seed, law=PowerLaw(2.0, 0.5)).zeros
 
@@ -239,6 +242,96 @@ class TestCriticalPointsOracle:
         cs = critical_points(zs)
         assert cs.count == 399
         assert np.max(cs.residuals) < 1e-8
+
+
+def _reference_pole_sums(unique, mult, z):
+    """`_pole_sums` over the whole zeros x points matrix at once: no blocks, no threads."""
+    coef = (mult * (np.abs(unique) ** 2 - 1.0) / np.conj(unique))[:, None]
+    inv, r = 1.0 / (unique[:, None] - z), 1.0 / (1.0 / np.conj(unique)[:, None] - z)
+    g = coef * inv * r
+    inv += r
+    return np.array([g.sum(axis=0), (g * inv).sum(axis=0), inv.sum(axis=0)])
+
+
+def _reference_cauchy_sum(z, nodes):
+    """`_cauchy_sum` over the whole points x nodes matrix at once."""
+    with np.errstate(all="ignore"):
+        inv = 1.0 / (z[:, None] - nodes)
+    inv[~np.isfinite(inv)] = 0.0
+    return inv.sum(axis=1)
+
+
+def _serial_then_split(monkeypatch, fn):
+    """fn() with every pass on the caller, then with every pass of two or more
+    blocks split over the worker, on any machine; and whether the second call
+    reached the worker (the first must not)."""
+    pool, used = blab.products._pool, []
+    monkeypatch.setattr(blab.products, "_pool", lambda: used.append(1) or pool())
+    monkeypatch.setattr(blab.products, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(blab.products, "_SPLIT_ENTRIES", float("inf"))
+    serial = fn()
+    assert not used
+    monkeypatch.setattr(blab.products, "_SPLIT_ENTRIES", 0)
+    return serial, fn(), bool(used)
+
+
+def _outcome(zs):
+    """The bytes of the points and residuals, or the error text and partial points."""
+    try:
+        cs = critical_points(zs)
+    except RootFindingError as err:
+        return str(err), err.partial.tobytes()
+    return cs.points.tobytes(), cs.residuals.tobytes()
+
+
+class TestSplitPasses:
+    @pytest.mark.parametrize("n", [50, 300])
+    def test_every_block_lands_in_its_own_columns(self, monkeypatch, n):
+        # point counts around one, two and several blocks of both passes: a lone
+        # point (the [0, 0] block), a lone last point joining the block before,
+        # an odd number of blocks; a dropped, repeated or misplaced block
+        # leaves the unblocked sums
+        rng = np.random.default_rng(n)
+        unique = (1.0 - rng.uniform(1e-3, 0.5, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+        mult = rng.integers(1, 3, n).astype(float)
+        z = 0.999 * np.sqrt(rng.uniform(0, 1, 2000)) * np.exp(2j * np.pi * rng.uniform(0, 1, 2000))
+        nodes = np.concatenate([z[:n], 1.0 / np.conj(z[:n])])  # self terms drop
+        pole, cauchy = _reference_pole_sums(unique, mult, z), _reference_cauchy_sum(z, nodes)
+        counts = {1, 2, 3}
+        for size in (n, nodes.size):
+            cols = blab.products._block_width(size)
+            counts |= {cols - 1, cols, cols + 1, cols + 2, 2 * cols, 2 * cols + 1, 5 * cols + 3}
+        split = []
+        for count in sorted(counts):
+            idx = rng.choice(z.size, count, replace=False)
+            *got, used = _serial_then_split(monkeypatch, lambda: (
+                _pole_sums(unique, mult)(z[idx]), _cauchy_sum(z[idx], nodes)))
+            for sums, cauchy_sums in got:
+                assert np.array_equal(sums, pole[:, idx])
+                assert np.array_equal(cauchy_sums, cauchy[idx])
+            split.append(used)
+        assert any(split) and not all(split)
+
+    @pytest.mark.parametrize("kind, n", [("random", 50), ("random", 150), ("random", 300),
+                                         ("linear", 300), ("exp", 50), ("exp", 200),
+                                         ("power", 100), ("power", 300)])
+    def test_split_and_serial_solves_agree_to_the_bit(self, monkeypatch, kind, n):
+        if kind == "random":
+            rng = np.random.default_rng(n)
+            zs = (1.0 - rng.uniform(1e-3, 0.5, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+        else:
+            zs = _sampled_vertex_zeros(kind, n, 1)
+        counts = []
+        split = blab.products._split_blocks
+        monkeypatch.setattr(blab.critical, "_split_blocks", lambda size, count, run: (
+            counts.append(count), split(size, count, run))[1])
+        serial, threaded, used = _serial_then_split(monkeypatch, lambda: _outcome(zs))
+        assert serial == threaded
+        assert used == (n >= 100)  # at n = 50 every pass is one block
+        # on these sets some sweep has a single live estimate, on the [0, 0] block
+        assert (1 in counts) == (kind in ("exp", "power"))
+        if (kind, n) in (("exp", 200), ("power", 300)):  # the float64 floor: the texts agree
+            assert "exceeds 1e-08" in serial[0]
 
 
 class TestArgumentPrinciple:

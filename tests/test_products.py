@@ -1,3 +1,10 @@
+import os
+import signal
+import sys
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +27,8 @@ from blab import (
 from blab.bounds import _LazyDerivative, schwarz_pick_bound
 from blab.critical import _cauchy_sum, _group_exact, _pole_sums
 from blab.means import _PoissonMap
-from blab.products import _block_width
+from blab import products
+from blab.products import _block_width, _split_blocks
 
 
 def interior_zero(rng, lo=0.05, hi=0.95):
@@ -319,7 +327,7 @@ class TestProductDerivative:
         unique, mult = _group_exact(zs)
         passes = [(B.derivative, pts), (B.evaluate, pts),
                   (lambda z: schwarz_pick_bound(B, z), inner),
-                  (lambda z: _pole_sums(unique, mult, np.atleast_1d(z)), disk)]
+                  (lambda z: _pole_sums(unique, mult)(np.atleast_1d(z)), disk)]
         sizes = [1, 2, 3, cols - 1, cols, cols + 1, 2 * cols + 1]
         for f, z in passes:
             whole = f(z)
@@ -398,3 +406,117 @@ class TestTruncationTail:
     def test_rejects_circle(self):
         with pytest.raises(DomainError):
             truncation_tail([0.5], 1.0)
+
+
+class TestSplitPass:
+    """`_split_blocks`: the worker runs the second half of a large pass."""
+
+    # against 8192 zeros a block holds two points: eight points are four blocks
+    SIZE, COUNT = products._BLOCK // 2, 8
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        monkeypatch.setattr(products, "_usable_cpus", lambda: 2)
+
+        def at(entries, run):
+            monkeypatch.setattr(products, "_SPLIT_ENTRIES", entries)
+            _split_blocks(self.SIZE, self.COUNT, run)
+        return at
+
+    @staticmethod
+    def _worker_first(run):
+        """run, whose call on the main thread starts once the worker's call has returned."""
+        done = threading.Event()
+
+        def first(blocks, cols):
+            if threading.current_thread() is threading.main_thread():
+                assert done.wait(60)
+                run(blocks, cols)
+                return
+            try:
+                run(blocks, cols)
+            finally:
+                done.set()
+        return first
+
+    def test_the_worker_keeps_the_callers_error_state(self, split):
+        # every block divides by zero; split, the worker takes blocks first
+        def trial(entries, state):
+            on_main = []
+
+            def run(blocks, cols):
+                for _ in blocks:
+                    on_main.append(threading.current_thread() is threading.main_thread())
+                    np.divide(1.0, np.zeros(cols))
+
+            with np.errstate(divide=state):
+                try:
+                    split(entries, run if entries else self._worker_first(run))
+                except RuntimeWarning as err:
+                    return on_main, str(err)
+            return on_main, None
+
+        warned = "divide by zero encountered in divide"
+        assert trial(float("inf"), "ignore") == ([True] * 4, None)
+        assert trial(float("inf"), "warn") == ([True], warned)
+        assert trial(0, "ignore") == ([False] * 4, None)
+        assert trial(0, "warn") == ([False, True], warned)
+
+    def test_a_late_worker_is_not_waited_for(self, split):
+        # with the worker busy, the caller takes every block, withdraws the
+        # worker's share and returns without waiting for it
+        release = threading.Event()
+        busy = products._pool().submit(release.wait, 60)
+        calls = []
+        try:
+            split(0, lambda blocks, cols: calls.append(
+                (threading.current_thread() is threading.main_thread(), len(list(blocks)))))
+            assert calls == [(True, 4)] and not busy.done()
+        finally:
+            release.set()
+        assert busy.result(timeout=60)
+
+    def test_callers_on_many_threads_share_the_worker(self, monkeypatch, split):
+        # four callers split their passes over the one worker at once, with
+        # thread switches forced often; each must get every block of its own
+        monkeypatch.setattr(products, "_SPLIT_ENTRIES", 0)
+
+        def pass_of(tag):
+            out = np.zeros(self.COUNT)
+
+            def run(blocks, cols):
+                for blk in blocks:
+                    out[blk] += tag + np.arange(self.COUNT)[blk]
+            _split_blocks(self.SIZE, self.COUNT, run)
+            return out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as callers:
+                done = [callers.submit(lambda t: [pass_of(t) for _ in range(50)], tag)
+                        for tag in range(4)]
+                got = [f.result(timeout=60) for f in done]
+        finally:
+            sys.setswitchinterval(interval)
+        for tag, outs in enumerate(got):
+            assert all(np.array_equal(out, tag + np.arange(self.COUNT)) for out in outs)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_worker(self, split):
+        split(0, lambda blocks, cols: None)  # this process has a worker now; a child has not
+        with warnings.catch_warnings():
+            # Python 3.12 warns that a process with threads forks
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # the child: report by exit code and leave at once
+            code = 1
+            try:
+                signal.alarm(60)  # a child waiting on its parent's worker dies
+                threads = set()
+                split(0, self._worker_first(lambda blocks, cols: threads.add(threading.get_ident())))
+                code = 0 if len(threads) == 2 else 2
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
