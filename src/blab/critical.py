@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, RootFindingError
-from .products import ZeroSequence, _as_product, _inside_disk, _require, _split_blocks
+from .products import (ZeroSequence, _as_product, _inside_disk, _pole_fractions, _require,
+                       _split_blocks)
 
 _INTERIOR_EDGE = 1e-12  # |root| < 1 - this counts as interior
 _RESIDUAL_MAX = 1e-8
@@ -60,7 +61,7 @@ def _pole_sums(unique, mult):
     its derivative is the term times 1/(a_j - z) + 1/(a_j* - z). S sums those
     last two fractions over the distinct zeros: it is minus the logarithmic
     derivative of W's denominator prod (1 - conj(a_j) z)(a_j - z). The
-    fractions are the factor pass's 1/d and r (`_factor_blocks`) on the
+    fractions are the factor pass's 1/d and r (`_pole_fractions`) on the
     distinct zeros, formed on `_split_blocks` in buffers that each thread
     allocates once per pass. c_j and the poles depend on the zeros alone,
     so a solve forms them once, not at every sweep.
@@ -82,7 +83,7 @@ def _pole_sums(unique, mult):
                 # terms of H (g), of H' (g times the fraction pair) and of S (the pair)
                 slabs = terms[:3 * unique.size * q.size].reshape(3, unique.size, q.size)
                 g, r, inv = slabs
-                np.divide(1.0, np.subtract(poles, q, out=slabs[1:]), out=slabs[1:])
+                _pole_fractions(poles, q, out=slabs[1:])
                 np.multiply(coef, inv, out=g)
                 g *= r
                 inv += r

@@ -18,11 +18,12 @@ where B H is not finite (z equal to a zero, or next to a zero of tiny
 modulus) does the derivative fall back to the leave-one-out product.
 The Poisson map of `means`, the ceiling of `bounds` and the repulsion of
 `critical` sum over zeros x points on the same blocks (`_blocks`). The
-critical-point sweeps share their blocks with a worker thread (`_split_blocks`).
+critical-point sweeps share their blocks with a worker thread (`_split_blocks`)
+and form the fractions 1/d and r of the factor pass (`_pole_fractions`) in
+buffers that each thread reuses.
 """
 from __future__ import annotations
 
-import contextvars
 import os
 import threading
 
@@ -38,13 +39,12 @@ _UNIT_TOL = 1e-9  # |t| = 1 validated to this
 # temporaries stay within a 2 MB L2 cache.
 _BLOCK = 1 << 14
 
-# A pass shares its blocks with _WORKERS worker thread when two CPUs are
+# A pass shares its blocks with one worker thread when two CPUs are
 # usable and the second half of its blocks holds at least _SPLIT_ENTRIES
 # entries (`_split_blocks`), so that a short last block alone is not handed
 # off. Timed on whole solves: at n = 300 every threshold from 0 to 2^14 ran
 # 1.3x faster than serial, while at n = 100 a threshold of 0 ran 1.2x slower
-# and 2^13 or more ran as fast as serial. One worker is what 2 CPUs can use.
-_WORKERS = 1
+# and 2^13 or more ran as fast as serial.
 _SPLIT_ENTRIES = 1 << 13
 _pools = {}  # process id -> its worker pool, started on first use
 
@@ -120,7 +120,7 @@ def _pool():
     pool = _pools.get(os.getpid())
     if pool is None:
         from concurrent.futures import ThreadPoolExecutor  # loaded at the first split only
-        pool = _pools.setdefault(os.getpid(), ThreadPoolExecutor(_WORKERS))
+        pool = _pools.setdefault(os.getpid(), ThreadPoolExecutor(1))
     return pool
 
 
@@ -132,11 +132,11 @@ def _split_blocks(size, count, run):
     at least _SPLIT_ENTRIES entries in the second half of the blocks, the
     caller and the worker both run, taking blocks in turn from one shared
     iterator (`_Claims`), so a worker that starts late or is held up by other
-    load takes fewer. The worker runs under a copy of the caller's context
-    (numpy's error state holds there too), and an error on either side is
-    raised here once both are done. run writes each block's columns alone,
-    and a block sums in the same order on either thread, so the bits do not
-    depend on the split.
+    load takes fewer. The worker runs under the caller's numpy error state,
+    handed over explicitly (numpy 1.x keeps it per thread, numpy 2.x per
+    context), and an error on either side is raised here once both are done.
+    run writes each block's columns alone, and a block sums in the same order
+    on either thread, so the bits do not depend on the split.
     """
     blocks, cols = _blocks(size, count), min(count, _block_width(size)) + 1
     half = len(blocks) // 2
@@ -144,12 +144,17 @@ def _split_blocks(size, count, run):
         run(blocks, cols)
         return
     claims = _Claims(blocks)
-    theirs = _pool().submit(contextvars.copy_context().run, run, claims, cols)
+    theirs = _pool().submit(_run_under, np.geterr(), np.geterrcall(), run, claims, cols)
     try:
         run(claims, cols)
     finally:
         if not theirs.cancel():  # a worker that has not started has nothing left to take
             theirs.result()
+
+
+def _run_under(state, call, run, blocks, cols):
+    with np.errstate(call=call, **state):
+        run(blocks, cols)
 
 
 class _Claims:
@@ -166,6 +171,15 @@ class _Claims:
             return next(self._blocks)
 
 
+def _pole_fractions(poles, q, out=None):
+    """1/(p - q) for poles p along the leading axes and the points q of a block.
+
+    The factor pass's fraction: r at the reflected zeros 1/conj(a), and 1/d
+    at the zeros themselves. out, when given, holds the differences first.
+    """
+    return np.divide(1.0, np.subtract(poles, q, out=out), out=out)
+
+
 def _factor_blocks(zeros, z, kernel):
     """kernel(d, r) on each of the `_blocks` of the flat points z, joined along the last axis.
 
@@ -177,7 +191,7 @@ def _factor_blocks(zeros, z, kernel):
         q = z[None, blk]
         # d and r stay bound until the next block's are made: freed at once, the
         # heap top goes back to the system at every block and faults back in
-        d, r = zeros[:, None] - q, 1.0 / (refl - q)
+        d, r = zeros[:, None] - q, _pole_fractions(refl, q)
         part = kernel(d, r)
         out = np.empty(part.shape[:-1] + z.shape, part.dtype) if out is None else out
         out[..., blk] = part
