@@ -52,8 +52,10 @@ def _group_exact(zs):
 
 
 def _pole_sums(unique, mult):
-    """z -> (H, H', S): H = B'/B, its derivative H' and the pole sum S at the points z.
+    """(z, partners) -> (H, H', S, R) at the points z, in one pass.
 
+    H = B'/B, its derivative H' and the pole sum S run over the distinct zeros,
+    the repulsion R = sum_p 1/(z - p) over the Aberth partners p (none: R = 0).
     With a_j* = 1/conj(a_j), each term of H stays a product,
     m_j (|a_j|^2 - 1) / ((1 - conj(a_j) z)(a_j - z))
         = c_j / ((a_j - z)(a_j* - z)),   c_j = m_j (|a_j|^2 - 1) / conj(a_j),
@@ -61,22 +63,28 @@ def _pole_sums(unique, mult):
     its derivative is the term times 1/(a_j - z) + 1/(a_j* - z). S sums those
     last two fractions over the distinct zeros: it is minus the logarithmic
     derivative of W's denominator prod (1 - conj(a_j) z)(a_j - z). The
-    fractions are the factor pass's 1/d and r (`_pole_fractions`) on the
-    distinct zeros, formed on `_split_blocks` in buffers that each thread
-    allocates once per pass. c_j and the poles depend on the zeros alone,
-    so a solve forms them once, not at every sweep.
+    fractions are the factor pass's 1/d and r (`_pole_fractions`). R drops its
+    terms that are not finite: a partner at z (the self term's 1/0, under
+    `errstate`) and one at infinity (the reflection of an estimate at 0). The
+    pass runs on `_split_blocks`, its blocks counted against the zeros or the
+    partners, whichever are more, in buffers that each thread allocates once
+    per pass. c_j and the poles depend on the zeros alone, so a solve forms
+    them once (`critical_points`) for its sweeps, polish and residual message.
     """
     coef = (mult * (np.abs(unique) ** 2 - 1.0) / np.conj(unique))[:, None]
     poles = np.empty((2, unique.size, 1), dtype=np.complex128)
     poles[:, :, 0] = 1.0 / np.conj(unique), unique  # a*, a
 
-    def at(z):
+    def at(z, partners=()):
         pts = np.asarray(z, dtype=np.complex128)
-        out = np.empty((3, pts.size), dtype=np.complex128)
+        nodes = np.asarray(partners, dtype=np.complex128)
+        out = np.empty((4, pts.size), dtype=np.complex128)
 
         def run(blocks, cols):
             terms = np.empty(3 * unique.size * cols, dtype=np.complex128)
-            sums = np.empty(3 * cols, dtype=np.complex128)
+            rterms = np.empty(cols * nodes.size, dtype=np.complex128)
+            bad = np.empty(rterms.size, dtype=bool)
+            sums = np.empty(4 * cols, dtype=np.complex128)
             for blk in blocks:
                 q = pts[None, blk]
                 # zeros x points slabs, summed over the zeros at the end: the
@@ -88,37 +96,19 @@ def _pole_sums(unique, mult):
                 g *= r
                 inv += r
                 np.multiply(g, inv, out=r)
-                out[:, blk] = slabs.sum(axis=1, out=sums[:3 * q.size].reshape(3, q.size))
+                out[:3, blk] = slabs.sum(axis=1, out=sums[:3 * q.size].reshape(3, q.size))
+                # a points x partners slab, summed over the partners: the terms of R
+                rep = rterms[:q.size * nodes.size].reshape(q.size, nodes.size)
+                drop = bad[:rep.size].reshape(rep.shape)
+                with np.errstate(all="ignore"):
+                    np.divide(1.0, np.subtract(q.T, nodes, out=rep), out=rep)
+                np.logical_not(np.isfinite(rep, out=drop), out=drop)
+                rep[drop] = 0.0
+                out[3, blk] = rep.sum(axis=1, out=sums[3 * q.size:4 * q.size])
 
-        _split_blocks(unique.size, pts.size, run)
+        _split_blocks(max(unique.size, nodes.size), pts.size, run)
         return out
     return at
-
-
-def _cauchy_sum(z, nodes):
-    """sum_j 1/(z - nodes_j) at each z, on `_blocks`; terms that are not finite count 0.
-
-    That drops a node coinciding with z (the point itself, in a repulsion
-    sum) and a node at infinity. The pass splits as `_pole_sums` does.
-    """
-    out = np.empty_like(z)
-
-    def run(blocks, cols):
-        terms = np.empty(cols * nodes.size, dtype=np.complex128)
-        bad = np.empty(terms.size, dtype=bool)
-        sums = np.empty(cols, dtype=np.complex128)
-        for at in blocks:
-            q = z[at, None]
-            inv = terms[:q.size * nodes.size].reshape(q.size, nodes.size)
-            drop = bad[:inv.size].reshape(inv.shape)
-            np.divide(1.0, np.subtract(q, nodes, out=inv), out=inv)
-            np.logical_not(np.isfinite(inv, out=drop), out=drop)
-            inv[drop] = 0.0
-            out[at] = inv.sum(axis=1, out=sums[:q.size])
-
-    with np.errstate(all="ignore"):
-        _split_blocks(nodes.size, z.size, run)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +144,7 @@ def _geometric_seeds(unique):
     return _hyperbolic_midpoints(unique[ring[:-1]], unique[ring[1:]])
 
 
-def _aberth_free_points(unique, mult):
+def _aberth_free_points(unique, pole_sums):
     """The u-1 free critical points, by reflected-pair simultaneous iteration.
 
     B(1/conj(z)) = 1/conj(B(z)) makes the 2u-2 roots of W come in pairs
@@ -166,21 +156,22 @@ def _aberth_free_points(unique, mult):
     _STEP_TOL * (1 + |w|) is frozen while it keeps repelling the others.
     Seeds come from the zeros' geometry (`_geometric_seeds`): by Walsh's
     theorem the critical points lie in the hyperbolic hull of the zeros.
+    Each sweep is one pass of `pole_sums` (`_pole_sums` of the zeros), which
+    forms the repulsion with H, H' and S.
 
     Returns the estimates and the number still moving (0 when converged).
     """
     w = _geometric_seeds(unique)
     live = np.ones(w.size, dtype=bool)
-    pole_sums = _pole_sums(unique, mult)
     for _ in range(_MAX_SWEEPS):
         idx = np.flatnonzero(live)
         z = w[idx]
         with np.errstate(all="ignore"):
             # W'/W = H'/H - S; the repulsion runs over the other estimates
             # and every reflection (the self term is not finite and drops)
-            h, hp, total = pole_sums(z)
             partners = np.concatenate([w, 1.0 / np.conj(w)])
-            step = 1.0 / (hp / h - total - _cauchy_sum(z, partners))
+            h, hp, total, repulsion = pole_sums(z, partners)
+            step = 1.0 / (hp / h - total - repulsion)
         stalled = ~np.isfinite(step)
         step[stalled] = 0.0  # exactly on a root, or a transient stall: hold position
         nxt = z - step
@@ -193,12 +184,11 @@ def _aberth_free_points(unique, mult):
     return w, int(live.sum())
 
 
-def _newton_on_h(unique, mult, points):
+def _newton_on_h(pole_sums, points):
     """Polish free critical points on H = B'/B, which evaluates stably."""
     pts = np.array(points, dtype=np.complex128)
-    pole_sums = _pole_sums(unique, mult)
     for _ in range(_POLISH_STEPS):
-        h, hp, _ = pole_sums(pts)
+        h, hp, _, _ = pole_sums(pts)
         with np.errstate(all="ignore"):
             step = h / hp
         step[~np.isfinite(step)] = 0.0
@@ -249,10 +239,11 @@ def critical_points(product):
     product = _as_product(product)
     n = product.degree
     unique, mult = _group_exact(product.zeros.zeros)
+    pole_sums = _pole_sums(unique, mult)
     free, live = np.asarray([], dtype=np.complex128), 0
     if len(unique) > 1:
-        raw, live = _aberth_free_points(unique, mult)
-        free = _newton_on_h(unique, mult, raw[np.abs(raw) < 1.0 - _INTERIOR_EDGE])
+        raw, live = _aberth_free_points(unique, pole_sums)
+        free = _newton_on_h(pole_sums, raw[np.abs(raw) < 1.0 - _INTERIOR_EDGE])
         free = free[np.abs(free) < 1.0 - _INTERIOR_EDGE]
     points = _sorted_critical(np.concatenate([np.repeat(unique, (mult - 1).astype(int)), free]))
     if points.size != n - 1:
@@ -261,14 +252,14 @@ def critical_points(product):
         residuals = np.abs(product.derivative(points))
         if not (points.size and np.max(residuals) >= _RESIDUAL_MAX):
             return CriticalSet(points, residuals, n)
-        failure = _residual_failure(product, unique, mult, points, residuals)
+        failure = _residual_failure(product, pole_sums, points, residuals)
     if live:
         failure += (f"; simultaneous iteration did not converge within {_MAX_SWEEPS} sweeps: "
                     f"{live} of {len(unique) - 1} estimates still moving")
     raise RootFindingError(failure, partial=points)
 
 
-def _residual_failure(product, unique, mult, points, residuals):
+def _residual_failure(product, pole_sums, points, residuals):
     """Name the worst point and compare its residual with the float64 floor.
 
     Rounding c to the nearest float moves it by up to spacing(|c|), which
@@ -279,7 +270,7 @@ def _residual_failure(product, unique, mult, points, residuals):
     k = int(np.argmax(residuals))
     c = complex(points[k])
     with np.errstate(all="ignore"):
-        _, hp, _ = _pole_sums(unique, mult)([c])
+        _, hp, _, _ = pole_sums([c])
         floor = float(np.spacing(abs(c)) * abs(product.evaluate(c) * hp[0]))
     msg = (
         f"worst residual |B'| = {residuals[k]:g} exceeds {_RESIDUAL_MAX:g} "

@@ -16,11 +16,11 @@ d r / |a|, and the logarithmic derivative is
 H = B'/B = sum ((|a|^2 - 1)/conj(a)) r / d, so B' = B H. Only at points
 where B H is not finite (z equal to a zero, or next to a zero of tiny
 modulus) does the derivative fall back to the leave-one-out product.
-The Poisson map of `means`, the ceiling of `bounds` and the repulsion of
-`critical` sum over zeros x points on the same blocks (`_blocks`). The
-critical-point sweeps share their blocks with a worker thread (`_split_blocks`)
-and form the fractions 1/d and r of the factor pass (`_pole_fractions`) in
-buffers that each thread reuses.
+The Poisson map of `means` and the ceiling of `bounds` sum over zeros x
+points on the same blocks (`_blocks`). The critical-point passes, whose
+Aberth sweeps form the pole sums and the repulsion together, share their
+blocks with a worker thread (`_split_blocks`) and form the fractions 1/d and
+r of the factor pass (`_pole_fractions`) in buffers that each thread reuses.
 """
 from __future__ import annotations
 
@@ -125,7 +125,7 @@ def _pool():
 
 
 def _split_blocks(size, count, run):
-    """run(blocks, cols) on the `_blocks` of `count` points against `size` zeros or nodes.
+    """run(blocks, cols) on the `_blocks` of `count` points against `size` zeros or partners.
 
     No block holds more than cols points, so that run allocates its block
     buffers once and fills them with numpy's out=. With two usable CPUs and

@@ -23,7 +23,7 @@ from blab import (
     StolzSpec,
     sample_zeros,
 )
-from blab.critical import _cauchy_sum, _pole_sums
+from blab.critical import _pole_sums
 from winding import ContourError, argument_principle_count
 
 
@@ -164,8 +164,8 @@ class TestCriticalPoints:
         """Make the solver lose its last estimate (and, given `live`, stall)."""
         solve = blab.critical._aberth_free_points
 
-        def short(unique, mult):
-            w, moving = solve(unique, mult)
+        def short(unique, pole_sums):
+            w, moving = solve(unique, pole_sums)
             return w[:-1], moving if live is None else live
 
         monkeypatch.setattr(blab.critical, "_aberth_free_points", short)
@@ -254,7 +254,7 @@ def _reference_pole_sums(unique, mult, z):
 
 
 def _reference_cauchy_sum(z, nodes):
-    """`_cauchy_sum` over the whole points x nodes matrix at once."""
+    """The repulsion R of `_pole_sums` over the whole points x nodes matrix at once."""
     with np.errstate(all="ignore"):
         inv = 1.0 / (z[:, None] - nodes)
     inv[~np.isfinite(inv)] = 0.0
@@ -287,15 +287,18 @@ def _outcome(zs):
 class TestSplitPasses:
     @pytest.mark.parametrize("n", [50, 300])
     def test_every_block_lands_in_its_own_columns(self, monkeypatch, n):
-        # point counts around one, two and several blocks of both passes: a lone
-        # point (the [0, 0] block), a lone last point joining the block before,
-        # an odd number of blocks; a dropped, repeated or misplaced block
-        # leaves the unblocked sums
+        # point counts around one, two and several blocks against the zeros and
+        # against the partners: a lone point (the [0, 0] block), a lone last
+        # point joining the block before, an odd number of blocks; a dropped,
+        # repeated or misplaced block leaves the unblocked sums
         rng = np.random.default_rng(n)
         unique = (1.0 - rng.uniform(1e-3, 0.5, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
         mult = rng.integers(1, 3, n).astype(float)
         z = 0.999 * np.sqrt(rng.uniform(0, 1, 2000)) * np.exp(2j * np.pi * rng.uniform(0, 1, 2000))
-        nodes = np.concatenate([z[:n], 1.0 / np.conj(z[:n])])  # self terms drop
+        z[0] = 0.0  # an estimate at 0, whose partner is at infinity
+        with np.errstate(all="ignore"):
+            nodes = np.concatenate([z[:n], 1.0 / np.conj(z[:n])])  # self terms drop
+        assert not np.isfinite(nodes[n])
         pole, cauchy = _reference_pole_sums(unique, mult, z), _reference_cauchy_sum(z, nodes)
         counts = {1, 2, 3}
         for size in (n, nodes.size):
@@ -304,11 +307,11 @@ class TestSplitPasses:
         split = []
         for count in sorted(counts):
             idx = rng.choice(z.size, count, replace=False)
-            *got, used = _serial_then_split(monkeypatch, lambda: (
-                _pole_sums(unique, mult)(z[idx]), _cauchy_sum(z[idx], nodes)))
-            for sums, cauchy_sums in got:
-                assert np.array_equal(sums, pole[:, idx])
-                assert np.array_equal(cauchy_sums, cauchy[idx])
+            *got, used = _serial_then_split(monkeypatch, lambda: _pole_sums(unique, mult)(
+                z[idx], nodes))
+            for sums in got:
+                assert np.array_equal(sums[:3], pole[:, idx])
+                assert np.array_equal(sums[3], cauchy[idx])
             split.append(used)
         assert any(split) and not all(split)
 
@@ -332,6 +335,32 @@ class TestSplitPasses:
         assert (1 in counts) == (kind in ("exp", "power"))
         if (kind, n) in (("exp", 200), ("power", 300)):  # the float64 floor: the texts agree
             assert "exceeds 1e-08" in serial[0]
+
+    @pytest.mark.parametrize("kind, n", [("random", 150), ("exp", 200)])
+    def test_a_solve_builds_its_pole_sums_once_and_each_sum_is_one_pass(self, monkeypatch,
+                                                                        kind, n):
+        # the sweeps, the polish and (exp-200, at the float64 floor) the residual
+        # message share one _pole_sums, and a sweep's repulsion rides in its pass
+        if kind == "random":
+            rng = np.random.default_rng(n)
+            zs = (1.0 - rng.uniform(1e-3, 0.5, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+        else:
+            zs = _sampled_vertex_zeros(kind, n, 1)
+        built, evaluations, passes = [], [], []
+        make, split = blab.critical._pole_sums, blab.critical._split_blocks
+
+        def counted(unique, mult):
+            built.append(unique.size)
+            at = make(unique, mult)
+            return lambda *args: evaluations.append(1) or at(*args)
+
+        monkeypatch.setattr(blab.critical, "_pole_sums", counted)
+        monkeypatch.setattr(blab.critical, "_split_blocks",
+                            lambda *args: passes.append(1) or split(*args))
+        failed = isinstance(_outcome(zs)[0], str)
+        assert failed == (kind == "exp")
+        assert built == [n]
+        assert len(passes) == len(evaluations) > 0
 
 
 class TestArgumentPrinciple:

@@ -25,7 +25,7 @@ from blab import (
     truncation_tail,
 )
 from blab.bounds import _LazyDerivative, schwarz_pick_bound
-from blab.critical import _cauchy_sum, _group_exact, _pole_sums
+from blab.critical import _group_exact, _pole_sums
 from blab.means import _PoissonMap
 from blab import products
 from blab.products import _block_width, _split_blocks
@@ -342,7 +342,7 @@ class TestProductDerivative:
     @pytest.mark.parametrize("deg", [40, 300])
     def test_the_other_sums_over_the_zeros_have_batch_independent_bits(self, deg):
         # the Poisson map on one radius and on mixed radii, the factor-sum
-        # ceilings after tighten and the repulsion sum run on the factor
+        # ceilings after tighten and the solver's repulsion R run on the factor
         # pass's blocks, so a point's values have the same bits in every call
         rng = np.random.default_rng(deg + 1)
         zs = np.asarray([interior_zero(rng, 0.05, 0.999) for _ in range(deg)])
@@ -352,7 +352,7 @@ class TestProductDerivative:
         disk = 0.999 * np.sqrt(rng.uniform(0, 1, size)) * np.exp(
             2j * np.pi * rng.uniform(0, 1, size))
         nodes = np.concatenate([disk[:deg // 2], 1.0 / np.conj(disk[:deg // 2])])
-        pmap = _PoissonMap(B)
+        pmap, pole_sums = _PoissonMap(B), _pole_sums(*_group_exact(zs))
 
         def ceiling(idx):
             lazy = _LazyDerivative(B, disk)
@@ -361,7 +361,7 @@ class TestProductDerivative:
 
         passes = [lambda idx: np.array(pmap(theta[idx], one[idx], 1.0 - one[idx])),
                   lambda idx: np.array(pmap(theta[idx], mixed[idx], 1.0 - mixed[idx])),
-                  ceiling, lambda idx: _cauchy_sum(disk[idx], nodes)]
+                  ceiling, lambda idx: pole_sums(disk[idx], nodes)[3]]
         assert nodes.size == deg and np.all(pmap(theta, one, 1.0 - one)[1] != 1.0)  # mapped
         for f in passes:
             whole = f(np.arange(size))
